@@ -54,10 +54,9 @@ from .kernels import (
     square_tiling_attention,
     streaming_attention,
 )
-from .matrices import AttentionInstance, DenseMatrix, random_instance
+from .matrices import AttentionInstance, random_instance
 from .memory import (
     Epoch,
-    IoEvent,
     IoStats,
     MemoryHierarchy,
     export_trace_csv,

@@ -14,7 +14,7 @@ class AddressError(KeyError):
 
 
 class UsageError(RuntimeError):
-    """Operation on an empty slot, or an op unavailable in the current value mode."""
+    """Operation on an empty slot, an unknown op, or a slot-size mismatch."""
 
 
 class ResidencyError(RuntimeError):
@@ -26,7 +26,7 @@ class RegimeError(ValueError):
 
 
 class FieldError(ValueError):
-    """Invalid finite-field parameters (composite modulus, q <= N, ...)."""
+    """Invalid finite-field parameters (composite q, q <= N, ...)."""
 
 
 class EnumerationCapError(RuntimeError):

@@ -23,9 +23,10 @@ from .compression import epoch_progress_bound, max_entries_per_epoch
 from .errors import ConfigurationError, RegimeError
 from .kernels import (
     dispatch_attention,
-    reference_attention,
+    picks_streaming,
     square_tiling_attention,
     streaming_attention,
+    streaming_fits,
 )
 from .matrices import random_instance
 from .memory import MemoryHierarchy
@@ -81,7 +82,7 @@ class SweepRecord:
     N: int
     d: int
     M: int
-    status: str            # "ok" or "regime_error"
+    status: str            # "ok", "regime_error" or "numeric_error"
     reads: int
     writes: int
     epochs: int
@@ -101,7 +102,9 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
     """One record per (algorithm, N, d, M) grid point, in grid order.
 
     A kernel raising a regime error yields a record with status
-    "regime_error" and zeroed counters; the sweep continues.
+    "regime_error" and zeroed counters; the sweep continues.  A run whose
+    arithmetic overflowed (NaN or +inf in the cache) keeps its counts but
+    gets status "numeric_error", so bound checks skip it.
     """
     records = []
     for alg in config.algorithms:
@@ -119,8 +122,9 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
                                                    0, 0, 0, 0))
                         continue
                     bmax = max_entries_per_epoch(res.entry_completions, res.epochs)
+                    status = "numeric_error" if res.overflow else "ok"
                     records.append(SweepRecord(
-                        alg, n, d, m, "ok", res.io.reads, res.io.writes,
+                        alg, n, d, m, status, res.io.reads, res.io.writes,
                         len(res.epochs), bmax))
     return records
 
@@ -210,7 +214,8 @@ def upper_bound_formula(algorithm: str, n: int, d: int, m: int) -> float:
     if algorithm == "streaming":
         return n * n * d * d / m + n * d
     # dispatch inherits the better of the two regimes
-    return min(n * n * d / np.sqrt(m) + n * n, n * n * d * d / m + n * d)
+    return min(upper_bound_formula("tiling", n, d, m),
+               upper_bound_formula("streaming", n, d, m))
 
 
 def check_bounds(records, config: dict | None = None) -> BoundReport:
@@ -238,12 +243,11 @@ def check_bounds(records, config: dict | None = None) -> BoundReport:
 
 
 def dispatch_matches_argmin(n: int, d: int, m: int) -> bool:
-    """True iff the dispatcher's choice equals the formula argmin
+    """True iff the dispatcher's choice equals the leading-term argmin
     (ties to streaming) wherever both regimes are available."""
     tiling_f = n * n * d / np.sqrt(m)
     streaming_f = n * n * d * d / m
-    prefers_streaming = streaming_f <= tiling_f
-    picks_streaming = m >= d * d and m >= 8 * d
-    if m < 8 * d:
-        return not picks_streaming
-    return picks_streaming == prefers_streaming
+    picked = picks_streaming(m, d)
+    if not streaming_fits(m, d):
+        return not picked
+    return picked == (streaming_f <= tiling_f)

@@ -58,7 +58,7 @@ class PrimeField:
 
     def __init__(self, q: int):
         if not _is_prime(q):
-            raise FieldError(f"modulus must be prime, got {q}")
+            raise FieldError(f"q must be prime, got {q}")
         self.q = q
 
     def inv(self, a: int) -> int:
@@ -153,7 +153,7 @@ def vandermonde_matrix(n: int, d: int, q: int) -> FieldMatrix:
     if d > n:
         raise ConfigurationError(f"d={d} must not exceed N={n}")
     if not _is_prime(q):
-        raise FieldError(f"modulus must be prime, got {q}")
+        raise FieldError(f"q must be prime, got {q}")
     if q < n:
         raise ConfigurationError(f"need q >= N for distinct points, got q={q}, N={n}")
     rows = [[pow(i, l, q) for l in range(d)] for i in range(1, n + 1)]

@@ -14,7 +14,9 @@ Two exact kernels cover the two cache regimes:
 
 ``dispatch_attention`` selects between them at the M = d^2 crossover.
 ``reference_attention`` is the plain-memory oracle both are tested
-against.  All kernels expect a fresh hierarchy (zero counters).
+against.  Every kernel needs a fresh hierarchy - empty trace, memory
+and cache - and raises ``ConfigurationError`` otherwise, so one
+hierarchy's counts always belong to exactly one run.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RegimeError
+from .errors import ConfigurationError, RegimeError
 from .matrices import AttentionInstance, block_extent, num_blocks
 from .memory import Epoch, IoStats, MemoryHierarchy, split_into_epochs
 
@@ -62,6 +64,13 @@ def _addrs(name, rows, cols):
     return [(name, i, j) for i in rows for j in cols]
 
 
+def _require_fresh(h: MemoryHierarchy) -> None:
+    if h.trace or h.memory or h.words_used:
+        raise ConfigurationError(
+            "kernels need a fresh MemoryHierarchy (empty trace, memory and cache)"
+        )
+
+
 def _finish(h: MemoryHierarchy, output, algorithm, completions) -> KernelResult:
     return KernelResult(
         output=output,
@@ -91,6 +100,7 @@ def square_tiling_attention(
     to memory when it is first computed (at most N^2 extra writes);
     this is the matmul reduction hook.
     """
+    _require_fresh(h)
     n, d = inst.N, inst.d
     m = h.capacity
     b = math.isqrt(m // 4)
@@ -103,7 +113,7 @@ def square_tiling_attention(
     h.load("V", inst.V)
     completions: list[tuple[int, int]] = []
 
-    def accumulate_score_block(ri, rj):
+    def score_block(ri, rj):
         """Raw (pre-exp) Q K^T block summed over the l-loop."""
         a = h.alloc((len(ri), len(rj)))
         for l in range(db):
@@ -113,10 +123,14 @@ def square_tiling_attention(
             h.compute("addmm", a, qb, kb, out=a)
             h.free(qb)
             h.free(kb)
+        return a
+
+    def complete(a, ri, rj):
+        """Log the block's finished entries (and write them if asked).
+        Called once per block, on its first computation."""
         completions.append((len(h.trace), len(ri) * len(rj)))
         if write_qkt:
             h.write_block(a, _addrs("QKT", ri, rj))
-        return a
 
     if stabilize:
         # Pre-pass: per row block, the running max over all score blocks.
@@ -124,7 +138,9 @@ def square_tiling_attention(
             ri = block_extent(n, b, i)
             mrow = h.alloc((len(ri),), fill=-math.inf)
             for j in range(nb):
-                a = accumulate_score_block(ri, block_extent(n, b, j))
+                rj = block_extent(n, b, j)
+                a = score_block(ri, rj)
+                complete(a, ri, rj)
                 t = h.compute("rowmax", a)
                 h.compute("maximum", mrow, t, out=mrow)
                 h.free(t)
@@ -141,18 +157,11 @@ def square_tiling_attention(
             mrow = h.read_block([("rmax", r) for r in ri], (len(ri),))
         for j in range(nb):
             rj = block_extent(n, b, j)
+            a = score_block(ri, rj)
             if stabilize:
-                a = h.alloc((len(ri), len(rj)))
-                for l in range(db):
-                    rl = block_extent(d, b, l)
-                    qb = h.read_block(_addrs("Q", ri, rl), (len(ri), len(rl)))
-                    kb = h.read_block(_addrs("KT", rl, rj), (len(rl), len(rj)))
-                    h.compute("addmm", a, qb, kb, out=a)
-                    h.free(qb)
-                    h.free(kb)
                 h.compute("subrow", a, mrow, out=a)
             else:
-                a = accumulate_score_block(ri, rj)
+                complete(a, ri, rj)
             h.compute("exp", a, out=a)
             h.write_block(a, _addrs("A", ri, rj))
             t = h.compute("rowsum", a)
@@ -199,6 +208,17 @@ def streaming_block_rows(m: int, n: int, d: int) -> int:
     return max(r, 1)
 
 
+def streaming_fits(m: int, d: int) -> bool:
+    """Whether the streaming kernel's row budget M >= 8d holds."""
+    return m >= 8 * d
+
+
+def picks_streaming(m: int, d: int) -> bool:
+    """The dispatcher's choice: streaming iff M >= d^2 (ties to
+    streaming) and the streaming row budget holds."""
+    return m >= d * d and streaming_fits(m, d)
+
+
 def streaming_attention(h: MemoryHierarchy, inst: AttentionInstance) -> KernelResult:
     """One-pass attention with running-max renormalized accumulators.
 
@@ -206,11 +226,12 @@ def streaming_attention(h: MemoryHierarchy, inst: AttentionInstance) -> KernelRe
     row and V row is read exactly once and folded into the output and
     row-sum accumulators.
     """
+    _require_fresh(h)
     n, d = inst.N, inst.d
     m = h.capacity
-    if m < 8 * d:
+    if not streaming_fits(m, d):
         raise RegimeError(
-            f"streaming needs M >= 8d = {8 * d}; use square_tiling_attention"
+            f"streaming needs M >= 8d, got M={m} with d={d}; use square_tiling_attention"
         )
     r_max = streaming_block_rows(m, n, d)
 
@@ -257,10 +278,8 @@ def streaming_attention(h: MemoryHierarchy, inst: AttentionInstance) -> KernelRe
 
 
 def dispatch_attention(h: MemoryHierarchy, inst: AttentionInstance, **kw) -> KernelResult:
-    """Pick the regime-appropriate kernel: streaming iff M >= d^2 (ties
-    to streaming) and the streaming row budget M >= 8d holds."""
-    d = inst.d
-    if h.capacity >= d * d and h.capacity >= 8 * d:
+    """Pick the regime-appropriate kernel by ``picks_streaming``."""
+    if picks_streaming(h.capacity, inst.d):
         return streaming_attention(h, inst)
     return square_tiling_attention(h, inst, **kw)
 

@@ -1,4 +1,4 @@
-"""Dense matrices, block views, and the attention problem instance.
+"""Block extents and the attention problem instance.
 
 Blocks follow the tiling convention used by the kernels: the (i, j)
 block of size B covers rows i*B .. min((i+1)*B, rows) and the analogous
@@ -7,32 +7,11 @@ column range (0-based; boundary blocks are clipped).
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError
-
-_BIN_HEADER = struct.Struct("<II")  # little-endian (rows, cols), 8 bytes
-
-
-class DenseMatrix:
-    """Row-major dense matrix with a clipped block-view accessor."""
-
-    def __init__(self, data):
-        self.data = np.atleast_2d(np.asarray(data, dtype=np.float64))
-        self.rows, self.cols = self.data.shape
-
-    def block(self, b: int, i: int, j: int) -> np.ndarray:
-        """View of the (i, j) size-b block, clipped at the boundary."""
-        if b < 1:
-            raise ConfigurationError("block size must be positive")
-        return self.data[i * b : min((i + 1) * b, self.rows),
-                         j * b : min((j + 1) * b, self.cols)]
-
-    def __array__(self, dtype=None):
-        return self.data if dtype is None else self.data.astype(dtype)
 
 
 def block_extent(n: int, b: int, i: int) -> range:
@@ -79,27 +58,3 @@ def random_instance(n: int, d: int, seed, magnitude: float = 1.0) -> AttentionIn
     q, k, v = (rng.uniform(-magnitude, magnitude, size=(n, d)) for _ in range(3))
     return AttentionInstance(q, k, v)
 
-
-# -- file formats -------------------------------------------------------------
-
-def save_matrix_csv(matrix, path) -> None:
-    np.savetxt(path, np.atleast_2d(np.asarray(matrix)), delimiter=",")
-
-
-def load_matrix_csv(path) -> np.ndarray:
-    return np.atleast_2d(np.loadtxt(path, delimiter=","))
-
-
-def save_matrix_bin(matrix, path) -> None:
-    """8-byte (rows, cols) header, then row-major little-endian float64."""
-    m = np.atleast_2d(np.asarray(matrix, dtype="<f8"))
-    with open(path, "wb") as fh:
-        fh.write(_BIN_HEADER.pack(m.shape[0], m.shape[1]))
-        fh.write(m.tobytes(order="C"))
-
-
-def load_matrix_bin(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        rows, cols = _BIN_HEADER.unpack(fh.read(_BIN_HEADER.size))
-        data = np.frombuffer(fh.read(rows * cols * 8), dtype="<f8")
-    return data.reshape(rows, cols).copy()

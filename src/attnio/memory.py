@@ -5,16 +5,14 @@ An unbounded slow memory holds everything else, and every word moved
 between the two levels is appended to a trace, so any kernel running on
 the simulator gets exact read/write counts for free.
 
-One matrix entry is one word is one I/O unit.  A simulation runs either
-in float mode (64-bit floats) or in field mode (integers modulo a prime
-``q``); mixing moduli is rejected.  There is no eviction policy: kernels
-manage their slots explicitly and the simulator only enforces capacity.
+One matrix entry is one word is one I/O unit, and every word is a 64-bit
+float.  There is no eviction policy: kernels manage their slots
+explicitly and the simulator only enforces capacity.
 """
 
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Sequence
 
@@ -35,20 +33,6 @@ WRITE = "W"
 
 # Algorithm-level kernels need a cache of at least 4 words (block size 1).
 MIN_CAPACITY = 4
-
-
-@dataclass(frozen=True)
-class IoEvent:
-    """One word transferred between cache and memory.
-
-    The tick is the event's position in the trace; ticks strictly
-    increase along the trace by construction.
-    """
-
-    tick: int
-    kind: str
-    address: Address
-    value: float
 
 
 @dataclass(frozen=True)
@@ -73,29 +57,10 @@ class Epoch:
         return self.stop - self.start
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
-
-
-def _no_field(*_args, **_kw):
-    raise UsageError("operation not available in field mode")
-
-
 # Elementwise and fused cache primitives.  Fused ops (addmm, add_outer,
 # scaled_addmm) accumulate without materializing their intermediate
 # product, so they need no extra cache words.
-_FLOAT_OPS: dict[str, Callable] = {
+_OPS: dict[str, Callable] = {
     "add": np.add,
     "sub": np.subtract,
     "mul": np.multiply,
@@ -115,31 +80,6 @@ _FLOAT_OPS: dict[str, Callable] = {
 }
 
 
-def _field_ops(q: int) -> dict[str, Callable]:
-    def inv(a):
-        flat = [pow(int(x), q - 2, q) for x in np.atleast_1d(a).ravel()]
-        return np.array(flat, dtype=np.int64).reshape(np.shape(a))
-
-    return {
-        "add": lambda a, b: (a + b) % q,
-        "sub": lambda a, b: (a - b) % q,
-        "mul": lambda a, b: (a * b) % q,
-        "neg": lambda a: (-a) % q,
-        "inv": inv,
-        "matmul": lambda a, b: (a @ b) % q,
-        "rowsum": lambda a: np.sum(a, axis=-1) % q,
-        "addmm": lambda acc, a, b: (acc + a @ b) % q,
-        "exp": _no_field,
-        "div": _no_field,
-        "maximum": _no_field,
-        "rowmax": _no_field,
-        "subrow": lambda a, w: (a - w[..., None]) % q,
-        "rowscale": lambda a, w: (a * w[..., None]) % q,
-        "add_outer": lambda acc, u, v: (acc + u[:, None] * v[None, :]) % q,
-        "scaled_addmm": lambda acc, w, a, b: (acc + w[:, None] * (a @ b)) % q,
-    }
-
-
 class MemoryHierarchy:
     """Bounded cache + unbounded memory with an exact I/O trace.
 
@@ -149,15 +89,12 @@ class MemoryHierarchy:
     ``CapacityError`` instead of evicting.
     """
 
-    def __init__(self, capacity: int, modulus: int | None = None):
+    def __init__(self, capacity: int):
         if capacity < MIN_CAPACITY:
             raise ConfigurationError(
                 f"cache capacity must be >= {MIN_CAPACITY}, got {capacity}"
             )
-        if modulus is not None and not _is_prime(modulus):
-            raise ConfigurationError(f"modulus must be prime, got {modulus}")
         self.capacity = capacity
-        self.modulus = modulus
         self.memory: dict[Address, float] = {}
         self.trace: list[tuple[str, Address, float]] = []
         self.reads = 0
@@ -166,8 +103,6 @@ class MemoryHierarchy:
         self._slots: dict[int, np.ndarray] = {}
         self._used = 0
         self._next_handle = 0
-        self._ops = _FLOAT_OPS if modulus is None else _field_ops(modulus)
-        self._dtype = np.float64 if modulus is None else np.int64
 
     # -- occupancy ---------------------------------------------------------
 
@@ -198,19 +133,14 @@ class MemoryHierarchy:
 
     def initialize(self, address: Address, value) -> None:
         """Place a word directly in slow memory.  Models input residency."""
-        self.memory[address] = self._coerce(value)
+        self.memory[address] = float(value)
 
     def load(self, name: str, matrix: np.ndarray) -> None:
         """Initialize memory with a named matrix, one address per entry."""
         matrix = np.atleast_2d(np.asarray(matrix))
         for i in range(matrix.shape[0]):
             for j in range(matrix.shape[1]):
-                self.memory[(name, i, j)] = self._coerce(matrix[i, j])
-
-    def _coerce(self, value):
-        if self.modulus is None:
-            return float(value)
-        return int(value) % self.modulus
+                self.memory[(name, i, j)] = float(matrix[i, j])
 
     # -- I/O -----------------------------------------------------------------
 
@@ -232,7 +162,7 @@ class MemoryHierarchy:
         values = [self.memory[a] for a in addresses]
         self.trace.extend((READ, a, v) for a, v in zip(addresses, values))
         self.reads += len(addresses)
-        arr = np.array(values, dtype=self._dtype)
+        arr = np.array(values, dtype=np.float64)
         if shape is not None:
             arr = arr.reshape(shape)
         return self._store(arr)
@@ -251,7 +181,7 @@ class MemoryHierarchy:
             )
         flat = arr.ravel()
         for a, v in zip(addresses, flat):
-            v = self._coerce(v)
+            v = float(v)
             self.memory[a] = v
             self.trace.append((WRITE, a, v))
         self.writes += len(addresses)
@@ -263,22 +193,14 @@ class MemoryHierarchy:
             raise UsageError(f"slot {handle} is already empty")
         self._used -= arr.size
 
-    # alias matching the pebbling rule R4 vocabulary
-    free_slot = free
-
     # -- computation ---------------------------------------------------------
 
     def alloc(self, shape: tuple = (), fill=0) -> int:
         """Create a zero-filled (or constant) slot without any I/O."""
         size = int(np.prod(shape)) if shape else 1
         self._claim(size)
-        arr = np.full(shape, self._coerce_fill(fill), dtype=self._dtype)
+        arr = np.full(shape, float(fill), dtype=np.float64)
         return self._store(arr)
-
-    def _coerce_fill(self, fill):
-        if self.modulus is None:
-            return float(fill)
-        return int(fill) % self.modulus
 
     def compute(self, op: str, *operands: int, out: int | None = None) -> int:
         """Apply a named arithmetic primitive to cache-resident operands.
@@ -287,12 +209,12 @@ class MemoryHierarchy:
         overwrites an existing slot of the same size (in-place
         accumulation); otherwise a fresh slot is allocated.
         """
-        if op not in self._ops:
+        if op not in _OPS:
             raise UsageError(f"unknown op {op!r}")
         arrays = [self._resident(h) for h in operands]
-        with np.errstate(over="ignore"):
-            result = np.asarray(self._ops[op](*arrays), dtype=self._dtype)
-        if self.modulus is None and (np.any(np.isnan(result)) or np.any(np.isposinf(result))):
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = np.asarray(_OPS[op](*arrays), dtype=np.float64)
+        if np.any(np.isnan(result)) or np.any(np.isposinf(result)):
             self.overflow = True
         if out is not None:
             target = self._resident(out)
@@ -309,7 +231,7 @@ class MemoryHierarchy:
 
     def fetch_matrix(self, name: str, shape: tuple[int, int]) -> np.ndarray:
         """Gather a named matrix out of slow memory (no I/O accounting)."""
-        out = np.empty(shape, dtype=self._dtype)
+        out = np.empty(shape, dtype=np.float64)
         for i in range(shape[0]):
             for j in range(shape[1]):
                 addr = (name, i, j)
@@ -321,20 +243,6 @@ class MemoryHierarchy:
     @property
     def io(self) -> IoStats:
         return IoStats(self.reads, self.writes)
-
-    def events(self) -> list[IoEvent]:
-        """Materialize the trace as IoEvent records with explicit ticks."""
-        return [
-            IoEvent(t, kind, addr, value)
-            for t, (kind, addr, value) in enumerate(self.trace)
-        ]
-
-
-def create(capacity: int, value_kind="float") -> MemoryHierarchy:
-    """Build a hierarchy; ``value_kind`` is "float" or a prime modulus."""
-    if value_kind == "float" or value_kind is float:
-        return MemoryHierarchy(capacity)
-    return MemoryHierarchy(capacity, modulus=int(value_kind))
 
 
 def split_into_epochs(trace: Sequence, m: int) -> list[Epoch]:

@@ -585,7 +585,15 @@ def _dependence_cycle(dag: PebblingDag, parts: list[PartSpec]):
 
 def brute_force_min_io(dag: PebblingDag, m: int, node_cap: int = BRUTE_FORCE_NODE_CAP) -> int:
     """Exact Q(G, M) by Dijkstra over (red set, blue set) configurations,
-    R1/R2 transitions costing 1 and R3/R4 costing 0.  Tiny graphs only."""
+    R1/R2 transitions costing 1 and R3/R4 costing 0.  Tiny graphs only.
+
+    R3 needs every parent and the vertex itself red at once, so no
+    complete calculation exists when M < max in-degree + 1; such an M is
+    rejected up front with ``ConfigurationError``."""
+    need = 1 + max((len(node.parents) for node in dag.nodes.values()), default=0)
+    if m < need:
+        raise ConfigurationError(
+            f"M = {m} < max in-degree + 1 = {need}: no complete calculation exists")
     n = len(dag.nodes)
     if n > node_cap:
         raise EnumerationCapError(
@@ -645,10 +653,18 @@ def save_calculation(calc: list[Transition], path) -> None:
 
 
 def load_calculation(path) -> list[Transition]:
+    """Read a calculation file; malformed content raises ``ConfigurationError``."""
     with open(path) as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigurationError(f"{path}: not valid JSON ({exc})") from None
+    if not isinstance(raw, list):
+        raise ConfigurationError(f"{path}: expected a JSON list of transitions")
     out = []
     for rec in raw:
+        if not isinstance(rec, dict) or "rule" not in rec or "vertex" not in rec:
+            raise ConfigurationError(f"{path}: transition {rec!r} needs 'rule' and 'vertex'")
         if "color" in rec:
             out.append((rec["rule"], rec["vertex"], rec["color"]))
         else:

@@ -44,6 +44,16 @@ def test_attn_sweep(tmp_path, capsys):
     assert len(lines) == 5
 
 
+def test_attn_sweep_numeric_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"N": [16], "d": [4], "M": [16],
+                               "algorithms": ["tiling"], "magnitude": 30}))
+    out = tmp_path / "records.csv"
+    assert run_cli("attn", "sweep", "--config", str(cfg), "--out", str(out)) == 1
+    assert "numeric errors: 1" in capsys.readouterr().out
+    assert ",numeric_error," in out.read_text()
+
+
 def test_pebble_build_validate_search(tmp_path, capsys):
     dag_path = tmp_path / "dag.jsonl"
     assert run_cli("pebble", "build", "--N", "2", "--d", "2",
@@ -68,6 +78,19 @@ def test_pebble_build_validate_search(tmp_path, capsys):
     edge.to_jsonl(edge_path)
     assert run_cli("pebble", "search", "--dag", str(edge_path), "--M", "2") == 0
     assert "minimum I/O = 2" in capsys.readouterr().out
+
+
+def test_pebble_bad_input_exit_code(tmp_path, capsys):
+    dag_path = tmp_path / "dag.jsonl"
+    pebbling.build_attention_dag(1, 1).to_jsonl(dag_path)
+    # M below max in-degree + 1: no complete calculation exists
+    assert run_cli("pebble", "search", "--dag", str(dag_path), "--M", "1") == 2
+    calc_path = tmp_path / "calc.json"
+    for text in ("[{", '[{"vertex": "OUT[0,0]"}]'):
+        calc_path.write_text(text)
+        assert run_cli("pebble", "validate", "--dag", str(dag_path),
+                       "--calculation", str(calc_path), "--M", "8") == 2
+    assert capsys.readouterr().err.count("error:") == 3
 
 
 def test_pebble_search_cap_refusal(tmp_path, capsys, monkeypatch):

@@ -38,6 +38,15 @@ def test_sweep_record_invariants():
         assert r.epochs == math.ceil(r.io / r.M) or r.io == 0
 
 
+def test_sweep_overflow_is_numeric_error():
+    # exp of raw scores near 30^2 * 4 overflows the unstabilized kernel
+    records = E.run_sweep(small_config(algorithms=("tiling",), m_grid=(16,),
+                                       magnitude=30.0))
+    assert [r.status for r in records] == ["numeric_error"]
+    assert records[0].io > 0
+    assert E.check_bounds(records).flags == []
+
+
 def test_sweep_determinism():
     a = E.records_to_csv(E.run_sweep(small_config()))
     b = E.records_to_csv(E.run_sweep(small_config()))

@@ -89,6 +89,21 @@ def test_tiling_stabilized_handles_large_inputs():
     assert rel_error(res.output, reference_attention(inst)) < 1e-9
 
 
+def test_tiling_stabilized_exact_counts():
+    # N=8, d=2, M=16 (B=2, 16 score blocks of 4 entries): completions are
+    # logged in the pre-pass, and write_qkt adds N^2 = 64 writes there.
+    inst = random_instance(8, 2, 0)
+    res = square_tiling_attention(MemoryHierarchy(16), inst, stabilize=True)
+    assert (res.io.reads, res.io.writes) == (400, 96)
+    assert res.entry_completions == [(t, 4) for t in (
+        8, 16, 24, 32, 42, 50, 58, 66, 76, 84, 92, 100, 110, 118, 126, 134)]
+    res = square_tiling_attention(MemoryHierarchy(16), inst, stabilize=True,
+                                  write_qkt=True)
+    assert (res.io.reads, res.io.writes) == (400, 160)
+    assert res.entry_completions == [(t, 4) for t in (
+        8, 20, 32, 44, 58, 70, 82, 94, 108, 120, 132, 144, 158, 170, 182, 194)]
+
+
 def test_streaming_matches_reference():
     inst = random_instance(8, 2, 5)
     res = streaming_attention(MemoryHierarchy(64), inst)
@@ -161,6 +176,27 @@ def test_matmul_extra_io_at_most_n_squared():
     h = MemoryHierarchy(16)
     square_tiling_attention(h, inst, write_qkt=True)
     assert h.io.total - plain <= 6 * 6
+
+
+def test_kernels_reject_used_hierarchy():
+    # a second run on one hierarchy would silently add its I/O to the first
+    inst = random_instance(8, 4, 1)
+    for kernel in (square_tiling_attention, streaming_attention, dispatch_attention):
+        h = MemoryHierarchy(64)
+        first = kernel(h, inst).io.total
+        with pytest.raises(errors.ConfigurationError):
+            kernel(h, inst)
+        assert h.io.total == first
+    with pytest.raises(errors.ConfigurationError):
+        matmul_via_attention(h, inst.Q, inst.K)
+    preloaded = MemoryHierarchy(64)
+    preloaded.initialize(("x",), 1.0)
+    with pytest.raises(errors.ConfigurationError):
+        streaming_attention(preloaded, inst)
+    holding = MemoryHierarchy(64)
+    holding.alloc((2,))
+    with pytest.raises(errors.ConfigurationError):
+        square_tiling_attention(holding, inst)
 
 
 def test_kernels_never_overflow_cache():

@@ -1,4 +1,4 @@
-"""Memory-hierarchy simulator: counting, capacity, field mode, epochs."""
+"""Memory-hierarchy simulator: counting, capacity, overflow, epochs."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from attnio import errors
 from attnio.memory import (
     Epoch,
     MemoryHierarchy,
-    create,
     export_trace_csv,
     format_address,
     replay_trace,
@@ -73,21 +72,6 @@ def test_compute_no_io_and_fused_ops():
 def test_minimum_capacity():
     with pytest.raises(errors.ConfigurationError):
         MemoryHierarchy(3)
-
-
-def test_field_mode_exact():
-    h = create(8, value_kind=7)
-    h.initialize(("x",), 10)  # stored as 3 mod 7
-    s = h.read_word(("x",))
-    t = h.compute("inv", s)
-    assert int(h.value(t)) == pow(3, 5, 7)
-    with pytest.raises(errors.UsageError):
-        h.compute("exp", s)
-
-
-def test_field_modulus_must_be_prime():
-    with pytest.raises(errors.ConfigurationError):
-        MemoryHierarchy(8, modulus=6)
 
 
 def test_overflow_flag():
