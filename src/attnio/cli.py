@@ -72,7 +72,8 @@ def _cmd_attn_sweep(args) -> int:
         print(f"bound failure: {r.algorithm} N={r.N} d={r.d} M={r.M} "
               f"upper={flag.upper_ok} lower={flag.lower_ok} epoch={flag.epoch_ok}")
     print(f"numeric errors: {numeric_errors}")
-    print(f"bound checks: {'pass' if report.ok else 'FAIL'}")
+    print(f"bound checks: {'pass' if report.ok else 'FAIL'} "
+          f"({len(report.flags)} checked, {report.skipped} skipped)")
     return 0 if report.ok and not numeric_errors else 1
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
@@ -66,14 +66,19 @@ class SweepConfig:
 
     @classmethod
     def from_json(cls, path) -> "SweepConfig":
+        """Read a grid; malformed content raises ``ConfigurationError``."""
         with open(path) as fh:
-            raw = json.load(fh)
-        return cls(
-            n_grid=tuple(raw["N"]), d_grid=tuple(raw["d"]), m_grid=tuple(raw["M"]),
-            algorithms=tuple(raw.get("algorithms", ("tiling", "streaming"))),
-            seed=int(raw.get("seed", 0)),
-            magnitude=float(raw.get("magnitude", 1.0)),
-        )
+            try:
+                raw = json.load(fh)
+                parsed = dict(
+                    n_grid=tuple(raw["N"]), d_grid=tuple(raw["d"]), m_grid=tuple(raw["M"]),
+                    algorithms=tuple(raw.get("algorithms", ("tiling", "streaming"))),
+                    seed=int(raw.get("seed", 0)),
+                    magnitude=float(raw.get("magnitude", 1.0)),
+                )
+            except (ValueError, KeyError, TypeError) as exc:
+                raise ConfigurationError(f"{path}: malformed sweep config ({exc!r})") from None
+        return cls(**parsed)
 
 
 @dataclass(frozen=True)
@@ -197,11 +202,15 @@ class BoundFlags:
 
 @dataclass(frozen=True)
 class BoundReport:
+    """Flags of the checked (ok) records; ``skipped`` counts the rest."""
+
     flags: list
+    skipped: int
 
     @property
     def ok(self) -> bool:
-        return all(f.all_ok for f in self.flags)
+        """Every checked record passes, and at least one was checked."""
+        return bool(self.flags) and all(f.all_ok for f in self.flags)
 
     def failures(self) -> list:
         return [f for f in self.flags if not f.all_ok]
@@ -219,7 +228,8 @@ def upper_bound_formula(algorithm: str, n: int, d: int, m: int) -> float:
 
 
 def check_bounds(records, config: dict | None = None) -> BoundReport:
-    """Flag each ok record against three inequalities.
+    """Flag each ok record against three inequalities; other records are
+    counted as skipped.
 
     (i) upper: I/O <= C_up * regime formula; (ii) lower-consistency:
     I/O >= C_lo * min(N^2 d^2 / M, N^2) and I/O >= 3Nd; (iii) epoch
@@ -231,15 +241,17 @@ def check_bounds(records, config: dict | None = None) -> BoundReport:
     c_ep = cfg["epoch_progress_constant"]
     factor = cfg["epoch_cache_factor"]
     flags = []
+    skipped = 0
     for r in records:
         if r.status != "ok":
+            skipped += 1
             continue
         upper = r.io <= c_up * upper_bound_formula(r.algorithm, r.N, r.d, r.M)
         lower = (r.io >= c_lo * min(r.N ** 2 * r.d ** 2 / r.M, r.N ** 2)
                  and r.io >= 3 * r.N * r.d)
         epoch = r.bmax <= c_ep * epoch_progress_bound(factor * r.M, r.d)
         flags.append(BoundFlags(r, upper, lower, epoch))
-    return BoundReport(flags)
+    return BoundReport(flags, skipped)
 
 
 def dispatch_matches_argmin(n: int, d: int, m: int) -> bool:

@@ -17,9 +17,11 @@ transitions over complete calculations.
 
 from __future__ import annotations
 
+import graphlib
 import heapq
 import json
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
 
 from .errors import ConfigurationError, EnumerationCapError, RegimeError
 
@@ -45,7 +47,11 @@ BRUTE_FORCE_NODE_CAP = 12
 class Node:
     kind: str
     parents: tuple[str, ...]
-    level1: bool = False
+
+    @property
+    def level1(self) -> bool:
+        """Whether the node lies in a level-1 (Q K^T) summation tree."""
+        return self.kind in LEVEL1_KINDS
 
 
 class PebblingDag:
@@ -85,13 +91,25 @@ class PebblingDag:
 
     @classmethod
     def from_jsonl(cls, path) -> "PebblingDag":
+        """Read one node per line.  ``level1`` may be omitted; when given it
+        must agree with the kind.  Malformed content raises
+        ``ConfigurationError`` naming the file and line."""
         nodes = {}
         with open(path) as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, 1):
                 if not line.strip():
                     continue
-                rec = json.loads(line)
-                nodes[rec["id"]] = Node(rec["kind"], tuple(rec["parents"]), rec["level1"])
+                try:
+                    rec = json.loads(line)
+                    node = Node(rec["kind"], tuple(rec["parents"]))
+                    level1 = node.level1
+                    nodes[rec["id"]] = node
+                except (ValueError, KeyError, TypeError) as exc:
+                    raise ConfigurationError(
+                        f"{path}, line {lineno}: malformed node record ({exc!r})") from None
+                if rec.get("level1", level1) != level1:
+                    raise ConfigurationError(
+                        f"{path}, line {lineno}: level1 disagrees with kind {node.kind!r}")
         return cls(nodes)
 
 
@@ -104,9 +122,8 @@ class AttentionDag(PebblingDag):
         self.d = d
 
 
-def _sum_tree(nodes: dict[str, Node], leaves: list[str], prefix: str,
-              level1: bool) -> str:
-    """Add a balanced binary summation network over ``leaves``.
+def _sum_tree(nodes: dict[str, Node], leaves: list[str], prefix: str, kind: str) -> str:
+    """Add a balanced binary summation network of ``kind`` nodes over ``leaves``.
 
     Returns the id of the topmost sum node (a leaf itself when there is
     only one).  Internal nodes are created in a deterministic order.
@@ -121,15 +138,10 @@ def _sum_tree(nodes: dict[str, Node], leaves: list[str], prefix: str,
         right = build(mid, hi)
         vid = f"{prefix}#{counter[0]}"
         counter[0] += 1
-        nodes[vid] = Node(SUM_INTERNAL if level1 else _tree_kind(prefix),
-                          (left, right), level1=level1)
+        nodes[vid] = Node(kind, (left, right))
         return vid
 
     return build(0, len(leaves))
-
-
-def _tree_kind(prefix: str) -> str:
-    return ROWSUM_INTERNAL if prefix.startswith("SR") else AV_SUM_INTERNAL
 
 
 def build_attention_dag(n: int, d: int) -> AttentionDag:
@@ -155,16 +167,15 @@ def build_attention_dag(n: int, d: int) -> AttentionDag:
             leaves = []
             for l in range(d):
                 vid = f"L1[{i},{j},{l}]"
-                nodes[vid] = Node(L1_PRODUCT, (f"Q[{i},{l}]", f"K[{j},{l}]"),
-                                  level1=True)
+                nodes[vid] = Node(L1_PRODUCT, (f"Q[{i},{l}]", f"K[{j},{l}]"))
                 leaves.append(vid)
-            top = _sum_tree(nodes, leaves, f"S1[{i},{j}]", level1=True)
-            nodes[f"QKT[{i},{j}]"] = Node(QKT_ROOT, (top,), level1=True)
+            top = _sum_tree(nodes, leaves, f"S1[{i},{j}]", SUM_INTERNAL)
+            nodes[f"QKT[{i},{j}]"] = Node(QKT_ROOT, (top,))
             nodes[f"EXP[{i},{j}]"] = Node(EXP, (f"QKT[{i},{j}]",))
 
     for i in range(n):
         leaves = [f"EXP[{i},{j}]" for j in range(n)]
-        top = _sum_tree(nodes, leaves, f"SR[{i}]", level1=False)
+        top = _sum_tree(nodes, leaves, f"SR[{i}]", ROWSUM_INTERNAL)
         nodes[f"RS[{i}]"] = Node(ROWSUM_ROOT, (top,))
         nodes[f"INV[{i}]"] = Node(INVERSE, (f"RS[{i}]",))
 
@@ -175,7 +186,7 @@ def build_attention_dag(n: int, d: int) -> AttentionDag:
                 vid = f"L2[{i},{k},{j}]"
                 nodes[vid] = Node(L2_PRODUCT, (f"EXP[{i},{k}]", f"V[{k},{j}]"))
                 leaves.append(vid)
-            top = _sum_tree(nodes, leaves, f"SA[{i},{j}]", level1=False)
+            top = _sum_tree(nodes, leaves, f"SA[{i},{j}]", AV_SUM_INTERNAL)
             nodes[f"AV[{i},{j}]"] = Node(AV_ROOT, (top,))
             nodes[f"OUT[{i},{j}]"] = Node(SCALE, (f"AV[{i},{j}]", f"INV[{i}]"))
 
@@ -302,84 +313,61 @@ class _Scheduler:
         self.moves.append(("R4", v))
 
 
-class _TreeFolder:
-    """Folds summation chains incrementally as leaves become red.
-
-    ``chain_parent`` maps each chain node to the unique sum node it
-    feeds (None at the top).  When a node's dependencies are all red,
-    the consumer is computed and its parents' red pebbles deleted, so
-    at most O(log #leaves) partials stay resident per chain.
-    """
-
-    def __init__(self, sched: _Scheduler, chain_parent: dict[str, str | None],
-                 keep: set[str] | None = None):
-        self.sched = sched
-        self.parent = chain_parent
-        self.keep = keep or set()
-
-    def submit(self, leaf: str) -> None:
-        dag = self.sched.dag
-        node = leaf
-        while True:
-            consumer = self.parent.get(node)
-            if consumer is None:
-                return
-            if any(p not in self.sched.red for p in dag.nodes[consumer].parents):
-                return
-            self.sched.r3(consumer)
-            for p in dag.nodes[consumer].parents:
-                if p not in self.keep:
-                    self.sched.r4(p)
-            node = consumer
+# The three summation trees the schedule folds, each named by the kinds
+# above its leaves up to and including its top.
+_SCORE_TREE = frozenset({SUM_INTERNAL, QKT_ROOT, EXP})
+_OUTPUT_TREE = frozenset({AV_SUM_INTERNAL, AV_ROOT})
+_ROWSUM_TREE = frozenset({ROWSUM_INTERNAL, ROWSUM_ROOT, INVERSE})
 
 
-def _chain_parents(dag: PebblingDag, members: set[str]) -> dict[str, str | None]:
-    """Map each member to its unique consumer inside the member set."""
-    parent: dict[str, str | None] = {v: None for v in members}
-    for v in members:
-        for c in dag.children[v]:
-            if c in members:
-                parent[v] = c
-    return parent
-
-
-def _collect_chain(dag: PebblingDag, top: str, stop_kinds: set[str]) -> set[str]:
-    """Vertices reachable downward from ``top`` through non-stop kinds."""
-    members = {top}
-    stack = [top]
-    while stack:
-        v = stack.pop()
-        for p in dag.nodes[v].parents:
-            if dag.nodes[p].kind in stop_kinds or p in members:
-                continue
-            members.add(p)
-            stack.append(p)
-    return members
+def _fold(sched: _Scheduler, v: str, kinds: frozenset) -> None:
+    """Climb from the red vertex ``v`` to its child whose kind is in
+    ``kinds`` while that child's parents are all red, computing it and
+    deleting the parents' red pebbles.  Folding each leaf as it turns
+    red keeps at most O(log #leaves) partials resident per tree."""
+    nodes, children = sched.dag.nodes, sched.dag.children
+    while True:
+        up = next((c for c in children[v] if nodes[c].kind in kinds), None)
+        if up is None or any(p not in sched.red for p in nodes[up].parents):
+            return
+        sched.r3(up)
+        for p in nodes[up].parents:
+            sched.r4(p)
+        v = up
 
 
 def _infer_dimensions(dag: PebblingDag) -> tuple[int, int]:
     """Recover (N, d) from an attention DAG's node counts: N inverses
-    and Nd outputs.  Rejects graphs without that shape."""
+    and Nd outputs.  Rejects any graph whose nodes differ from
+    ``build_attention_dag(N, d)``'s."""
     counts = dag.kind_counts()
     n = counts.get(INVERSE, 0)
     outputs = counts.get(SCALE, 0)
     if n < 1 or outputs < n or outputs % n:
         raise ConfigurationError("not an attention DAG: cannot infer N and d")
     d = outputs // n
-    if counts != build_attention_dag(n, d).kind_counts():
-        raise ConfigurationError("not an attention DAG: node counts do not match")
+    if dag.nodes != build_attention_dag(n, d).nodes:
+        raise ConfigurationError("not an attention DAG: nodes differ from the builder's")
     return n, d
 
 
 def blocked_pebbling_schedule(dag: PebblingDag, m: int) -> list[Transition]:
-    """Complete calculation mirroring the streaming kernel.
+    """Complete calculation in the streaming kernel's loop order.
 
-    A block of Q-row inputs stays red; K rows and then V rows are read
+    A block of r Q-row inputs stays red; K rows and then V rows are read
     once per block.  Per streamed row, the exp'd score vertices are
     computed through their summation trees and folded immediately into
     the output and row-sum trees, keeping only O(log) partials.  The
-    largest feasible block size is found by dry-running the budget
-    tracker.
+    calculation reads and writes 2Nd + 2Nd * ceil(N / r) words.
+
+    r is the largest value <= min(max(floor(M / 4d), 1), N) whose peak
+    red-pebble count fits in M, found by dry-running the budget tracker.
+    Scalar pebbles keep each partial sum of every tree separately, so r
+    is often smaller than ``kernels.streaming_block_rows`` and the
+    schedule then costs more I/O than the kernel: 320 against 192 at
+    N=8 d=4 M=64, and 160 against 128 at N=8 d=2 M=32 (r = 2 against
+    the kernel's 4 and 3).  Near M = 8d at larger N not even r = 1
+    fits, and ``RegimeError`` is raised although the kernel runs.
     """
     if isinstance(dag, AttentionDag):
         n, d = dag.N, dag.d
@@ -403,27 +391,13 @@ def _emit_schedule(dag: PebblingDag, n: int, d: int, m: int, r: int) -> list[Tra
             for l in range(d):
                 sched.r1(f"Q[{i},{l}]")
 
-        # chain maps for this block's accumulators
-        rs_members: set[str] = set()
-        av_members: set[str] = set()
-        for i in rows:
-            rs_members |= _collect_chain(dag, f"INV[{i}]", {EXP})
-            for j in range(d):
-                av_members |= _collect_chain(dag, f"AV[{i},{j}]", {L2_PRODUCT})
-                av_members |= {f"L2[{i},{k},{j}]" for k in range(n)}
-        rs_members |= {f"EXP[{i},{k}]" for i in rows for k in range(n)}
-        rs_fold = _TreeFolder(sched, _chain_parents(dag, rs_members))
-        av_fold = _TreeFolder(sched, _chain_parents(dag, av_members))
-
         for k in range(n):
             for l in range(d):
                 sched.r1(f"K[{k},{l}]")
             for i in rows:
-                score = _collect_chain(dag, f"EXP[{i},{k}]", {INPUT})
-                fold = _TreeFolder(sched, _chain_parents(dag, score))
                 for l in range(d):
                     sched.r3(f"L1[{i},{k},{l}]")
-                    fold.submit(f"L1[{i},{k},{l}]")
+                    _fold(sched, f"L1[{i},{k},{l}]", _SCORE_TREE)
             for l in range(d):
                 sched.r4(f"K[{k},{l}]")
             for j in range(d):
@@ -431,11 +405,11 @@ def _emit_schedule(dag: PebblingDag, n: int, d: int, m: int, r: int) -> list[Tra
             for i in rows:
                 for j in range(d):
                     sched.r3(f"L2[{i},{k},{j}]")
-                    av_fold.submit(f"L2[{i},{k},{j}]")
+                    _fold(sched, f"L2[{i},{k},{j}]", _OUTPUT_TREE)
             for j in range(d):
                 sched.r4(f"V[{k},{j}]")
             for i in rows:
-                rs_fold.submit(f"EXP[{i},{k}]")
+                _fold(sched, f"EXP[{i},{k}]", _ROWSUM_TREE)
 
         for i in rows:
             for j in range(d):
@@ -482,7 +456,7 @@ def verify_m_partition(dag: PebblingDag, m: int, parts: list[PartSpec]) -> list[
     A part containing an input vertex must include it in its dominator
     set (length-0 paths count).  Every violation is reported with a
     witness: the offending vertex, an uncovered input-to-part path, or
-    a pair of edges closing a dependence cycle.
+    the part indices of a dependence cycle.
     """
     violations: list[Violation] = []
 
@@ -517,8 +491,6 @@ def verify_m_partition(dag: PebblingDag, m: int, parts: list[PartSpec]) -> list[
 def _uncovered_path(dag: PebblingDag, part: PartSpec):
     """BFS from each input avoiding the dominator; a reached part vertex
     yields a witness path."""
-    from collections import deque
-
     target = part.vertices - part.dominator
     blocked = part.dominator
     for src in sorted(dag.inputs):
@@ -543,41 +515,22 @@ def _uncovered_path(dag: PebblingDag, part: PartSpec):
 
 def _dependence_cycle(dag: PebblingDag, parts: list[PartSpec]):
     """Cycle detection on the part-dependence digraph; returns the part
-    indices forming a cycle, or None."""
+    indices of a cycle in dependence order (first index repeated last),
+    or None."""
     owner: dict[str, int] = {}
     for idx, part in enumerate(parts):
         for v in part.vertices:
             owner.setdefault(v, idx)
-    edges: dict[int, set[int]] = {i: set() for i in range(len(parts))}
+    preds: dict[int, set[int]] = {i: set() for i in range(len(parts))}
     for v, node in dag.nodes.items():
         for p in node.parents:
             a, b = owner.get(p), owner.get(v)
             if a is not None and b is not None and a != b:
-                edges[a].add(b)
-
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {i: WHITE for i in edges}
-    stack_trace: list[int] = []
-
-    def dfs(u):
-        color[u] = GRAY
-        stack_trace.append(u)
-        for w in sorted(edges[u]):
-            if color[w] == GRAY:
-                return stack_trace[stack_trace.index(w):] + [w]
-            if color[w] == WHITE:
-                found = dfs(w)
-                if found:
-                    return found
-        stack_trace.pop()
-        color[u] = BLACK
-        return None
-
-    for i in sorted(edges):
-        if color[i] == WHITE:
-            found = dfs(i)
-            if found:
-                return found
+                preds[b].add(a)
+    try:
+        graphlib.TopologicalSorter(preds).prepare()
+    except graphlib.CycleError as exc:
+        return exc.args[1]
     return None
 
 

@@ -54,6 +54,14 @@ def test_attn_sweep_numeric_error(tmp_path, capsys):
     assert ",numeric_error," in out.read_text()
 
 
+def test_attn_sweep_config_missing_key_exit_code(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"N": [8]}))
+    out = tmp_path / "records.csv"
+    assert run_cli("attn", "sweep", "--config", str(cfg), "--out", str(out)) == 2
+    assert str(cfg) in capsys.readouterr().err
+
+
 def test_pebble_build_validate_search(tmp_path, capsys):
     dag_path = tmp_path / "dag.jsonl"
     assert run_cli("pebble", "build", "--N", "2", "--d", "2",
@@ -91,6 +99,19 @@ def test_pebble_bad_input_exit_code(tmp_path, capsys):
         assert run_cli("pebble", "validate", "--dag", str(dag_path),
                        "--calculation", str(calc_path), "--M", "8") == 2
     assert capsys.readouterr().err.count("error:") == 3
+
+
+def test_pebble_malformed_dag_exit_code(tmp_path, capsys):
+    dag_path = tmp_path / "dag.jsonl"
+    pebbling.build_attention_dag(1, 1).to_jsonl(dag_path)
+    calc_path = tmp_path / "calc.json"
+    pebbling.save_calculation([], calc_path)
+    dag_path.write_text(dag_path.read_text() + "{not json\n")
+    assert run_cli("pebble", "search", "--dag", str(dag_path), "--M", "2") == 2
+    assert run_cli("pebble", "validate", "--dag", str(dag_path),
+                   "--calculation", str(calc_path), "--M", "8") == 2
+    err = capsys.readouterr().err
+    assert err.count(f"{dag_path}, line 12:") == 2
 
 
 def test_pebble_search_cap_refusal(tmp_path, capsys, monkeypatch):

@@ -116,6 +116,16 @@ def test_check_bounds_pass():
             assert r.io >= 3 * r.N * r.d
 
 
+def test_check_bounds_fails_with_nothing_checked():
+    overflowed = E.run_sweep(small_config(algorithms=("tiling",), m_grid=(16,),
+                                          magnitude=30.0))
+    regime = E.run_sweep(small_config(m_grid=(16,)))
+    for records in (overflowed, regime):
+        report = E.check_bounds(records)
+        assert report.flags == [] and report.skipped == 1
+        assert not report.ok
+
+
 def test_check_bounds_catches_wasteful_kernel():
     # a kernel that re-read K per scalar would cost ~N^2 d extra reads
     n, d, m = 16, 4, 128

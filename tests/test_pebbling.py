@@ -1,9 +1,15 @@
 """Pebble game: DAG construction, validation, schedules, partitions."""
 
+import json
+import math
+
 import pytest
 
 from attnio import errors
 from attnio import pebbling as P
+from attnio.kernels import streaming_attention
+from attnio.matrices import random_instance
+from attnio.memory import MemoryHierarchy
 
 
 def edge_dag():
@@ -188,6 +194,25 @@ def test_schedule_example_io_bound():
     assert res.io <= 2 * (3 * n * d) + 8 * n * n * d * d / m
 
 
+@pytest.mark.parametrize("n,d,m,schedule_io,kernel_io",
+                         [(8, 4, 64, 320, 192), (8, 2, 32, 160, 128)])
+def test_schedule_costs_more_io_than_kernel(n, d, m, schedule_io, kernel_io):
+    # scalar pebbles fit only r = 2 resident rows where the kernel keeps 4 or 3
+    dag = P.build_attention_dag(n, d)
+    res = P.validate_calculation(dag, m, P.blocked_pebbling_schedule(dag, m))
+    assert res.ok
+    assert res.io == schedule_io == 2 * n * d + 2 * n * d * math.ceil(n / 2)
+    kernel = streaming_attention(MemoryHierarchy(m), random_instance(n, d, 0))
+    assert kernel.io.total == kernel_io
+
+
+def test_schedule_rejects_dag_with_renamed_vertex():
+    nodes = dict(P.build_attention_dag(2, 2).nodes)
+    nodes["OUT[1,1]x"] = nodes.pop("OUT[1,1]")
+    with pytest.raises(errors.ConfigurationError):
+        P.blocked_pebbling_schedule(P.PebblingDag(nodes), 16)
+
+
 # -- brute force ----------------------------------------------------------------
 
 def test_brute_force_single_edge():
@@ -284,6 +309,15 @@ def test_partition_level1_bound_on_valid_parts():
         assert P.level1_vertex_count(dag, part.vertices) <= 8 * (m * m / d + m * d)
 
 
+def test_partition_long_path_dag_valid():
+    # 1,500 single-vertex parts in a chain: the dependence check must not recurse
+    ids = [f"v{i}" for i in range(1500)]
+    dag = P.PebblingDag({v: P.Node(P.INPUT if i == 0 else P.EXP, tuple(ids[i - 1:i]))
+                         for i, v in enumerate(ids)})
+    parts = [P.PartSpec({v}, {v}) for v in ids]
+    assert P.verify_m_partition(dag, 1, parts) == []
+
+
 def test_minimum_set():
     dag = P.build_attention_dag(2, 2)
     assert P.minimum_set(dag, frozenset(dag.nodes)) == dag.outputs
@@ -315,3 +349,16 @@ def test_calculation_round_trip_and_inferred_dimensions(tmp_path):
 def test_schedule_rejects_non_attention_dag():
     with pytest.raises(errors.ConfigurationError):
         P.blocked_pebbling_schedule(path3_dag(), 8)
+
+
+def test_jsonl_level1_is_derived_from_kind(tmp_path):
+    path = tmp_path / "dag.jsonl"
+    records = [{"id": "a", "kind": P.INPUT, "parents": []},
+               {"id": "b", "kind": P.L1_PRODUCT, "parents": ["a"], "level1": True}]
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    dag = P.PebblingDag.from_jsonl(path)
+    assert not dag.nodes["a"].level1 and dag.nodes["b"].level1
+    records[0]["level1"] = True
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    with pytest.raises(errors.ConfigurationError, match="line 1: level1"):
+        P.PebblingDag.from_jsonl(path)
