@@ -38,7 +38,13 @@ ENUM_CAP_VAR = "ATTNIO_ENUM_CAP"
 
 def _enum_cap(default: int) -> int:
     raw = os.environ.get(ENUM_CAP_VAR)
-    return int(raw) if raw else default
+    if not raw:
+        return default
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConfigurationError(
+            f"{ENUM_CAP_VAR} must be an integer, got {raw!r}") from None
 
 
 def _cmd_attn_run(args) -> int:

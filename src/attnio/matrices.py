@@ -54,6 +54,8 @@ class AttentionInstance:
 
 def random_instance(n: int, d: int, seed, magnitude: float = 1.0) -> AttentionInstance:
     """Seeded instance with entries uniform in [-magnitude, magnitude]."""
+    if n < 1 or d < 1:
+        raise ConfigurationError(f"N and d must be >= 1, got N={n}, d={d}")
     rng = np.random.default_rng(seed)
     q, k, v = (rng.uniform(-magnitude, magnitude, size=(n, d)) for _ in range(3))
     return AttentionInstance(q, k, v)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from itertools import product, repeat
 from typing import Callable, Hashable, Iterable, Sequence
 
 import numpy as np
@@ -138,9 +139,9 @@ class MemoryHierarchy:
     def load(self, name: str, matrix: np.ndarray) -> None:
         """Initialize memory with a named matrix, one address per entry."""
         matrix = np.atleast_2d(np.asarray(matrix))
-        for i in range(matrix.shape[0]):
-            for j in range(matrix.shape[1]):
-                self.memory[(name, i, j)] = float(matrix[i, j])
+        rows, cols = matrix.shape
+        self.memory.update(zip(product((name,), range(rows), range(cols)),
+                               map(float, matrix.ravel().tolist())))
 
     # -- I/O -----------------------------------------------------------------
 
@@ -155,13 +156,14 @@ class MemoryHierarchy:
         vector; a () shape yields a scalar slot.
         """
         addresses = list(addresses)
-        for a in addresses:
-            if a not in self.memory:
-                raise AddressError(f"address {a!r} was never initialized")
-        self._claim(len(addresses))
-        values = [self.memory[a] for a in addresses]
-        self.trace.extend((READ, a, v) for a, v in zip(addresses, values))
-        self.reads += len(addresses)
+        memory = self.memory
+        try:
+            values = [memory[a] for a in addresses]
+        except KeyError as exc:
+            raise AddressError(f"address {exc.args[0]!r} was never initialized") from None
+        self._claim(len(values))
+        self.trace.extend(zip(repeat(READ), addresses, values))
+        self.reads += len(values)
         arr = np.array(values, dtype=np.float64)
         if shape is not None:
             arr = arr.reshape(shape)
@@ -179,11 +181,9 @@ class MemoryHierarchy:
             raise UsageError(
                 f"slot holds {arr.size} words but {len(addresses)} addresses given"
             )
-        flat = arr.ravel()
-        for a, v in zip(addresses, flat):
-            v = float(v)
-            self.memory[a] = v
-            self.trace.append((WRITE, a, v))
+        values = arr.ravel().tolist()
+        self.memory.update(zip(addresses, values))
+        self.trace.extend(zip(repeat(WRITE), addresses, values))
         self.writes += len(addresses)
 
     def free(self, handle: int) -> None:
@@ -209,12 +209,18 @@ class MemoryHierarchy:
         overwrites an existing slot of the same size (in-place
         accumulation); otherwise a fresh slot is allocated.
         """
-        if op not in _OPS:
+        fn = _OPS.get(op)
+        if fn is None:
             raise UsageError(f"unknown op {op!r}")
-        arrays = [self._resident(h) for h in operands]
+        slots = self._slots
+        try:
+            arrays = [slots[h] for h in operands]
+        except KeyError as exc:
+            raise ResidencyError(f"slot {exc.args[0]} is not cache-resident") from None
         with np.errstate(over="ignore", invalid="ignore"):
-            result = np.asarray(_OPS[op](*arrays), dtype=np.float64)
-        if np.any(np.isnan(result)) or np.any(np.isposinf(result)):
+            result = np.asarray(fn(*arrays), dtype=np.float64)
+        # max is NaN if any entry is, so one reduction catches NaN and +inf.
+        if result.size and not (result.max() < np.inf):
             self.overflow = True
         if out is not None:
             target = self._resident(out)
@@ -231,14 +237,12 @@ class MemoryHierarchy:
 
     def fetch_matrix(self, name: str, shape: tuple[int, int]) -> np.ndarray:
         """Gather a named matrix out of slow memory (no I/O accounting)."""
-        out = np.empty(shape, dtype=np.float64)
-        for i in range(shape[0]):
-            for j in range(shape[1]):
-                addr = (name, i, j)
-                if addr not in self.memory:
-                    raise AddressError(f"address {addr!r} was never written")
-                out[i, j] = self.memory[addr]
-        return out
+        memory = self.memory
+        try:
+            values = [memory[a] for a in product((name,), range(shape[0]), range(shape[1]))]
+        except KeyError as exc:
+            raise AddressError(f"address {exc.args[0]!r} was never written") from None
+        return np.array(values, dtype=np.float64).reshape(shape)
 
     @property
     def io(self) -> IoStats:

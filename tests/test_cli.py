@@ -33,6 +33,12 @@ def test_attn_run_regime_error(capsys):
                    "--algorithm", "streaming") == 1
 
 
+def test_attn_run_bad_size_exit_code(capsys):
+    assert run_cli("attn", "run", "--N", "-1", "--d", "2", "--M", "64") == 2
+    assert run_cli("attn", "run", "--N", "4", "--d", "-1", "--M", "64") == 2
+    assert capsys.readouterr().err.count("N and d must be >= 1") == 2
+
+
 def test_attn_sweep(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"N": [16], "d": [4], "M": [32, 64],
@@ -168,6 +174,12 @@ def test_compress_count_cap(tmp_path, capsys, monkeypatch):
     assert run_cli("compress", "count", "--q", "3", "--N", "2", "--d", "1",
                    "--K", "vandermonde", "--indices", str(idx)) == 1
     assert "refused" in capsys.readouterr().err
+
+
+def test_enum_cap_not_an_integer_exit_code(capsys, monkeypatch):
+    monkeypatch.setenv("ATTNIO_ENUM_CAP", "abc")
+    assert run_cli("codes", "vandermonde", "5", "2", "7") == 2
+    assert "ATTNIO_ENUM_CAP must be an integer" in capsys.readouterr().err
 
 
 def test_bad_configuration_exit_code(tmp_path):

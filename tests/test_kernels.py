@@ -15,7 +15,7 @@ from attnio.kernels import (
     streaming_block_rows,
 )
 from attnio.matrices import AttentionInstance, random_instance
-from attnio.memory import MemoryHierarchy
+from attnio.memory import MemoryHierarchy, replay_trace
 
 
 def rel_error(a, b):
@@ -176,6 +176,20 @@ def test_matmul_extra_io_at_most_n_squared():
     h = MemoryHierarchy(16)
     square_tiling_attention(h, inst, write_qkt=True)
     assert h.io.total - plain <= 6 * 6
+
+
+def test_trace_replays_to_memory_and_output():
+    """The trace's write values rebuild every written word, and the
+    output the kernel returns is the O it wrote."""
+    inst = random_instance(12, 4, 5)
+    runs = [(MemoryHierarchy(16), lambda h: square_tiling_attention(h, inst, write_qkt=True)),
+            (MemoryHierarchy(64), lambda h: streaming_attention(h, inst))]
+    for h, kernel in runs:
+        result = kernel(h)
+        assert all(type(v) is float for _, _, v in h.trace)
+        written = {a for kind, a, _ in h.trace if kind == "W"}
+        assert replay_trace(h.trace) == {a: h.memory[a] for a in written}
+        assert np.array_equal(h.fetch_matrix("O", (inst.N, inst.d)), result.output)
 
 
 def test_kernels_reject_used_hierarchy():

@@ -83,6 +83,38 @@ def test_overflow_flag():
     assert h.overflow
 
 
+def test_overflow_flag_marks_nan_and_pos_inf_only():
+    def overflowed(start, *ops):
+        h = MemoryHierarchy(8)
+        s = h.alloc((2,), fill=start)
+        for op in ops:
+            s = h.compute(op, s, s) if op in ("sub", "maximum") else h.compute(op, s)
+        return h.overflow
+
+    assert overflowed(1e308, "exp")  # +inf
+    assert overflowed(np.inf, "sub")  # inf - inf = NaN
+    assert not overflowed(-np.inf, "maximum", "exp")  # only -inf, then 0
+    assert not overflowed(1e308, "maximum")  # large but finite
+    assert not overflowed(1e308, "neg", "exp")  # -1e308, then 0
+
+
+def test_compute_on_empty_slot():
+    h = MemoryHierarchy(4)
+    s = h.alloc((0,))
+    assert h.value(h.compute("exp", s)).shape == (0,)
+    assert not h.overflow
+
+
+def test_read_block_missing_address_leaves_no_trace():
+    h = MemoryHierarchy(8)
+    h.load("A", np.ones((1, 3)))
+    h.read_word(("A", 0, 0))
+    before = (list(h.trace), h.reads, h.words_used)
+    with pytest.raises(errors.AddressError, match=r"\('A', 0, 3\)"):
+        h.read_block([("A", 0, 1), ("A", 0, 3), ("A", 0, 2)], (3,))
+    assert (h.trace, h.reads, h.words_used) == before
+
+
 def test_split_into_epochs():
     trace = [("R", i, 0.0) for i in range(10)]
     epochs = split_into_epochs(trace, 4)
