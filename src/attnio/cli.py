@@ -117,16 +117,20 @@ def _cmd_pebble_search(args) -> int:
     return 0
 
 
+def _report_independence(matrix: FieldMatrix, k: int) -> int:
+    ok, witness = fields.all_k_subsets_independent(
+        matrix, k, cap=_enum_cap(fields.SUBSET_ENUMERATION_CAP))
+    print(f"all {k}-row subsets independent: {ok}"
+          + (f" (witness {witness})" if witness else ""))
+    return 0 if ok else 1
+
+
 def _cmd_codes_vandermonde(args) -> int:
     matrix = fields.vandermonde_matrix(args.N, args.d, args.q)
     if args.out:
         matrix.save_csv(args.out)
         print(f"matrix written to {args.out}")
-    ok, witness = fields.all_k_subsets_independent(
-        matrix, args.d, cap=_enum_cap(fields.SUBSET_ENUMERATION_CAP))
-    print(f"all {args.d}-row subsets independent: {ok}"
-          + (f" (witness {witness})" if witness else ""))
-    return 0 if ok else 1
+    return _report_independence(matrix, args.d)
 
 
 def _cmd_codes_bch(args) -> int:
@@ -140,12 +144,7 @@ def _cmd_codes_bch(args) -> int:
 
 
 def _cmd_codes_verify(args) -> int:
-    matrix = FieldMatrix.load_csv(args.file, args.q)
-    ok, witness = fields.all_k_subsets_independent(
-        matrix, args.k, cap=_enum_cap(fields.SUBSET_ENUMERATION_CAP))
-    print(f"all {args.k}-row subsets independent: {ok}"
-          + (f" (witness {witness})" if witness else ""))
-    return 0 if ok else 1
+    return _report_independence(FieldMatrix.load_csv(args.file, args.q), args.k)
 
 
 def _load_k_matrix(spec: str, n: int, d: int, q: int) -> FieldMatrix:
@@ -159,8 +158,14 @@ def _load_k_matrix(spec: str, n: int, d: int, q: int) -> FieldMatrix:
 
 
 def _cmd_compress_count(args) -> int:
-    pairs = np.atleast_2d(np.loadtxt(args.indices, delimiter=",", dtype=np.int64))
-    index_set = compression.IndexSet([tuple(p) for p in pairs])
+    try:
+        pairs = np.loadtxt(args.indices, delimiter=",", dtype=np.int64, ndmin=2)
+    except ValueError as exc:
+        raise ConfigurationError(f"{args.indices}: not a CSV of integers ({exc})") from None
+    if pairs.shape[1] != 2:
+        raise ConfigurationError(
+            f"{args.indices}: expected (row, col) pairs, got {pairs.shape[1]} columns")
+    index_set = compression.IndexSet(pairs.tolist())
     k = _load_k_matrix(args.K, args.N, args.d, args.q)
     try:
         count = compression.distinct_output_count(

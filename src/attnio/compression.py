@@ -13,11 +13,10 @@ which ``max_entries_per_epoch`` measures on instrumented kernel runs.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import ConfigurationError, EnumerationCapError
 from .fields import FieldMatrix
@@ -73,6 +72,9 @@ def distinct_output_count(k: FieldMatrix, index_set: IndexSet, q: int,
     if k.rows != n or k.cols != d:
         raise ConfigurationError(f"K must be {n} x {d}, got {k.rows} x {k.cols}")
     pairs = index_set.sorted_pairs()
+    outside = [p for p in pairs if not (0 <= min(p) and max(p) < n)]
+    if outside:
+        raise ConfigurationError(f"index pair {outside[0]} outside [0, {n}) x [0, {n})")
     if not pairs:
         return 1
     free_rows = sorted(index_set.rows if row_restriction is None
@@ -138,7 +140,7 @@ def direct_compression_protocol(q_mat: FieldMatrix, k_mat: FieldMatrix,
     len_a = len(pairs)
     len_b = d * (len(rows) + len(cols))
 
-    product = (q_mat.data.astype(object) @ k_mat.data.T.astype(object)) % q
+    product = q_mat.matmul(k_mat.transpose()).data
     if len_a < len_b:
         message = tuple(int(product[r, c]) for r, c in pairs)
         decoded = {(r, c): m for (r, c), m in zip(pairs, message)}
@@ -146,12 +148,10 @@ def direct_compression_protocol(q_mat: FieldMatrix, k_mat: FieldMatrix,
 
     message = tuple(int(x) for r in rows for x in q_mat.data[r]) + \
               tuple(int(x) for c in cols for x in k_mat.data[c])
-    qrows = {r: np.array(message[i * d:(i + 1) * d], dtype=object)
-             for i, r in enumerate(rows)}
+    qrows = {r: message[i * d:(i + 1) * d] for i, r in enumerate(rows)}
     off = len(rows) * d
-    krows = {c: np.array(message[off + i * d:off + (i + 1) * d], dtype=object)
-             for i, c in enumerate(cols)}
-    decoded = {(r, c): int((qrows[r] @ krows[c]) % q) for r, c in pairs}
+    krows = {c: message[off + i * d:off + (i + 1) * d] for i, c in enumerate(cols)}
+    decoded = {(r, c): sum(a * b for a, b in zip(qrows[r], krows[c])) % q for r, c in pairs}
     return ProtocolResult("rows", message, len_b, decoded)
 
 
@@ -188,13 +188,5 @@ def max_entries_per_epoch(entry_completions, epochs) -> int:
     totals = [0] * len(epochs)
     stops = [e.stop for e in epochs]
     for tick, count in entry_completions:
-        t = max(tick - 1, 0)
-        lo, hi = 0, len(stops) - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if t < stops[mid]:
-                hi = mid
-            else:
-                lo = mid + 1
-        totals[lo] += count
+        totals[min(bisect.bisect_right(stops, max(tick - 1, 0)), len(stops) - 1)] += count
     return max(totals)

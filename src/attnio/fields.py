@@ -6,8 +6,9 @@
   floor(2d / log2(N + 1)) - 1 rows are linearly independent over F_2,
   via the distance/independence duality for linear codes.
 
-Rank, determinant, and distance computations are exact (integer
-arithmetic modulo q, no floats).
+Rank, determinant, and code distance all come from one Gauss-Jordan
+elimination over Python integers modulo q, so they are exact for every
+prime q (no floats, no fixed-width overflow).
 """
 
 from __future__ import annotations
@@ -80,21 +81,18 @@ class FieldMatrix:
     def row_submatrix(self, indices) -> "FieldMatrix":
         return FieldMatrix(self.data[list(indices)], self.q)
 
-    def col_submatrix(self, indices) -> "FieldMatrix":
-        return FieldMatrix(self.data[:, list(indices)], self.q)
-
     def transpose(self) -> "FieldMatrix":
         return FieldMatrix(self.data.T, self.q)
 
     def rank(self) -> int:
-        return _eliminate(self.data.copy(), self.q)[0]
+        return len(_row_reduce(self.data.tolist(), self.field)[0])
 
     def det(self) -> int:
         """Determinant mod q (square matrices only)."""
         if self.rows != self.cols:
             raise FieldError("determinant of a non-square matrix")
-        rank, det = _eliminate(self.data.copy(), self.q)
-        return det if rank == self.rows else 0
+        pivots, det = _row_reduce(self.data.tolist(), self.field)
+        return det if len(pivots) == self.rows else 0
 
     def matmul(self, other: "FieldMatrix") -> "FieldMatrix":
         if self.q != other.q:
@@ -106,41 +104,46 @@ class FieldMatrix:
 
     @classmethod
     def load_csv(cls, path, q: int) -> "FieldMatrix":
-        return cls(np.atleast_2d(np.loadtxt(path, delimiter=",", dtype=np.int64)), q)
+        try:
+            data = np.loadtxt(path, delimiter=",", dtype=np.int64, ndmin=2)
+        except ValueError as exc:
+            raise ConfigurationError(f"{path}: not a CSV of integers ({exc})") from None
+        return cls(data, q)
 
     def __eq__(self, other):
         return (isinstance(other, FieldMatrix) and self.q == other.q
                 and np.array_equal(self.data, other.data))
 
 
-def _eliminate(a: np.ndarray, q: int) -> tuple[int, int]:
-    """In-place Gaussian elimination mod q; returns (rank, pivot product)."""
-    rows, cols = a.shape
-    rank = 0
+def _row_reduce(rows: list[list[int]], field: PrimeField) -> tuple[list[int], int]:
+    """Gauss-Jordan elimination mod q on rows of Python ints, in place.
+
+    Leaves ``rows`` in reduced row echelon form and returns the pivot
+    columns and the product of the pivots mod q, negated per row swap:
+    the determinant when a square matrix has full rank.
+    """
+    q = field.q
+    pivots: list[int] = []
     det = 1
-    for c in range(cols):
-        pivot = None
-        for r in range(rank, rows):
-            if a[r, c] % q:
-                pivot = r
-                break
-        if pivot is None:
-            det = 0 if rows == cols else det
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        i = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if i is None:
             continue
-        if pivot != rank:
-            a[[rank, pivot]] = a[[pivot, rank]]
+        if i != r:
+            rows[r], rows[i] = rows[i], rows[r]
             det = -det
-        p = int(a[rank, c])
-        det = det * p % q
-        pinv = pow(p, q - 2, q)
-        for r in range(rank + 1, rows):
-            if a[r, c] % q:
-                factor = int(a[r, c]) * pinv % q
-                a[r] = (a[r] - factor * a[rank]) % q
-        rank += 1
-        if rank == rows:
+        det = det * rows[r][c] % q
+        inv = field.inv(rows[r][c])
+        pivot = rows[r] = [x * inv % q for x in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[c]:
+                f = row[c]
+                rows[i] = [(x - f * y) % q for x, y in zip(row, pivot)]
+        pivots.append(c)
+        if len(pivots) == len(rows):
             break
-    return rank, det % q
+    return pivots, det
 
 
 def vandermonde_matrix(n: int, d: int, q: int) -> FieldMatrix:
@@ -152,8 +155,7 @@ def vandermonde_matrix(n: int, d: int, q: int) -> FieldMatrix:
     """
     if d > n:
         raise ConfigurationError(f"d={d} must not exceed N={n}")
-    if not _is_prime(q):
-        raise FieldError(f"q must be prime, got {q}")
+    PrimeField(q)  # FieldError on composite q
     if q < n:
         raise ConfigurationError(f"need q >= N for distinct points, got q={q}, N={n}")
     rows = [[pow(i, l, q) for l in range(d)] for i in range(1, n + 1)]
@@ -304,7 +306,12 @@ def min_code_distance(h: FieldMatrix, dim_cap: int = NULLSPACE_DIM_CAP):
     """
     if h.q != 2:
         raise FieldError("distance enumeration implemented for binary codes")
-    basis = _nullspace_basis_gf2(h.data)
+    rows = h.data.tolist()
+    pivots, _ = _row_reduce(rows, h.field)
+    # One basis vector per free column f, as a bitmask: v[f] = 1 and
+    # v[p_i] = -R[i][f], which is R[i][f] over F_2.
+    free = [c for c in range(h.cols) if c not in pivots]
+    basis = [1 << f | sum(rows[i][f] << p for i, p in enumerate(pivots)) for f in free]
     dim = len(basis)
     if dim == 0:
         return None
@@ -312,44 +319,9 @@ def min_code_distance(h: FieldMatrix, dim_cap: int = NULLSPACE_DIM_CAP):
         raise EnumerationCapError(
             f"null space dimension {dim} exceeds cap {dim_cap}",
             required=dim, cap=dim_cap)
-    best = None
-    for mask in range(1, 1 << dim):
-        word = np.zeros(h.cols, dtype=np.int64)
-        mm = mask
-        idx = 0
-        while mm:
-            if mm & 1:
-                word ^= basis[idx]
-            mm >>= 1
-            idx += 1
-        w = int(word.sum())
-        if w and (best is None or w < best):
-            best = w
+    # Gray-code walk: each step flips one basis vector into or out of the word.
+    best, word = h.cols, 0
+    for g in range(1, 1 << dim):
+        word ^= basis[(g & -g).bit_length() - 1]
+        best = min(best, word.bit_count())
     return best
-
-
-def _nullspace_basis_gf2(a: np.ndarray) -> list[np.ndarray]:
-    """Basis of the right null space of a binary matrix, exact over F_2."""
-    a = a.copy() % 2
-    rows, cols = a.shape
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if a[i, c]), None)
-        if pivot is None:
-            continue
-        a[[r, pivot]] = a[[pivot, r]]
-        for i in range(rows):
-            if i != r and a[i, c]:
-                a[i] ^= a[r]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = np.zeros(cols, dtype=np.int64)
-        v[f] = 1
-        for i, p in enumerate(pivots):
-            v[p] = a[i, f]
-        basis.append(v)
-    return basis

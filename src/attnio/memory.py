@@ -161,12 +161,12 @@ class MemoryHierarchy:
             values = [memory[a] for a in addresses]
         except KeyError as exc:
             raise AddressError(f"address {exc.args[0]!r} was never initialized") from None
-        self._claim(len(values))
-        self.trace.extend(zip(repeat(READ), addresses, values))
-        self.reads += len(values)
         arr = np.array(values, dtype=np.float64)
         if shape is not None:
             arr = arr.reshape(shape)
+        self._claim(len(values))
+        self.trace.extend(zip(repeat(READ), addresses, values))
+        self.reads += len(values)
         return self._store(arr)
 
     def write_word(self, handle: int, address: Address) -> None:
@@ -197,9 +197,8 @@ class MemoryHierarchy:
 
     def alloc(self, shape: tuple = (), fill=0) -> int:
         """Create a zero-filled (or constant) slot without any I/O."""
-        size = int(np.prod(shape)) if shape else 1
-        self._claim(size)
         arr = np.full(shape, float(fill), dtype=np.float64)
+        self._claim(arr.size)
         return self._store(arr)
 
     def compute(self, op: str, *operands: int, out: int | None = None) -> int:

@@ -157,6 +157,39 @@ def test_codes_verify(tmp_path, capsys):
     assert run_cli("codes", "verify", str(dep), "2", "--q", "2") == 1
 
 
+def test_codes_verify_non_integer_csv_exit_code(tmp_path, capsys):
+    path = tmp_path / "bad.csv"
+    path.write_text("1,x\n0,1\n")
+    assert run_cli("codes", "verify", str(path), "1", "--q", "2") == 2
+    assert "bad.csv" in capsys.readouterr().err
+
+
+def test_compress_count_bad_input_exit_code(tmp_path, capsys):
+    idx = tmp_path / "idx.csv"
+    for text in ("0,a\n", "0,1\n2\n", "0,1,0\n", "0\n1\n", "0,-1\n", "5,0\n"):
+        idx.write_text(text)
+        assert run_cli("compress", "count", "--q", "3", "--N", "2", "--d", "1",
+                       "--K", "vandermonde", "--indices", str(idx)) == 2, text
+    err = capsys.readouterr().err
+    assert err.count("idx.csv") == 4 and err.count("outside") == 2
+    k = tmp_path / "k.csv"
+    k.write_text("1\nz\n")
+    idx.write_text("0,0\n")
+    assert run_cli("compress", "count", "--q", "3", "--N", "2", "--d", "1",
+                   "--K", str(k), "--indices", str(idx)) == 2
+    assert "k.csv" in capsys.readouterr().err
+
+
+def test_compress_count_single_column_k(tmp_path, capsys):
+    k = tmp_path / "k.csv"
+    k.write_text("1\n2\n")
+    idx = tmp_path / "idx.csv"
+    idx.write_text("0,0\n1,1\n")
+    assert run_cli("compress", "count", "--q", "3", "--N", "2", "--d", "1",
+                   "--K", str(k), "--indices", str(idx)) == 0
+    assert "distinct outputs: 9" in capsys.readouterr().out
+
+
 def test_compress_count(tmp_path, capsys):
     idx = tmp_path / "idx.csv"
     idx.write_text("0,0\n1,0\n")

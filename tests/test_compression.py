@@ -59,6 +59,30 @@ def test_count_binary_row_inequality():
     assert count >= 2 ** sum(len(cs) for cs in idx.row_sets().values())
 
 
+def test_count_rejects_pairs_outside_range():
+    k = FieldMatrix([[1], [1]], 3)
+    for pair in [(0, -1), (5, 0), (2, 0), (0, 2), (-1, 1)]:
+        with pytest.raises(errors.ConfigurationError, match="outside"):
+            C.distinct_output_count(k, C.IndexSet([(0, 0), pair]), 3, 2, 1)
+
+
+def test_count_equals_q_to_the_rank_of_the_output_map():
+    # Q -> ((Q K^T)[r, c]) is linear in the free rows of Q, so its image
+    # has q^rank elements; the rank comes from FieldMatrix.rank.
+    rng = np.random.default_rng(2024)
+    for q, n, d, free in [(2, 5, 3, 3), (3, 4, 2, 3), (5, 3, 2, 2)] * 8:
+        k = FieldMatrix(rng.integers(0, q, (n, d)), q)
+        rows = sorted(int(r) for r in rng.choice(n, size=free, replace=False))
+        pairs = {(r, int(c)) for r in rows for c in rng.choice(n, size=2)}
+        idx = C.IndexSet(pairs)
+        coeffs = np.zeros((len(idx), len(rows) * d), dtype=np.int64)
+        for e, (r, c) in enumerate(idx.sorted_pairs()):
+            t = rows.index(r)
+            coeffs[e, t * d:(t + 1) * d] = k.data[c]
+        rank = FieldMatrix(coeffs, q).rank()
+        assert C.distinct_output_count(k, idx, q, n, d) == q ** rank
+
+
 def test_count_cap_refusal():
     k = FieldMatrix(np.ones((10, 3), dtype=int), 5)
     idx = C.IndexSet([(i, 0) for i in range(10)])
@@ -147,6 +171,18 @@ def test_max_entries_per_epoch_bucketing():
     epochs = [Epoch(0, 4), Epoch(4, 8)]
     completions = [(2, 3), (4, 1), (7, 2)]  # tick 4 = last event index 3
     assert C.max_entries_per_epoch(completions, epochs) == 4
+
+
+def test_max_entries_per_epoch_bucketing_edges():
+    from attnio.memory import Epoch
+    epochs = [Epoch(0, 4), Epoch(4, 8)]
+    # tick 0 and tick 4 (event 3, epoch 0's last) land in epoch 0
+    assert C.max_entries_per_epoch([(0, 1), (4, 2)], epochs) == 3
+    # tick 5 is event 4, the first of epoch 1
+    assert C.max_entries_per_epoch([(4, 2), (5, 4)], epochs) == 4
+    # tick 8 is the trace's last event; a later tick clamps to the last epoch
+    assert C.max_entries_per_epoch([(5, 4), (8, 8), (9, 16)], epochs) == 28
+    assert C.max_entries_per_epoch([(0, 1), (9, 16)], epochs) == 16
 
 
 def test_kernel_epoch_consistency():

@@ -48,6 +48,43 @@ def test_csv_round_trip(tmp_path):
     assert F.FieldMatrix.load_csv(path, 7) == m
 
 
+def test_csv_round_trip_single_column(tmp_path):
+    m = F.FieldMatrix([[1], [2], [3]], 7)
+    path = tmp_path / "col.csv"
+    m.save_csv(path)
+    assert F.FieldMatrix.load_csv(path, 7) == m
+
+
+def test_load_csv_rejects_non_integer(tmp_path):
+    for text in ("1,x\n", "0.5,1\n", "1,2\n3\n"):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(errors.ConfigurationError, match="bad.csv"):
+            F.FieldMatrix.load_csv(path, 5)
+
+
+def _cofactor_det(a):
+    if len(a) == 1:
+        return a[0][0]
+    return sum((-1) ** j * a[0][j] * _cofactor_det([row[:j] + row[j + 1:] for row in a[1:]])
+               for j in range(len(a)))
+
+
+def test_rank_det_exact_above_int64_products():
+    # q^2 > 2^63, so the product of two residues overflows int64.
+    q = 4294967311
+    rng = np.random.default_rng(11)
+    for t in range(40):
+        a = rng.integers(0, q, (3, 3)).tolist()
+        if t % 4 == 0:  # third row a combination of the first two
+            x, y = (int(v) for v in rng.integers(0, q, 2))
+            a[2] = [(x * u + y * v) % q for u, v in zip(a[0], a[1])]
+        m = F.FieldMatrix(a, q)
+        det = _cofactor_det(a) % q
+        assert m.det() == det
+        assert m.rank() == (3 if det else 2)
+
+
 # -- Vandermonde ---------------------------------------------------------------
 
 def test_vandermonde_shape_and_rows():
@@ -217,3 +254,28 @@ def test_distance_cap():
     h = F.FieldMatrix(np.zeros((1, 25), dtype=int), 2)
     with pytest.raises(errors.EnumerationCapError):
         F.min_code_distance(h)
+
+
+# Minimum distances of every BCH(m, s) with m <= 5, pinned from the
+# enumeration before it shared the Gauss-Jordan reduction with rank.
+# BCH(5, s) for s <= 5 has a null space above the dimension cap.
+BCH_DISTANCES = {
+    (2, 2): 3, (2, 3): 3,
+    (3, 2): 3, (3, 3): 3, (3, 4): 7, (3, 5): 7, (3, 6): 7, (3, 7): 7,
+    (4, 2): 3, (4, 3): 3, (4, 4): 5, (4, 5): 5, (4, 6): 7, (4, 7): 7,
+    **{(4, s): 15 for s in range(8, 16)},
+    (5, 6): 7, (5, 7): 7, (5, 8): 11, (5, 9): 11, (5, 10): 11, (5, 11): 11,
+    (5, 12): 15, (5, 13): 15, (5, 14): 15, (5, 15): 15,
+    **{(5, s): 31 for s in range(16, 32)},
+}
+
+
+def test_bch_distances_pinned():
+    for m in range(2, 6):
+        for s in range(2, 1 << m):
+            h = F.bch_parity_check(m, s)
+            if (m, s) in BCH_DISTANCES:
+                assert F.min_code_distance(h) == BCH_DISTANCES[(m, s)], (m, s)
+            else:
+                with pytest.raises(errors.EnumerationCapError):
+                    F.min_code_distance(h)

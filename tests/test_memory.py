@@ -115,6 +115,23 @@ def test_read_block_missing_address_leaves_no_trace():
     assert (h.trace, h.reads, h.words_used) == before
 
 
+def test_read_block_bad_shape_leaves_no_claim():
+    h = MemoryHierarchy(8)
+    h.load("A", np.ones((1, 3)))
+    with pytest.raises(ValueError):
+        h.read_block([("A", 0, 0), ("A", 0, 1), ("A", 0, 2)], (2, 2))
+    assert (h.words_used, h.reads, len(h.trace)) == (0, 0, 0)
+
+
+def test_alloc_negative_shape_claims_nothing():
+    h = MemoryHierarchy(4)
+    with pytest.raises(ValueError):
+        h.alloc((-1,))
+    assert h.words_used == 0
+    with pytest.raises(errors.CapacityError):
+        h.alloc((5,))
+
+
 def test_split_into_epochs():
     trace = [("R", i, 0.0) for i in range(10)]
     epochs = split_into_epochs(trace, 4)
