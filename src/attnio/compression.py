@@ -75,10 +75,13 @@ def distinct_output_count(k: FieldMatrix, index_set: IndexSet, q: int,
     outside = [p for p in pairs if not (0 <= min(p) and max(p) < n)]
     if outside:
         raise ConfigurationError(f"index pair {outside[0]} outside [0, {n}) x [0, {n})")
-    if not pairs:
-        return 1
     free_rows = sorted(index_set.rows if row_restriction is None
                        else set(row_restriction))
+    outside = [r for r in free_rows if not 0 <= r < n]
+    if outside:
+        raise ConfigurationError(f"row_restriction row {outside[0]} outside [0, {n})")
+    if not pairs:
+        return 1
     size = q ** (len(free_rows) * d)
     if size > cap:
         raise EnumerationCapError(

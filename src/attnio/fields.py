@@ -70,19 +70,23 @@ class PrimeField:
 
 
 class FieldMatrix:
-    """Exact matrix over F_q stored as int64 entries in [0, q)."""
+    """Exact matrix over F_q stored as int64 entries in [0, q).
 
-    def __init__(self, data, q: int):
-        self.field = PrimeField(q)
-        self.q = q
-        self.data = np.atleast_2d(np.asarray(data, dtype=np.int64)) % q
+    ``q`` is a prime, or an already-checked ``PrimeField`` so that
+    derived matrices skip the prime test.
+    """
+
+    def __init__(self, data, q: int | PrimeField):
+        self.field = q if isinstance(q, PrimeField) else PrimeField(q)
+        self.q = self.field.q
+        self.data = np.atleast_2d(np.asarray(data, dtype=np.int64)) % self.q
         self.rows, self.cols = self.data.shape
 
     def row_submatrix(self, indices) -> "FieldMatrix":
-        return FieldMatrix(self.data[list(indices)], self.q)
+        return FieldMatrix(self.data[list(indices)], self.field)
 
     def transpose(self) -> "FieldMatrix":
-        return FieldMatrix(self.data.T, self.q)
+        return FieldMatrix(self.data.T, self.field)
 
     def rank(self) -> int:
         return len(_row_reduce(self.data.tolist(), self.field)[0])
@@ -97,7 +101,8 @@ class FieldMatrix:
     def matmul(self, other: "FieldMatrix") -> "FieldMatrix":
         if self.q != other.q:
             raise FieldError("mixed moduli")
-        return FieldMatrix((self.data.astype(object) @ other.data.astype(object)) % self.q, self.q)
+        return FieldMatrix((self.data.astype(object) @ other.data.astype(object)) % self.q,
+                           self.field)
 
     def save_csv(self, path) -> None:
         np.savetxt(path, self.data, fmt="%d", delimiter=",")
@@ -155,11 +160,11 @@ def vandermonde_matrix(n: int, d: int, q: int) -> FieldMatrix:
     """
     if d > n:
         raise ConfigurationError(f"d={d} must not exceed N={n}")
-    PrimeField(q)  # FieldError on composite q
+    field = PrimeField(q)  # FieldError on composite q
     if q < n:
         raise ConfigurationError(f"need q >= N for distinct points, got q={q}, N={n}")
     rows = [[pow(i, l, q) for l in range(d)] for i in range(1, n + 1)]
-    return FieldMatrix(rows, q)
+    return FieldMatrix(rows, field)
 
 
 def vandermonde_det_formula(points, q: int) -> int:

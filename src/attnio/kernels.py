@@ -21,8 +21,10 @@ hierarchy's counts always belong to exactly one run.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -60,15 +62,34 @@ def reference_attention(inst: AttentionInstance) -> np.ndarray:
     return (shifted @ inst.V) / shifted.sum(axis=1, keepdims=True)
 
 
-def _addrs(name, rows, cols):
-    return [(name, i, j) for i in rows for j in cols]
+def _addrs(name, *extents):
+    """Addresses (name, i, ...) of a block, row-major over the extents.
+
+    Kernels wrap this in a per-run ``functools.cache`` so a block read
+    many times reuses one address tuple.
+    """
+    # tuple() of a list allocates once; tuple() of an iterator grows by
+    # reallocation, which raised peak RSS on the stream benchmark.
+    return tuple(list(product((name,), *extents)))
 
 
-def _require_fresh(h: MemoryHierarchy) -> None:
-    if h.trace or h.memory or h.words_used:
-        raise ConfigurationError(
-            "kernels need a fresh MemoryHierarchy (empty trace, memory and cache)"
-        )
+def _kernel(run):
+    """Give a kernel a fresh-hierarchy check and one numpy error state.
+
+    Overflow and invalid values are silenced once per run rather than
+    per ``compute``; ``MemoryHierarchy.overflow`` still records them.
+    """
+    def kernel(h: MemoryHierarchy, *args, **kwargs) -> KernelResult:
+        if h.trace or h.memory or h.words_used:
+            raise ConfigurationError(
+                "kernels need a fresh MemoryHierarchy (empty trace, memory and cache)"
+            )
+        with np.errstate(over="ignore", invalid="ignore"):
+            return run(h, *args, **kwargs)
+    functools.update_wrapper(kernel, run)
+    # ``__wrapped__`` marks the bench tracer's wrappers; a kernel is not one.
+    del kernel.__wrapped__
+    return kernel
 
 
 def _finish(h: MemoryHierarchy, output, algorithm, completions) -> KernelResult:
@@ -82,6 +103,7 @@ def _finish(h: MemoryHierarchy, output, algorithm, completions) -> KernelResult:
     )
 
 
+@_kernel
 def square_tiling_attention(
     h: MemoryHierarchy,
     inst: AttentionInstance,
@@ -100,7 +122,6 @@ def square_tiling_attention(
     to memory when it is first computed (at most N^2 extra writes);
     this is the matmul reduction hook.
     """
-    _require_fresh(h)
     n, d = inst.N, inst.d
     m = h.capacity
     b = math.isqrt(m // 4)
@@ -111,6 +132,7 @@ def square_tiling_attention(
     h.load("Q", inst.Q)
     h.load("KT", inst.K.T)
     h.load("V", inst.V)
+    addrs = functools.cache(_addrs)
     completions: list[tuple[int, int]] = []
 
     def score_block(ri, rj):
@@ -118,8 +140,8 @@ def square_tiling_attention(
         a = h.alloc((len(ri), len(rj)))
         for l in range(db):
             rl = block_extent(d, b, l)
-            qb = h.read_block(_addrs("Q", ri, rl), (len(ri), len(rl)))
-            kb = h.read_block(_addrs("KT", rl, rj), (len(rl), len(rj)))
+            qb = h.read_block(addrs("Q", ri, rl), (len(ri), len(rl)))
+            kb = h.read_block(addrs("KT", rl, rj), (len(rl), len(rj)))
             h.compute("addmm", a, qb, kb, out=a)
             h.free(qb)
             h.free(kb)
@@ -130,7 +152,7 @@ def square_tiling_attention(
         Called once per block, on its first computation."""
         completions.append((len(h.trace), len(ri) * len(rj)))
         if write_qkt:
-            h.write_block(a, _addrs("QKT", ri, rj))
+            h.write_block(a, addrs("QKT", ri, rj))
 
     if stabilize:
         # Pre-pass: per row block, the running max over all score blocks.
@@ -145,7 +167,7 @@ def square_tiling_attention(
                 h.compute("maximum", mrow, t, out=mrow)
                 h.free(t)
                 h.free(a)
-            h.write_block(mrow, [("rmax", r) for r in ri])
+            h.write_block(mrow, addrs("rmax", ri))
             h.free(mrow)
 
     # Phase 1: compute and store A = exp(Q K^T [- rowmax]) and row sums.
@@ -154,7 +176,7 @@ def square_tiling_attention(
         dvec = h.alloc((len(ri),))
         mrow = None
         if stabilize:
-            mrow = h.read_block([("rmax", r) for r in ri], (len(ri),))
+            mrow = h.read_block(addrs("rmax", ri), (len(ri),))
         for j in range(nb):
             rj = block_extent(n, b, j)
             a = score_block(ri, rj)
@@ -163,12 +185,12 @@ def square_tiling_attention(
             else:
                 complete(a, ri, rj)
             h.compute("exp", a, out=a)
-            h.write_block(a, _addrs("A", ri, rj))
+            h.write_block(a, addrs("A", ri, rj))
             t = h.compute("rowsum", a)
             h.compute("add", dvec, t, out=dvec)
             h.free(t)
             h.free(a)
-        h.write_block(dvec, [("dvec", r) for r in ri])
+        h.write_block(dvec, addrs("dvec", ri))
         h.free(dvec)
         if mrow is not None:
             h.free(mrow)
@@ -176,19 +198,19 @@ def square_tiling_attention(
     # Phase 2: O block = sum_k diag(d)^{-1} A[i,k] V[k,j].
     for i in range(nb):
         ri = block_extent(n, b, i)
-        dvec = h.read_block([("dvec", r) for r in ri], (len(ri),))
+        dvec = h.read_block(addrs("dvec", ri), (len(ri),))
         h.compute("inv", dvec, out=dvec)
         for j in range(db):
             cj = block_extent(d, b, j)
             o = h.alloc((len(ri), len(cj)))
             for k in range(nb):
                 rk = block_extent(n, b, k)
-                ab = h.read_block(_addrs("A", ri, rk), (len(ri), len(rk)))
-                vb = h.read_block(_addrs("V", rk, cj), (len(rk), len(cj)))
+                ab = h.read_block(addrs("A", ri, rk), (len(ri), len(rk)))
+                vb = h.read_block(addrs("V", rk, cj), (len(rk), len(cj)))
                 h.compute("scaled_addmm", o, dvec, ab, vb, out=o)
                 h.free(ab)
                 h.free(vb)
-            h.write_block(o, _addrs("O", ri, cj))
+            h.write_block(o, addrs("O", ri, cj))
             h.free(o)
         h.free(dvec)
 
@@ -219,6 +241,7 @@ def picks_streaming(m: int, d: int) -> bool:
     return m >= d * d and streaming_fits(m, d)
 
 
+@_kernel
 def streaming_attention(h: MemoryHierarchy, inst: AttentionInstance) -> KernelResult:
     """One-pass attention with running-max renormalized accumulators.
 
@@ -226,7 +249,6 @@ def streaming_attention(h: MemoryHierarchy, inst: AttentionInstance) -> KernelRe
     row and V row is read exactly once and folded into the output and
     row-sum accumulators.
     """
-    _require_fresh(h)
     n, d = inst.N, inst.d
     m = h.capacity
     if not streaming_fits(m, d):
@@ -238,17 +260,19 @@ def streaming_attention(h: MemoryHierarchy, inst: AttentionInstance) -> KernelRe
     h.load("Q", inst.Q)
     h.load("K", inst.K)
     h.load("V", inst.V)
+    addrs = functools.cache(_addrs)
+    cols = range(d)
     completions: list[tuple[int, int]] = []
 
     for i0 in range(0, n, r_max):
         rows = range(i0, min(i0 + r_max, n))
         r = len(rows)
-        q = h.read_block(_addrs("Q", rows, range(d)), (r, d))
+        q = h.read_block(addrs("Q", rows, cols), (r, d))
         o = h.alloc((r, d))
         lsum = h.alloc((r,))
         mrun = h.alloc((r,), fill=-math.inf)
         for j in range(n):
-            krow = h.read_block([("K", j, t) for t in range(d)], (d,))
+            krow = h.read_block(addrs("K", (j,), cols), (d,))
             s = h.compute("matmul", q, krow)
             h.free(krow)
             mnew = h.compute("maximum", mrun, s)
@@ -263,14 +287,14 @@ def streaming_attention(h: MemoryHierarchy, inst: AttentionInstance) -> KernelRe
             h.compute("add", lsum, s, out=lsum)
             h.compute("rowscale", o, alpha, out=o)
             h.free(alpha)
-            vrow = h.read_block([("V", j, t) for t in range(d)], (d,))
+            vrow = h.read_block(addrs("V", (j,), cols), (d,))
             h.compute("add_outer", o, s, vrow, out=o)
             h.free(vrow)
             h.free(s)
             completions.append((len(h.trace), r))
         h.compute("inv", lsum, out=lsum)
         h.compute("rowscale", o, lsum, out=o)
-        h.write_block(o, _addrs("O", rows, range(d)))
+        h.write_block(o, addrs("O", rows, cols))
         for slot in (q, o, lsum, mrun):
             h.free(slot)
 

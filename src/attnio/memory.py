@@ -2,20 +2,29 @@
 
 All arithmetic happens inside a bounded cache of ``capacity`` word slots.
 An unbounded slow memory holds everything else, and every word moved
-between the two levels is appended to a trace, so any kernel running on
-the simulator gets exact read/write counts for free.
+between the two levels is recorded in a trace, so any kernel running on
+the simulator gets exact read/write counts for free.  The trace stores
+one entry per block move and is read as one (kind, address, value) row
+per word.
 
 One matrix entry is one word is one I/O unit, and every word is a 64-bit
 float.  There is no eviction policy: kernels manage their slots
 explicitly and the simulator only enforces capacity.
+
+``compute`` does not silence numpy's overflow and invalid-value
+warnings; the kernels do that once per run.  Either way the hierarchy's
+``overflow`` flag records any NaN or +inf result.
 """
 
 from __future__ import annotations
 
 import csv
+import operator
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import product, repeat
-from typing import Callable, Hashable, Iterable, Sequence
+from typing import Callable, Hashable, Iterable
 
 import numpy as np
 
@@ -81,6 +90,48 @@ _OPS: dict[str, Callable] = {
 }
 
 
+class Trace(Sequence):
+    """The I/O trace, read as one (kind, address, value) row per word.
+
+    It stores one (kind, addresses, values) entry per block move plus the
+    offset at which each move starts, so recording a move costs one
+    append however many words it carries.
+    """
+
+    def __init__(self):
+        self._moves: list[tuple[str, tuple, list[float]]] = []
+        self._starts: list[int] = []
+        self._len = 0
+
+    def _record(self, kind: str, addresses: tuple, values: list[float]) -> None:
+        self._moves.append((kind, addresses, values))
+        self._starts.append(self._len)
+        self._len += len(values)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self):
+        for kind, addresses, values in self._moves:
+            yield from zip(repeat(kind), addresses, values)
+
+    def __getitem__(self, index: int) -> tuple[str, Address, float]:
+        index = operator.index(index)
+        if index < 0:
+            index += self._len
+        if not 0 <= index < self._len:
+            raise IndexError("trace index out of range")
+        move = bisect_right(self._starts, index) - 1
+        kind, addresses, values = self._moves[move]
+        offset = index - self._starts[move]
+        return kind, addresses[offset], values[offset]
+
+    def __eq__(self, other):
+        if not isinstance(other, (Trace, list)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+
 class MemoryHierarchy:
     """Bounded cache + unbounded memory with an exact I/O trace.
 
@@ -97,7 +148,7 @@ class MemoryHierarchy:
             )
         self.capacity = capacity
         self.memory: dict[Address, float] = {}
-        self.trace: list[tuple[str, Address, float]] = []
+        self.trace = Trace()
         self.reads = 0
         self.writes = 0
         self.overflow = False
@@ -155,17 +206,16 @@ class MemoryHierarchy:
         Counts one Read event per word.  ``shape`` defaults to a flat
         vector; a () shape yields a scalar slot.
         """
-        addresses = list(addresses)
-        memory = self.memory
+        addresses = tuple(addresses)
         try:
-            values = [memory[a] for a in addresses]
+            values = list(map(self.memory.__getitem__, addresses))
         except KeyError as exc:
             raise AddressError(f"address {exc.args[0]!r} was never initialized") from None
         arr = np.array(values, dtype=np.float64)
         if shape is not None:
             arr = arr.reshape(shape)
         self._claim(len(values))
-        self.trace.extend(zip(repeat(READ), addresses, values))
+        self.trace._record(READ, addresses, values)
         self.reads += len(values)
         return self._store(arr)
 
@@ -176,14 +226,14 @@ class MemoryHierarchy:
     def write_block(self, handle: int, addresses: Sequence[Address]) -> None:
         """Copy a slot's words to memory, one Write event per word."""
         arr = self._resident(handle)
-        addresses = list(addresses)
+        addresses = tuple(addresses)
         if len(addresses) != arr.size:
             raise UsageError(
                 f"slot holds {arr.size} words but {len(addresses)} addresses given"
             )
         values = arr.ravel().tolist()
         self.memory.update(zip(addresses, values))
-        self.trace.extend(zip(repeat(WRITE), addresses, values))
+        self.trace._record(WRITE, addresses, values)
         self.writes += len(addresses)
 
     def free(self, handle: int) -> None:
@@ -216,8 +266,7 @@ class MemoryHierarchy:
             arrays = [slots[h] for h in operands]
         except KeyError as exc:
             raise ResidencyError(f"slot {exc.args[0]} is not cache-resident") from None
-        with np.errstate(over="ignore", invalid="ignore"):
-            result = np.asarray(fn(*arrays), dtype=np.float64)
+        result = np.asarray(fn(*arrays), dtype=np.float64)
         # max is NaN if any entry is, so one reduction catches NaN and +inf.
         if result.size and not (result.max() < np.inf):
             self.overflow = True

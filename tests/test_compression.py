@@ -66,6 +66,17 @@ def test_count_rejects_pairs_outside_range():
             C.distinct_output_count(k, C.IndexSet([(0, 0), pair]), 3, 2, 1)
 
 
+def test_count_rejects_restriction_rows_outside_range():
+    # a row outside [0, N) is never read but would multiply the
+    # enumeration by q^d
+    k = FieldMatrix([[1], [1]], 3)
+    idx = C.IndexSet([(0, 0)])
+    for rows in ([0, 7, 9], [-1], range(0, 40, 3)):
+        with pytest.raises(errors.ConfigurationError, match="outside"):
+            C.distinct_output_count(k, idx, 3, 2, 1, row_restriction=rows, cap=1000)
+    assert C.distinct_output_count(k, idx, 3, 2, 1, row_restriction=[0, 1]) == 3
+
+
 def test_count_equals_q_to_the_rank_of_the_output_map():
     # Q -> ((Q K^T)[r, c]) is linear in the free rows of Q, so its image
     # has q^rank elements; the rank comes from FieldMatrix.rank.

@@ -141,6 +141,23 @@ def test_zero_row_witness():
     assert not ok and witness == (0,)
 
 
+def test_subset_check_tests_the_prime_once(monkeypatch):
+    # trial division of q = 4294967311 takes milliseconds; submatrices,
+    # transposes and products reuse the parent's checked field
+    calls = []
+    is_prime = F._is_prime
+    monkeypatch.setattr(F, "_is_prime", lambda n: calls.append(n) or is_prime(n))
+    q = 4294967311
+    v = F.vandermonde_matrix(11, 2, q)
+    assert F.all_k_subsets_independent(v, 2) == (True, None)
+    rows = v.data.tolist()
+    rows[7] = [2 * x % q for x in rows[3]]
+    dependent = F.FieldMatrix(rows, v.field)
+    assert F.all_k_subsets_independent(dependent, 2) == (False, (3, 7))
+    assert v.matmul(v.transpose()).rank() == 2
+    assert calls == [q]
+
+
 def test_subset_enumeration_cap():
     m = F.FieldMatrix(np.ones((40, 2), dtype=int), 5)
     with pytest.raises(errors.EnumerationCapError):

@@ -1,6 +1,7 @@
 """Attention kernels: oracle equivalence, exact I/O counts, regimes."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -211,6 +212,38 @@ def test_kernels_reject_used_hierarchy():
     holding.alloc((2,))
     with pytest.raises(errors.ConfigurationError):
         square_tiling_attention(holding, inst)
+
+
+def test_kernels_silence_overflow_once_per_run():
+    # exp of raw scores near 30^2 * 4 overflows the unstabilized tiling
+    # kernel; streaming's scores themselves overflow at 1e200
+    runs = [(square_tiling_attention, 16, 30.0), (streaming_attention, 64, 1e200)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for kernel, m, magnitude in runs:
+            assert kernel(MemoryHierarchy(m), random_instance(16, 4, 2, magnitude)).overflow
+        assert not streaming_attention(MemoryHierarchy(64),
+                                       random_instance(16, 4, 2, 30.0)).overflow
+
+
+def test_kernels_restore_numpy_error_state():
+    inst = random_instance(8, 4, 1, magnitude=30.0)
+    used = MemoryHierarchy(64)
+    used.alloc((1,))
+    failing = [
+        (errors.RegimeError, lambda: streaming_attention(MemoryHierarchy(16), inst)),
+        (errors.RegimeError,
+         lambda: square_tiling_attention(MemoryHierarchy(4), inst, stabilize=True)),
+        (errors.ConfigurationError, lambda: square_tiling_attention(used, inst)),
+    ]
+    with np.errstate(over="raise", invalid="print", divide="warn", under="ignore"):
+        before = np.geterr()
+        assert square_tiling_attention(MemoryHierarchy(16), inst).overflow
+        assert np.geterr() == before
+        for error, run in failing:
+            with pytest.raises(error):
+                run()
+            assert np.geterr() == before
 
 
 def test_kernels_never_overflow_cache():

@@ -132,6 +132,51 @@ def test_alloc_negative_shape_claims_nothing():
         h.alloc((5,))
 
 
+def test_trace_stored_per_move_reads_per_word():
+    h = MemoryHierarchy(16)
+    h.load("A", np.arange(6.0).reshape(2, 3))
+    h.initialize(("z",), np.float32(1.5))
+    h.initialize(("i",), 2)
+    a = h.read_block([("A", i, j) for i in range(2) for j in range(3)], (2, 3))
+    h.write_block(a, [("B", k) for k in range(6)])
+    s = h.read_word(("A", 1, 2))
+    h.write_word(s, ("y",))
+    h.read_block((("B", 4), ("z",), ("i",)), (3,))
+    expected = ([("R", ("A", i, j), 3.0 * i + j) for i in range(2) for j in range(3)]
+                + [("W", ("B", k), float(k)) for k in range(6)]
+                + [("R", ("A", 1, 2), 5.0), ("W", ("y",), 5.0)]
+                + [("R", ("B", 4), 4.0), ("R", ("z",), 1.5), ("R", ("i",), 2.0)])
+    assert len(h.trace) == len(expected) == 17
+    assert list(h.trace) == expected
+    assert h.trace == expected and expected == h.trace
+    assert h.trace != expected[:-1] and h.trace != expected[:-1] + [("R", ("i",), 3.0)]
+    assert [h.trace[t] for t in range(17)] == expected
+    assert [h.trace[t] for t in range(-17, 0)] == expected
+    for t in (17, -18):
+        with pytest.raises(IndexError):
+            h.trace[t]
+    assert all(type(v) is float for _, _, v in h.trace)
+    assert h.trace and not MemoryHierarchy(4).trace
+
+
+def test_failed_block_moves_add_no_move():
+    h = MemoryHierarchy(8)
+    h.load("A", np.ones((1, 3)))
+    s = h.read_block([("A", 0, 0), ("A", 0, 1)], (2,))
+    before = list(h.trace)
+    with pytest.raises(errors.AddressError):
+        h.read_block([("A", 0, 2), ("nope",)], (2,))
+    with pytest.raises(ValueError):
+        h.read_block([("A", 0, 2)] * 3, (2, 2))
+    with pytest.raises(errors.UsageError):
+        h.write_block(s, [("B", 0)])
+    assert h.trace == before
+    assert (h.reads, h.writes, h.words_used) == (2, 0, 2)
+    h.write_block(s, [("B", 0), ("B", 1)])
+    assert list(h.trace) == before + [("W", ("B", 0), 1.0), ("W", ("B", 1), 1.0)]
+    assert h.trace[2] == ("W", ("B", 0), 1.0)
+
+
 def test_split_into_epochs():
     trace = [("R", i, 0.0) for i in range(10)]
     epochs = split_into_epochs(trace, 4)
