@@ -8,7 +8,8 @@ Subcommand groups mirror the library's modules:
 * ``codes vandermonde|bch|verify`` - independence constructions;
 * ``compress count`` - the distinct-output counting oracle.
 
-Exit code is 0 iff every check the invocation enables passes.  The
+Exit code is 0 iff every check the invocation enables passes; bad
+input, including a path that cannot be read or written, exits 2.  The
 environment variable ATTNIO_ENUM_CAP overrides the enumeration caps of
 the exhaustive routines.
 """
@@ -258,7 +259,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ConfigurationError, FieldError, DegenerateParameterError,
-            FileNotFoundError) as exc:
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

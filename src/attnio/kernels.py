@@ -276,15 +276,12 @@ def streaming_attention(h: MemoryHierarchy, inst: AttentionInstance) -> KernelRe
             s = h.compute("matmul", q, krow)
             h.free(krow)
             mnew = h.compute("maximum", mrun, s)
-            alpha = h.compute("sub", mrun, mnew)
-            h.compute("exp", alpha, out=alpha)
+            alpha = h.compute("exp_sub", mrun, mnew)
             h.free(mrun)
             mrun = mnew
             # s becomes p = exp(s - m) in place
-            h.compute("sub", s, mrun, out=s)
-            h.compute("exp", s, out=s)
-            h.compute("mul", lsum, alpha, out=lsum)
-            h.compute("add", lsum, s, out=lsum)
+            h.compute("exp_sub", s, mrun, out=s)
+            h.compute("mul_add", lsum, alpha, s, out=lsum)
             h.compute("rowscale", o, alpha, out=o)
             h.free(alpha)
             vrow = h.read_block(addrs("V", (j,), cols), (d,))

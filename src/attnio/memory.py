@@ -13,7 +13,11 @@ explicitly and the simulator only enforces capacity.
 
 ``compute`` does not silence numpy's overflow and invalid-value
 warnings; the kernels do that once per run.  Either way the hierarchy's
-``overflow`` flag records any NaN or +inf result.
+``overflow`` flag records any NaN or +inf result.  The check is
+deferred: results are scanned with one reduction per cache-full
+(``capacity`` words) of them, and whatever is still pending is scanned
+when ``overflow`` is read, so every read is exact.  That relies on no
+slot array ever being mutated after ``compute`` returns.
 """
 
 from __future__ import annotations
@@ -67,26 +71,29 @@ class Epoch:
         return self.stop - self.start
 
 
-# Elementwise and fused cache primitives.  Fused ops (addmm, add_outer,
-# scaled_addmm) accumulate without materializing their intermediate
-# product, so they need no extra cache words.
-_OPS: dict[str, Callable] = {
-    "add": np.add,
-    "sub": np.subtract,
-    "mul": np.multiply,
-    "div": np.divide,
-    "neg": np.negative,
-    "exp": np.exp,
-    "inv": np.reciprocal,
-    "maximum": np.maximum,
-    "matmul": np.matmul,
-    "rowsum": lambda a: np.sum(a, axis=-1),
-    "rowmax": lambda a: np.max(a, axis=-1),
-    "rowscale": lambda a, w: a * w[..., None],
-    "subrow": lambda a, w: a - w[..., None],
-    "addmm": lambda acc, a, b: acc + a @ b,
-    "add_outer": lambda acc, u, v: acc + u[:, None] * v[None, :],
-    "scaled_addmm": lambda acc, w, a, b: acc + w[:, None] * (a @ b),
+# Elementwise and fused cache primitives, each with its operand count.
+# Fused ops (exp_sub, mul_add, addmm, add_outer, scaled_addmm) apply
+# their steps in one call and in the same order as the separate ops,
+# so results are bit-identical and need no extra cache words.
+_OPS: dict[str, tuple[Callable, int]] = {
+    "add": (np.add, 2),
+    "sub": (np.subtract, 2),
+    "mul": (np.multiply, 2),
+    "div": (np.divide, 2),
+    "neg": (np.negative, 1),
+    "exp": (np.exp, 1),
+    "inv": (np.reciprocal, 1),
+    "maximum": (np.maximum, 2),
+    "matmul": (np.matmul, 2),
+    "rowsum": (lambda a: np.sum(a, axis=-1), 1),
+    "rowmax": (lambda a: np.max(a, axis=-1), 1),
+    "rowscale": (lambda a, w: a * w[..., None], 2),
+    "subrow": (lambda a, w: a - w[..., None], 2),
+    "exp_sub": (lambda a, b: np.exp(a - b), 2),
+    "mul_add": (lambda a, w, b: a * w + b, 3),
+    "addmm": (lambda acc, a, b: acc + a @ b, 3),
+    "add_outer": (lambda acc, u, v: acc + u[:, None] * v[None, :], 3),
+    "scaled_addmm": (lambda acc, w, a, b: acc + w[:, None] * (a @ b), 4),
 }
 
 
@@ -151,7 +158,13 @@ class MemoryHierarchy:
         self.trace = Trace()
         self.reads = 0
         self.writes = 0
-        self.overflow = False
+        self._overflow = False
+        # Results not yet scanned for NaN or +inf, and their word count.
+        # Invariant: no slot array is mutated after ``compute`` returns
+        # (``out=`` replaces the slot's array, reads and allocs make
+        # fresh ones), so scanning a result late sees what it held.
+        self._pending: list[np.ndarray] = []
+        self._pending_words = 0
         self._slots: dict[int, np.ndarray] = {}
         self._used = 0
         self._next_handle = 0
@@ -161,6 +174,20 @@ class MemoryHierarchy:
     @property
     def words_used(self) -> int:
         return self._used
+
+    @property
+    def overflow(self) -> bool:
+        """Whether any ``compute`` result so far held a NaN or +inf."""
+        if self._pending:
+            self._scan_pending()
+        return self._overflow
+
+    def _scan_pending(self) -> None:
+        # max is NaN if any entry is, so one reduction catches NaN and +inf.
+        if not (np.concatenate(self._pending, axis=None).max() < np.inf):
+            self._overflow = True
+        self._pending.clear()
+        self._pending_words = 0
 
     def _claim(self, n: int) -> None:
         if self._used + n > self.capacity:
@@ -256,20 +283,27 @@ class MemoryHierarchy:
 
         Counters and trace are untouched.  With ``out`` the result
         overwrites an existing slot of the same size (in-place
-        accumulation); otherwise a fresh slot is allocated.
+        accumulation); otherwise a fresh slot is allocated.  An unknown
+        op or a wrong operand count raises ``UsageError`` before
+        anything is computed.
         """
-        fn = _OPS.get(op)
-        if fn is None:
-            raise UsageError(f"unknown op {op!r}")
+        try:
+            fn, arity = _OPS[op]
+        except KeyError:
+            raise UsageError(f"unknown op {op!r}") from None
+        if len(operands) != arity:
+            raise UsageError(f"op {op!r} takes {arity} operands, got {len(operands)}")
         slots = self._slots
         try:
             arrays = [slots[h] for h in operands]
         except KeyError as exc:
             raise ResidencyError(f"slot {exc.args[0]} is not cache-resident") from None
         result = np.asarray(fn(*arrays), dtype=np.float64)
-        # max is NaN if any entry is, so one reduction catches NaN and +inf.
-        if result.size and not (result.max() < np.inf):
-            self.overflow = True
+        if result.size:
+            self._pending.append(result)
+            self._pending_words += result.size
+            if self._pending_words >= self.capacity:
+                self._scan_pending()
         if out is not None:
             target = self._resident(out)
             if target.size != result.size:

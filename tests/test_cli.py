@@ -68,6 +68,28 @@ def test_attn_sweep_config_missing_key_exit_code(tmp_path, capsys):
     assert str(cfg) in capsys.readouterr().err
 
 
+def test_directory_as_path_exit_code(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"N": [8], "d": [2], "M": [32]}))
+    idx = tmp_path / "idx.csv"
+    idx.write_text("0,0\n")
+    folder = str(tmp_path)
+    commands = [
+        ("attn", "sweep", "--config", str(cfg), "--out", folder),
+        ("attn", "sweep", "--config", folder, "--out", str(tmp_path / "r.csv")),
+        ("attn", "run", "--N", "4", "--d", "2", "--M", "16", "--trace", folder),
+        ("pebble", "build", "--N", "1", "--d", "1", "--out", folder),
+        ("pebble", "validate", "--dag", folder, "--calculation", folder, "--M", "3"),
+        ("codes", "verify", folder, "2"),
+        ("codes", "vandermonde", "5", "2", "7", "--out", folder),
+        ("compress", "count", "--q", "3", "--N", "2", "--d", "1",
+         "--K", folder, "--indices", str(idx)),
+    ]
+    for argv in commands:
+        assert run_cli(*argv) == 2, argv
+        assert capsys.readouterr().err.startswith("error:"), argv
+
+
 def test_pebble_build_validate_search(tmp_path, capsys):
     dag_path = tmp_path / "dag.jsonl"
     assert run_cli("pebble", "build", "--N", "2", "--d", "2",

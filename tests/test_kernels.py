@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from itertools import product
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from attnio.kernels import (
     square_tiling_attention,
     streaming_attention,
     streaming_block_rows,
+    streaming_fits,
 )
 from attnio.matrices import AttentionInstance, random_instance
 from attnio.memory import MemoryHierarchy, replay_trace
@@ -130,6 +132,27 @@ def test_streaming_block_rows_budget():
             assert r >= 1
             if r > 1:
                 assert 2 * r * d + max(5 * r, 3 * r + d) <= m
+
+
+class PeakHierarchy(MemoryHierarchy):
+    """Records the highest cache occupancy a run reaches."""
+
+    peak = 0
+
+    def _claim(self, n):
+        super()._claim(n)
+        self.peak = max(self.peak, self.words_used)
+
+
+def test_streaming_peak_matches_cache_model():
+    # two R x d blocks plus the larger of five length-R vectors and
+    # three vectors with one streamed K or V row, as budgeted
+    for n, d, m in product((5, 16, 33), (1, 2, 4, 8), (16, 64, 100, 256, 512)):
+        if streaming_fits(m, d):
+            h = PeakHierarchy(m)
+            streaming_attention(h, random_instance(n, d, n + d))
+            r = streaming_block_rows(m, n, d)
+            assert h.peak == 2 * r * d + max(5 * r, 3 * r + d), (n, d, m)
 
 
 def test_streaming_io_halves_with_cache():

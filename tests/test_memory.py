@@ -79,7 +79,8 @@ def test_overflow_flag():
     h.initialize(("x",), 1e308)
     s = h.read_word(("x",))
     assert not h.overflow
-    h.compute("exp", s)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        h.compute("exp", s)
     assert h.overflow
 
 
@@ -91,11 +92,54 @@ def test_overflow_flag_marks_nan_and_pos_inf_only():
             s = h.compute(op, s, s) if op in ("sub", "maximum") else h.compute(op, s)
         return h.overflow
 
-    assert overflowed(1e308, "exp")  # +inf
-    assert overflowed(np.inf, "sub")  # inf - inf = NaN
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert overflowed(1e308, "exp")  # +inf
+    with pytest.warns(RuntimeWarning, match="invalid value"):
+        assert overflowed(np.inf, "sub")  # inf - inf = NaN
     assert not overflowed(-np.inf, "maximum", "exp")  # only -inf, then 0
     assert not overflowed(1e308, "maximum")  # large but finite
     assert not overflowed(1e308, "neg", "exp")  # -1e308, then 0
+
+
+def test_overflow_seen_after_result_is_replaced():
+    h = MemoryHierarchy(64)
+    s = h.alloc((2,), fill=1e308)
+    t = h.alloc((2,))
+    with pytest.warns(RuntimeWarning):
+        h.compute("exp", s, out=t)
+    h.compute("neg", s, out=t)  # the +inf result is gone before the read
+    assert h.overflow
+
+
+def test_overflow_seen_far_below_capacity():
+    h = MemoryHierarchy(1024)
+    s = h.alloc((), fill=1e308)
+    with pytest.warns(RuntimeWarning):
+        h.compute("exp", s)
+    assert h.words_used == 2 and h.overflow
+
+
+def test_overflow_stays_set():
+    h = MemoryHierarchy(8)
+    s = h.alloc((2,), fill=1e308)
+    with pytest.warns(RuntimeWarning):
+        h.free(h.compute("exp", s))
+    for _ in range(5):
+        for _ in range(4):  # one cache-full of finite results
+            h.free(h.compute("neg", s))
+        assert h.overflow
+
+
+def test_compute_checks_operand_count():
+    h = MemoryHierarchy(8)
+    a = h.alloc((2,), fill=1.0)
+    b = h.alloc((2,), fill=2.0)
+    for op, operands in (("exp", (a, b)), ("add", (a,)), ("mul_add", (a, b)),
+                         ("matmul", (a, b, a))):
+        with pytest.raises(errors.UsageError, match="operands"):
+            h.compute(op, *operands)
+    assert h.words_used == 4 and not h.overflow
+    assert h.value(a).tolist() == [1.0, 1.0] and h.value(b).tolist() == [2.0, 2.0]
 
 
 def test_compute_on_empty_slot():
