@@ -8,8 +8,6 @@ minimum message length, and compare with explicit protocols.  The last
 section checks the per-epoch entry budget on real instrumented runs.
 """
 
-import numpy as np
-
 from attnio import compression as C
 from attnio.fields import FieldMatrix, vandermonde_matrix
 from attnio.kernels import square_tiling_attention, streaming_attention

@@ -10,6 +10,8 @@ Subcommand groups mirror the library's modules:
 
 Exit code is 0 iff every check the invocation enables passes; bad
 input, including a path that cannot be read or written, exits 2.  The
+output paths of ``attn run`` and ``attn sweep`` are opened before the
+run, so an unwritable one exits 2 with no run and no output.  The
 environment variable ATTNIO_ENUM_CAP overrides the enumeration caps of
 the exhaustive routines.
 """
@@ -48,9 +50,18 @@ def _enum_cap(default: int) -> int:
             f"{ENUM_CAP_VAR} must be an integer, got {raw!r}") from None
 
 
+def _check_writable(path) -> None:
+    """Open ``path`` for appending, which creates it but keeps what it
+    holds, so an unwritable path fails before a run, not after it."""
+    if path:
+        with open(path, "a"):
+            pass
+
+
 def _cmd_attn_run(args) -> int:
     inst = random_instance(args.N, args.d, args.seed)
     h = MemoryHierarchy(args.M)
+    _check_writable(args.trace)
     try:
         result = experiments._KERNELS[args.algorithm](h, inst)
     except RegimeError as exc:
@@ -69,6 +80,7 @@ def _cmd_attn_run(args) -> int:
 
 def _cmd_attn_sweep(args) -> int:
     config = experiments.SweepConfig.from_json(args.config)
+    _check_writable(args.out)
     records = experiments.run_sweep(config)
     experiments.write_records_csv(records, args.out)
     report = experiments.check_bounds(records)

@@ -87,7 +87,7 @@ def distinct_output_count(k: FieldMatrix, index_set: IndexSet, q: int,
         raise EnumerationCapError(
             f"enumeration of {size} matrices exceeds cap {cap}",
             required=size, cap=cap)
-    kt = k.data.T  # d x N
+    kt = k.data.T.tolist()  # d x N, Python ints
     seen = set()
     row_pos = {r: t for t, r in enumerate(free_rows)}
     for assignment in itertools.product(range(q), repeat=len(free_rows) * d):
@@ -98,7 +98,7 @@ def distinct_output_count(k: FieldMatrix, index_set: IndexSet, q: int,
                 outputs.append(0)
                 continue
             qrow = assignment[t * d:(t + 1) * d]
-            outputs.append(sum(qrow[l] * int(kt[l, c]) for l in range(d)) % q)
+            outputs.append(sum(qrow[l] * kt[l][c] for l in range(d)) % q)
         seen.add(tuple(outputs))
     return len(seen)
 

@@ -13,7 +13,6 @@ prime q (no floats, no fixed-width overflow).
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -125,7 +124,10 @@ def _row_reduce(rows: list[list[int]], field: PrimeField) -> tuple[list[int], in
 
     Leaves ``rows`` in reduced row echelon form and returns the pivot
     columns and the product of the pivots mod q, negated per row swap:
-    the determinant when a square matrix has full rank.
+    the determinant when a square matrix has full rank.  A pivot row
+    whose pivot is already 1 is not rescaled, so rows that are already
+    reduced pass through without an inversion.  Rows are replaced, never
+    mutated, so callers may share row lists between calls.
     """
     q = field.q
     pivots: list[int] = []
@@ -138,9 +140,12 @@ def _row_reduce(rows: list[list[int]], field: PrimeField) -> tuple[list[int], in
         if i != r:
             rows[r], rows[i] = rows[i], rows[r]
             det = -det
-        det = det * rows[r][c] % q
-        inv = field.inv(rows[r][c])
-        pivot = rows[r] = [x * inv % q for x in rows[r]]
+        lead = rows[r][c]
+        det = det * lead % q
+        if lead != 1:
+            inv = field.inv(lead)
+            rows[r] = [x * inv % q for x in rows[r]]
+        pivot = rows[r]
         for i, row in enumerate(rows):
             if i != r and row[c]:
                 f = row[c]
@@ -182,7 +187,12 @@ def all_k_subsets_independent(matrix: FieldMatrix, k: int,
     """Check every k-row subset for full rank k by exact elimination.
 
     Returns (True, None) or (False, witness) with the first dependent
-    index tuple in lexicographic order.
+    index tuple in lexicographic order.  Subsets share their prefixes:
+    a depth-first walk over increasing index prefixes, in lexicographic
+    order, reduces each prefix once and extends its reduced rows by one
+    row at a time.  The first dependent prefix, completed by the next
+    smallest indices, is the lexicographically first dependent k-subset,
+    since every subset before it was reached and found independent.
     """
     if k > matrix.rows:
         raise ConfigurationError(f"k={k} exceeds row count {matrix.rows}")
@@ -191,10 +201,23 @@ def all_k_subsets_independent(matrix: FieldMatrix, k: int,
         raise EnumerationCapError(
             f"{total} subsets exceed the enumeration cap {cap}",
             required=total, cap=cap)
-    for subset in itertools.combinations(range(matrix.rows), k):
-        if matrix.row_submatrix(subset).rank() < k:
-            return False, subset
-    return True, None
+    rows, field = matrix.data.tolist(), matrix.field
+
+    def extend(prefix: tuple, reduced: list) -> tuple | None:
+        j = len(prefix)
+        if j == k:
+            return None
+        for i in range(prefix[-1] + 1 if prefix else 0, matrix.rows - k + j + 1):
+            grown = reduced + [rows[i]]
+            if len(_row_reduce(grown, field)[0]) == j:
+                return prefix + tuple(range(i, i + k - j))
+            witness = extend(prefix + (i,), grown)
+            if witness:
+                return witness
+        return None
+
+    witness = extend((), [])
+    return (False, witness) if witness else (True, None)
 
 
 class BinaryExtField:

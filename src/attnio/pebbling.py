@@ -18,7 +18,6 @@ transitions over complete calculations.
 from __future__ import annotations
 
 import graphlib
-import heapq
 import json
 from collections import deque
 from dataclasses import dataclass
@@ -227,18 +226,40 @@ def validate_calculation(dag: PebblingDag, m: int, calc: list[Transition]) -> Va
     """Replay a calculation, checking every rule, the red budget, and the
     boundary configurations.  Returns R1+R2 counts on acceptance, or the
     first violating transition."""
+    nodes, inputs = dag.nodes, dag.inputs
     red: set[str] = set()
-    blue: set[str] = set(dag.inputs)
+    blue: set[str] = set(inputs)
     reads = writes = 0
 
     def fail(i, rule, msg):
         return ValidationResult(False, reads, writes, Violation(i, rule, msg))
 
+    # rules are tested in order of their frequency in a schedule
     for i, tr in enumerate(calc):
         rule, v = tr[0], tr[1]
-        if v not in dag.nodes:
+        node = nodes.get(v)
+        if node is None:
             return fail(i, rule, f"unknown vertex {v!r}")
-        if rule == "R1":
+        if rule == "R4":
+            color = tr[2] if len(tr) > 2 else None
+            if color == "red" or (color is None and v in red):
+                if v not in red:
+                    return fail(i, rule, f"R4 red on {v!r} without a red pebble")
+                red.discard(v)
+            elif v in blue:
+                blue.discard(v)
+            else:
+                return fail(i, rule, f"R4 on unpebbled vertex {v!r}")
+        elif rule == "R3":
+            if v in inputs:
+                return fail(i, rule, f"R3 on input vertex {v!r}")
+            if not red.issuperset(node.parents):
+                missing = [p for p in node.parents if p not in red]
+                return fail(i, rule, f"R3 on {v!r}: parents not red: {missing}")
+            if v not in red and len(red) >= m:
+                return fail(i, rule, f"red budget {m} exceeded")
+            red.add(v)
+        elif rule == "R1":
             if v not in blue:
                 return fail(i, rule, f"R1 on {v!r} without a blue pebble")
             if v not in red and len(red) >= m:
@@ -250,25 +271,6 @@ def validate_calculation(dag: PebblingDag, m: int, calc: list[Transition]) -> Va
                 return fail(i, rule, f"R2 on {v!r} without a red pebble")
             blue.add(v)
             writes += 1
-        elif rule == "R3":
-            if v in dag.inputs:
-                return fail(i, rule, f"R3 on input vertex {v!r}")
-            missing = [p for p in dag.nodes[v].parents if p not in red]
-            if missing:
-                return fail(i, rule, f"R3 on {v!r}: parents not red: {missing}")
-            if v not in red and len(red) >= m:
-                return fail(i, rule, f"red budget {m} exceeded")
-            red.add(v)
-        elif rule == "R4":
-            color = tr[2] if len(tr) > 2 else None
-            if color == "red" or (color is None and v in red):
-                if v not in red:
-                    return fail(i, rule, f"R4 red on {v!r} without a red pebble")
-                red.discard(v)
-            elif v in blue:
-                blue.discard(v)
-            else:
-                return fail(i, rule, f"R4 on unpebbled vertex {v!r}")
         else:
             return fail(i, rule, f"unknown rule {rule!r}")
 
@@ -300,7 +302,7 @@ class _Scheduler:
         self._add(v, "R3")
 
     def _add(self, v, rule):
-        if v not in self.red and len(self.red) >= self.m:
+        if len(self.red) >= self.m and v not in self.red:
             raise _BudgetExceeded
         self.red.add(v)
         self.moves.append((rule, v))
@@ -325,13 +327,18 @@ def _fold(sched: _Scheduler, v: str, kinds: frozenset) -> None:
     ``kinds`` while that child's parents are all red, computing it and
     deleting the parents' red pebbles.  Folding each leaf as it turns
     red keeps at most O(log #leaves) partials resident per tree."""
-    nodes, children = sched.dag.nodes, sched.dag.children
+    nodes, children, red = sched.dag.nodes, sched.dag.children, sched.red
     while True:
-        up = next((c for c in children[v] if nodes[c].kind in kinds), None)
-        if up is None or any(p not in sched.red for p in nodes[up].parents):
+        for up in children[v]:
+            if nodes[up].kind in kinds:
+                break
+        else:
+            return
+        parents = nodes[up].parents
+        if not red.issuperset(parents):
             return
         sched.r3(up)
-        for p in nodes[up].parents:
+        for p in parents:
             sched.r4(p)
         v = up
 
@@ -537,8 +544,13 @@ def _dependence_cycle(dag: PebblingDag, parts: list[PartSpec]):
 # -- exact I/O by exhaustive search ----------------------------------------------
 
 def brute_force_min_io(dag: PebblingDag, m: int, node_cap: int = BRUTE_FORCE_NODE_CAP) -> int:
-    """Exact Q(G, M) by Dijkstra over (red set, blue set) configurations,
+    """Exact Q(G, M) by a 0-1 breadth-first search over configurations,
     R1/R2 transitions costing 1 and R3/R4 costing 0.  Tiny graphs only.
+
+    A configuration is one int, ``red | blue << n`` with bit i for the
+    i-th vertex in sorted order.  Zero-cost moves go to the front of the
+    queue and unit-cost moves to the back, so configurations leave the
+    queue in order of cost and the first goal popped is the minimum.
 
     R3 needs every parent and the vertex itself red at once, so no
     complete calculation exists when M < max in-degree + 1; such an M is
@@ -555,45 +567,53 @@ def brute_force_min_io(dag: PebblingDag, m: int, node_cap: int = BRUTE_FORCE_NOD
 
     order = sorted(dag.nodes)
     idx = {v: i for i, v in enumerate(order)}
-    parents_mask = [0] * n
-    for v, node in dag.nodes.items():
-        for p in node.parents:
-            parents_mask[idx[v]] |= 1 << idx[p]
-    inputs_mask = sum(1 << idx[v] for v in dag.inputs)
-    outputs_mask = sum(1 << idx[v] for v in dag.outputs)
+    # per vertex: (red bit, blue bit, parent mask, computable by R3)
+    vertices = []
+    for i, v in enumerate(order):
+        node = dag.nodes[v]
+        parents = sum(1 << idx[p] for p in set(node.parents))
+        vertices.append((1 << i, 1 << (i + n), parents, bool(node.parents)))
+    reds = (1 << n) - 1
+    start = sum(1 << (idx[v] + n) for v in dag.inputs)
+    goal = sum(1 << (idx[v] + n) for v in dag.outputs)
 
-    start = (0, inputs_mask)
-    goal = (0, outputs_mask)
     dist = {start: 0}
-    heap = [(0, start)]
-    while heap:
-        cost, state = heapq.heappop(heap)
+    queue = deque([(0, start)])
+    while queue:
+        cost, state = queue.popleft()
         if state == goal:
             return cost
-        if cost > dist.get(state, float("inf")):
+        if cost > dist[state]:
             continue
-        red, blue = state
-
-        def push(nxt, c):
-            if c < dist.get(nxt, float("inf")):
-                dist[nxt] = c
-                heapq.heappush(heap, (c, nxt))
-
-        can_add_red = bin(red).count("1") < m
-        for i in range(n):
-            bit = 1 << i
-            if blue & bit and not red & bit and can_add_red:
-                push((red | bit, blue), cost + 1)                    # R1
-            if red & bit and not blue & bit:
-                push((red, blue | bit), cost + 1)                    # R2
-            if (not red & bit and can_add_red and not inputs_mask & bit
-                    and red & parents_mask[i] == parents_mask[i]):
-                push((red | bit, blue), cost)                        # R3
-            if red & bit:
-                push((red & ~bit, blue), cost)                       # R4 red
-            if blue & bit:
-                push((red, blue & ~bit), cost)                       # R4 blue
-        # fall through: unreachable goal would exhaust the heap
+        red = state & reds
+        can_add_red = red.bit_count() < m
+        # Every queued configuration costs at most cost + 1, so a unit
+        # move only ever reaches a configuration not yet seen.
+        step = cost + 1
+        for rbit, bbit, parents, computable in vertices:
+            if red & rbit:
+                nxt = state | bbit
+                if not state & bbit and nxt not in dist:
+                    dist[nxt] = step                                 # R2
+                    queue.append((step, nxt))
+                nxt = state & ~rbit                                  # R4 red
+                if dist.get(nxt, step) > cost:
+                    dist[nxt] = cost
+                    queue.appendleft((cost, nxt))
+            elif can_add_red:
+                nxt = state | rbit
+                if state & bbit and nxt not in dist:
+                    dist[nxt] = step                                 # R1
+                    queue.append((step, nxt))
+                if computable and red & parents == parents and dist.get(nxt, step) > cost:
+                    dist[nxt] = cost                                 # R3
+                    queue.appendleft((cost, nxt))
+            if state & bbit:
+                nxt = state & ~bbit                                  # R4 blue
+                if dist.get(nxt, step) > cost:
+                    dist[nxt] = cost
+                    queue.appendleft((cost, nxt))
+        # fall through: unreachable goal would exhaust the queue
     raise RuntimeError("no complete calculation found (malformed DAG?)")
 
 

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from attnio import pebbling
+from attnio import experiments, pebbling
 from attnio.cli import main
 from attnio.fields import bch_parity_check
 
@@ -88,6 +88,25 @@ def test_directory_as_path_exit_code(tmp_path, capsys):
     for argv in commands:
         assert run_cli(*argv) == 2, argv
         assert capsys.readouterr().err.startswith("error:"), argv
+
+
+def test_unwritable_output_fails_before_the_run(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"N": [8], "d": [2], "M": [32]}))
+    sweeps = []
+    monkeypatch.setattr(experiments, "run_sweep", lambda config: sweeps.append(config) or [])
+    assert run_cli("attn", "sweep", "--config", str(cfg), "--out", str(tmp_path)) == 2
+    assert sweeps == []
+    assert run_cli("attn", "run", "--N", "4", "--d", "2", "--M", "16",
+                   "--trace", str(tmp_path)) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("error:") == 2
+    # a writable path keeps what it holds when the run gives no trace
+    kept = tmp_path / "kept.csv"
+    kept.write_text("old\n")
+    assert run_cli("attn", "run", "--N", "8", "--d", "4", "--M", "16",
+                   "--algorithm", "streaming", "--trace", str(kept)) == 1
+    assert kept.read_text() == "old\n"
 
 
 def test_pebble_build_validate_search(tmp_path, capsys):

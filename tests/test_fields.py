@@ -41,6 +41,13 @@ def test_det_matches_cofactor_expansion():
     assert singular.det() == 0
 
 
+def test_det_of_swaps_with_unit_pivots_is_reduced_mod_q():
+    # every pivot is 1, so only the row swaps set the sign
+    assert F.FieldMatrix([[0, 1], [1, 0]], 7).det() == 6
+    assert F.FieldMatrix([[0, 0, 1], [0, 1, 0], [1, 0, 0]], 5).det() == 4
+    assert F.FieldMatrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]], 5).det() == 1
+
+
 def test_csv_round_trip(tmp_path):
     m = F.FieldMatrix([[1, 2, 3], [4, 5, 6]], 7)
     path = tmp_path / "m.csv"
@@ -156,6 +163,35 @@ def test_subset_check_tests_the_prime_once(monkeypatch):
     assert F.all_k_subsets_independent(dependent, 2) == (False, (3, 7))
     assert v.matmul(v.transpose()).rank() == 2
     assert calls == [q]
+
+
+def subsets_independent_reference(matrix, k):
+    """The per-subset form: one rank per k-subset, in lexicographic order."""
+    for subset in itertools.combinations(range(matrix.rows), k):
+        if matrix.row_submatrix(subset).rank() < k:
+            return False, subset
+    return True, None
+
+
+def test_subset_check_matches_per_subset_ranks():
+    rng = np.random.default_rng(808)
+    dependent = 0
+    for t in range(360):
+        q = (2, 3, 5, 7, 4294967311)[t % 5]
+        rows, cols = int(rng.integers(1, 8)), int(rng.integers(1, 5))
+        # small entries, and now and then a multiple of an earlier row,
+        # make dependent subsets common even for the large prime
+        data = rng.integers(0, min(q, 3 + t % 3 * q), size=(rows, cols)).tolist()
+        if t % 4 == 0 and rows > 2:
+            a, b = sorted(rng.choice(rows, size=2, replace=False))
+            scale = int(rng.integers(1, q))
+            data[b] = [x * scale % q for x in data[a]]
+        matrix = F.FieldMatrix(data, q)
+        k = int(rng.integers(0, min(rows, cols + 1) + 1))
+        got = F.all_k_subsets_independent(matrix, k)
+        assert got == subsets_independent_reference(matrix, k), (t, q, data, k)
+        dependent += not got[0]
+    assert dependent >= 100
 
 
 def test_subset_enumeration_cap():

@@ -1,4 +1,4 @@
-"""Source hygiene: no module-level import that its module never uses."""
+"""Source hygiene: no module-level import that a module or demo never uses."""
 
 import ast
 from pathlib import Path
@@ -7,6 +7,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "attnio"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+DEMOS = sorted((SRC.parents[1] / "demos").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -29,3 +30,12 @@ def test_checker_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_level_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
+def test_no_unused_imports_in_demos(path):
+    assert unused_imports(path.read_text()) == []
+
+
+def test_demos_found():
+    assert DEMOS, f"no demos found under {SRC.parents[1] / 'demos'}"

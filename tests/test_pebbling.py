@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 
 import pytest
 
@@ -153,6 +154,116 @@ def test_validator_terminal_configuration():
     assert not res.ok and res.violation.rule == "terminal"
 
 
+def fork_dag():
+    # "c" lists its parents out of sorted order
+    return P.PebblingDag({"a": P.Node(P.INPUT, ()),
+                          "b": P.Node(P.INPUT, ()),
+                          "c": P.Node(P.SCALE, ("b", "a"))})
+
+
+@pytest.mark.parametrize("dag, calc, index, rule, message", [
+    (edge_dag(), [("R1", "in"), ("R1", "nowhere")], 1, "R1", "unknown vertex 'nowhere'"),
+    (edge_dag(), [("R1", "in"), ("R9", "in")], 1, "R9", "unknown rule 'R9'"),
+    (edge_dag(), [("R4", "in", "red")], 0, "R4", "R4 red on 'in' without a red pebble"),
+    (edge_dag(), [("R4", "in"), ("R4", "out")], 1, "R4", "R4 on unpebbled vertex 'out'"),
+    (edge_dag(), [("R4", "in", "blue"), ("R4", "in", "blue")], 1, "R4",
+     "R4 on unpebbled vertex 'in'"),
+    (fork_dag(), [("R3", "c")], 0, "R3", "R3 on 'c': parents not red: ['b', 'a']"),
+    (fork_dag(), [("R1", "b"), ("R3", "c")], 1, "R3", "R3 on 'c': parents not red: ['a']"),
+    (fork_dag(), [("R1", "a"), ("R1", "b"), ("R3", "c")], 2, "R3", "red budget 2 exceeded"),
+    (fork_dag(), [("R1", "a"), ("R1", "b"), ("R1", "a")], None, "terminal",
+     "red pebbles remain: ['a', 'b']"),
+    (edge_dag(), [("R1", "in"), ("R4", "in", "blue")], None, "terminal",
+     "red pebbles remain: ['in']"),
+])
+def test_validator_first_violation_messages(dag, calc, index, rule, message):
+    res = P.validate_calculation(dag, 2, calc)
+    assert not res.ok
+    assert (res.violation.index, res.violation.rule, res.violation.message) == (
+        index, rule, message)
+
+
+def test_validator_red_pebbles_remain_lists_first_five_sorted():
+    dag = P.build_attention_dag(1, 1)
+    calc = [("R1", v) for v in ("V[0,0]", "K[0,0]", "Q[0,0]")]
+    calc += [("R3", v) for v in ("L1[0,0,0]", "QKT[0,0]", "EXP[0,0]")]
+    res = P.validate_calculation(dag, 8, calc)
+    assert (res.reads, res.writes, res.violation) == (3, 0, P.Violation(
+        None, "terminal",
+        "red pebbles remain: ['EXP[0,0]', 'K[0,0]', 'L1[0,0,0]', 'QKT[0,0]', 'Q[0,0]']"))
+
+
+def corrupt(calc, vertices, seed):
+    """Delete, retype, retarget or insert one transition (by seed % 4)."""
+    rng = random.Random(seed)
+    calc = list(calc)
+    i = rng.randrange(len(calc))
+    kind = ("delete", "retype", "retarget", "insert")[seed % 4]
+    if kind == "delete":
+        del calc[i]
+    elif kind == "retype":
+        calc[i] = (rng.choice(["R1", "R2", "R3", "R4"]),) + calc[i][1:]
+    elif kind == "retarget":
+        calc[i] = (calc[i][0], rng.choice(vertices)) + calc[i][2:]
+    else:
+        calc.insert(i, (rng.choice(["R1", "R2", "R3", "R4"]), rng.choice(vertices)))
+    return calc
+
+
+# (seed, reads, writes, index, rule, message) of the corrupted schedule;
+# a valid result has index, rule and message None
+CORRUPTED_SCHEDULES = {
+    (2, 2, 16): [
+        (0, 12, 0, 98, "R2", "R2 on 'OUT[0,0]' without a red pebble"),
+        (1, 12, 4, None, None, None),
+        (2, 6, 0, 14, "R4", "R4 on unpebbled vertex 'EXP[0,1]'"),
+        (3, 12, 5, None, "terminal", "terminal blue pebbles differ from the output set"),
+        (4, 12, 0, 64, "R3", "red budget 16 exceeded"),
+        (5, 12, 4, None, None, None),
+        (6, 6, 0, 20, "R3", "R3 on 'OUT[0,1]': parents not red: ['AV[0,1]', 'INV[0]']"),
+        (7, 12, 0, 82, "R2", "R2 on 'L2[0,1,1]' without a red pebble"),
+        (8, 12, 0, 58, "R3", "R3 on 'SA[0,0]#0': parents not red: ['L2[0,1,0]']"),
+        (9, 12, 4, 118, "R3", "R3 on input vertex 'Q[1,0]'"),
+        (10, 6, 0, 8, "R3", "R3 on 'L2[1,0,1]': parents not red: ['EXP[1,0]', 'V[0,1]']"),
+        (11, 12, 4, 115, "R4", "R4 on unpebbled vertex 'L2[1,1,0]'"),
+        (12, 12, 4, None, "terminal", "terminal blue pebbles differ from the output set"),
+        (13, 12, 0, 66, "R3", "R3 on 'L2[0,0,1]': parents not red: ['V[0,1]']"),
+        (14, 8, 0, 29, "R3", "R3 on 'L2[0,0,1]': parents not red: ['V[0,1]']"),
+        (15, 10, 0, 53, "R1", "R1 on 'OUT[1,1]' without a blue pebble"),
+    ],
+    (3, 2, 24): [
+        (0, 18, 6, None, "terminal", "red pebbles remain: ['SR[1]#1']"),
+        (1, 12, 0, 68, "R1", "R1 on 'L1[2,1,1]' without a blue pebble"),
+        (2, 8, 0, 28, "R3", "R3 on 'EXP[1,2]': parents not red: ['QKT[1,2]']"),
+        (3, 16, 0, 121, "R2", "R2 on 'L2[0,2,1]' without a red pebble"),
+        (4, 18, 6, None, "terminal", "red pebbles remain: ['L1[0,2,0]']"),
+        (5, 18, 6, None, "terminal", "red pebbles remain: ['L1[1,2,1]']"),
+        (6, 10, 0, 41, "R3", "R3 on 'OUT[1,0]': parents not red: ['AV[1,0]', 'INV[1]']"),
+        (7, 18, 0, 165, "R2", "R2 on 'L2[1,1,0]' without a red pebble"),
+        (8, 15, 0, 117, "R3", "R3 on 'L1[0,2,1]': parents not red: ['K[2,1]']"),
+        (9, 18, 6, 237, "R3", "R3 on 'INV[2]': parents not red: ['RS[2]']"),
+        (10, 8, 0, 16, "R4", "R4 on unpebbled vertex 'L2[2,0,0]'"),
+        (11, 18, 5, 231, "R4", "R4 on unpebbled vertex 'L2[2,1,1]'"),
+        (12, 18, 6, None, "terminal", "terminal blue pebbles differ from the output set"),
+        (13, 16, 0, 132, "R3",
+         "R3 on 'S1[1,2]#0': parents not red: ['L1[1,2,0]', 'L1[1,2,1]']"),
+        (14, 12, 0, 54, "R3", "R3 on input vertex 'Q[1,1]'"),
+        (15, 14, 0, 106, "R1", "R1 on 'QKT[0,0]' without a blue pebble"),
+    ],
+}
+
+
+@pytest.mark.parametrize("n, d, m", sorted(CORRUPTED_SCHEDULES))
+def test_validator_pinned_on_corrupted_schedules(n, d, m):
+    dag = P.build_attention_dag(n, d)
+    calc = P.blocked_pebbling_schedule(dag, m)
+    vertices = sorted(dag.nodes)
+    for seed, reads, writes, index, rule, message in CORRUPTED_SCHEDULES[n, d, m]:
+        res = P.validate_calculation(dag, m, corrupt(calc, vertices, seed))
+        violation = None if rule is None else P.Violation(index, rule, message)
+        assert res == P.ValidationResult(violation is None, reads, writes, violation), seed
+
+
 # -- schedule -------------------------------------------------------------------
 
 @pytest.mark.parametrize("n", [2, 4, 8])
@@ -247,6 +358,57 @@ def test_brute_force_lower_bounds_schedule():
     calc = P.blocked_pebbling_schedule(dag, 8)
     res = P.validate_calculation(dag, 8, calc)
     assert P.brute_force_min_io(dag, 8) <= res.io
+
+
+def random_dag(seed):
+    """2-7 vertices v0, v1, ..., each with at most two earlier parents."""
+    rng = random.Random(seed)
+    nodes = {}
+    for i in range(rng.randint(2, 7)):
+        parents = tuple(f"v{j}" for j in sorted(rng.sample(range(i), rng.randint(0, min(i, 2)))))
+        nodes[f"v{i}"] = P.Node(P.SCALE if parents else P.INPUT, parents)
+    return P.PebblingDag(nodes)
+
+
+# random_dag(seed) -> minimum I/O at M = 1, 2, 3, 4; None where M < max
+# in-degree + 1 raises ConfigurationError
+BRUTE_FORCE_PINS = {
+    0: (None, 3, 3, 3), 1: (None, 2, 2, 2), 2: (0, 0, 0, 0), 3: (None, None, 2, 2),
+    4: (None, None, 3, 3), 5: (None, None, 3, 3), 6: (None, None, 5, 5),
+    7: (None, None, 2, 2), 8: (None, 2, 2, 2), 9: (None, None, 3, 3),
+    10: (None, None, 4, 4), 11: (None, None, 2, 2), 12: (None, 3, 3, 3),
+    13: (None, None, 3, 3), 14: (None, 2, 2, 2), 15: (0, 0, 0, 0), 16: (None, 4, 4, 4),
+    17: (None, None, 2, 2), 18: (None, 2, 2, 2), 19: (None, None, 5, 5),
+    20: (None, 5, 5, 5), 21: (None, 3, 3, 3), 22: (None, None, 3, 3),
+    23: (None, None, 3, 3), 24: (None, None, 3, 3), 25: (None, 4, 4, 4),
+    26: (None, None, 6, 6), 27: (None, 6, 6, 6), 28: (0, 0, 0, 0),
+    29: (None, None, 4, 4), 30: (None, None, 6, 6), 31: (0, 0, 0, 0), 32: (0, 0, 0, 0),
+    33: (None, None, 3, 3), 34: (None, 2, 2, 2), 35: (None, None, 4, 4),
+    36: (None, 2, 2, 2), 37: (None, None, 5, 3), 38: (None, None, 6, 6),
+    39: (None, 2, 2, 2), 40: (None, 2, 2, 2), 41: (None, None, 2, 2),
+    42: (None, None, 7, 7), 43: (0, 0, 0, 0), 44: (None, 3, 3, 3), 45: (None, 2, 2, 2),
+    46: (0, 0, 0, 0), 47: (None, None, 2, 2), 48: (None, None, 4, 4),
+    49: (None, 2, 2, 2), 50: (None, None, 2, 2), 51: (0, 0, 0, 0), 52: (None, 3, 3, 3),
+    53: (None, None, 3, 3), 54: (None, 2, 2, 2), 55: (0, 0, 0, 0),
+    56: (None, None, 3, 3), 57: (0, 0, 0, 0), 58: (None, None, 5, 5),
+    59: (None, 2, 2, 2),
+}
+
+
+def test_brute_force_pinned_on_random_dags():
+    for seed, pins in BRUTE_FORCE_PINS.items():
+        dag = random_dag(seed)
+        for m, pin in enumerate(pins, 1):
+            if pin is None:
+                with pytest.raises(errors.ConfigurationError, match="max in-degree"):
+                    P.brute_force_min_io(dag, m)
+            else:
+                assert P.brute_force_min_io(dag, m) == pin, (seed, m)
+
+
+def test_brute_force_pinned_on_attention_dag():
+    dag = P.build_attention_dag(1, 1)
+    assert [P.brute_force_min_io(dag, m) for m in range(3, 7)] == [4, 4, 4, 4]
 
 
 # -- M-partitions ---------------------------------------------------------------
