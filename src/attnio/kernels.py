@@ -65,7 +65,7 @@ def reference_attention(inst: AttentionInstance) -> np.ndarray:
 def _addrs(name, *extents):
     """Addresses (name, i, ...) of a block, row-major over the extents.
 
-    Kernels wrap this in a per-run ``functools.cache`` so a block read
+    Kernels build each block's tuple once per run, so a block moved
     many times reuses one address tuple.
     """
     # tuple() of a list allocates once; tuple() of an iterator grows by
@@ -76,15 +76,17 @@ def _addrs(name, *extents):
 def _kernel(run):
     """Give a kernel a fresh-hierarchy check and one numpy error state.
 
-    Overflow and invalid values are silenced once per run rather than
-    per ``compute``; ``MemoryHierarchy.overflow`` still records them.
+    Overflow, invalid values and division by zero (the reciprocal of a
+    row sum whose every exp underflowed) are silenced once per run
+    rather than per ``compute``; ``MemoryHierarchy.overflow`` still
+    records the NaN or +inf they leave.
     """
     def kernel(h: MemoryHierarchy, *args, **kwargs) -> KernelResult:
         if h.trace or h.memory or h.words_used:
             raise ConfigurationError(
                 "kernels need a fresh MemoryHierarchy (empty trace, memory and cache)"
             )
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             return run(h, *args, **kwargs)
     functools.update_wrapper(kernel, run)
     # ``__wrapped__`` marks the bench tracer's wrappers; a kernel is not one.
@@ -132,87 +134,90 @@ def square_tiling_attention(
     h.load("Q", inst.Q)
     h.load("KT", inst.K.T)
     h.load("V", inst.V)
+    read_block, write_block = h.read_block, h.write_block
+    compute, alloc, free = h.compute, h.alloc, h.free
     addrs = functools.cache(_addrs)
+    rows = [block_extent(n, b, i) for i in range(nb)]
+    cols = [block_extent(d, b, l) for l in range(db)]
+    # (addresses, shape) of every block moved more than once, built once:
+    # Q[i][l] and KT[j][l] feed the l-loop, A[i][k] and V[j][k] Phase 2.
+    q_blocks = [[(addrs("Q", ri, rl), (len(ri), len(rl))) for rl in cols] for ri in rows]
+    kt_blocks = [[(addrs("KT", rl, rj), (len(rl), len(rj))) for rl in cols] for rj in rows]
+    a_blocks = [[(addrs("A", ri, rk), (len(ri), len(rk))) for rk in rows] for ri in rows]
+    v_blocks = [[(addrs("V", rk, cj), (len(rk), len(cj))) for rk in rows] for cj in cols]
     completions: list[tuple[int, int]] = []
 
-    def score_block(ri, rj):
+    def score_block(i, j):
         """Raw (pre-exp) Q K^T block summed over the l-loop."""
-        a = h.alloc((len(ri), len(rj)))
-        for l in range(db):
-            rl = block_extent(d, b, l)
-            qb = h.read_block(addrs("Q", ri, rl), (len(ri), len(rl)))
-            kb = h.read_block(addrs("KT", rl, rj), (len(rl), len(rj)))
-            h.compute("addmm", a, qb, kb, out=a)
-            h.free(qb)
-            h.free(kb)
+        a = alloc((len(rows[i]), len(rows[j])))
+        for (qa, qs), (ka, ks) in zip(q_blocks[i], kt_blocks[j]):
+            qb = read_block(qa, qs)
+            kb = read_block(ka, ks)
+            compute("addmm", a, qb, kb, out=a)
+            free(qb)
+            free(kb)
         return a
 
     def complete(a, ri, rj):
         """Log the block's finished entries (and write them if asked).
         Called once per block, on its first computation."""
-        completions.append((len(h.trace), len(ri) * len(rj)))
+        # reads + writes is the trace length, without a method call.
+        completions.append((h.reads + h.writes, len(ri) * len(rj)))
         if write_qkt:
-            h.write_block(a, addrs("QKT", ri, rj))
+            write_block(a, addrs("QKT", ri, rj))
 
     if stabilize:
         # Pre-pass: per row block, the running max over all score blocks.
-        for i in range(nb):
-            ri = block_extent(n, b, i)
-            mrow = h.alloc((len(ri),), fill=-math.inf)
-            for j in range(nb):
-                rj = block_extent(n, b, j)
-                a = score_block(ri, rj)
+        for i, ri in enumerate(rows):
+            mrow = alloc((len(ri),), fill=-math.inf)
+            for j, rj in enumerate(rows):
+                a = score_block(i, j)
                 complete(a, ri, rj)
-                t = h.compute("rowmax", a)
-                h.compute("maximum", mrow, t, out=mrow)
-                h.free(t)
-                h.free(a)
-            h.write_block(mrow, addrs("rmax", ri))
-            h.free(mrow)
+                t = compute("rowmax", a)
+                compute("maximum", mrow, t, out=mrow)
+                free(t)
+                free(a)
+            write_block(mrow, addrs("rmax", ri))
+            free(mrow)
 
     # Phase 1: compute and store A = exp(Q K^T [- rowmax]) and row sums.
-    for i in range(nb):
-        ri = block_extent(n, b, i)
-        dvec = h.alloc((len(ri),))
+    for i, ri in enumerate(rows):
+        dvec = alloc((len(ri),))
         mrow = None
         if stabilize:
-            mrow = h.read_block(addrs("rmax", ri), (len(ri),))
-        for j in range(nb):
-            rj = block_extent(n, b, j)
-            a = score_block(ri, rj)
+            mrow = read_block(addrs("rmax", ri), (len(ri),))
+        for j, rj in enumerate(rows):
+            a = score_block(i, j)
             if stabilize:
-                h.compute("subrow", a, mrow, out=a)
+                compute("subrow", a, mrow, out=a)
             else:
                 complete(a, ri, rj)
-            h.compute("exp", a, out=a)
-            h.write_block(a, addrs("A", ri, rj))
-            t = h.compute("rowsum", a)
-            h.compute("add", dvec, t, out=dvec)
-            h.free(t)
-            h.free(a)
-        h.write_block(dvec, addrs("dvec", ri))
-        h.free(dvec)
+            compute("exp", a, out=a)
+            write_block(a, a_blocks[i][j][0])
+            t = compute("rowsum", a)
+            compute("add", dvec, t, out=dvec)
+            free(t)
+            free(a)
+        write_block(dvec, addrs("dvec", ri))
+        free(dvec)
         if mrow is not None:
-            h.free(mrow)
+            free(mrow)
 
     # Phase 2: O block = sum_k diag(d)^{-1} A[i,k] V[k,j].
-    for i in range(nb):
-        ri = block_extent(n, b, i)
-        dvec = h.read_block(addrs("dvec", ri), (len(ri),))
-        h.compute("inv", dvec, out=dvec)
-        for j in range(db):
-            cj = block_extent(d, b, j)
-            o = h.alloc((len(ri), len(cj)))
-            for k in range(nb):
-                rk = block_extent(n, b, k)
-                ab = h.read_block(addrs("A", ri, rk), (len(ri), len(rk)))
-                vb = h.read_block(addrs("V", rk, cj), (len(rk), len(cj)))
-                h.compute("scaled_addmm", o, dvec, ab, vb, out=o)
-                h.free(ab)
-                h.free(vb)
-            h.write_block(o, addrs("O", ri, cj))
-            h.free(o)
-        h.free(dvec)
+    for i, ri in enumerate(rows):
+        dvec = read_block(addrs("dvec", ri), (len(ri),))
+        compute("inv", dvec, out=dvec)
+        for cj, v_row in zip(cols, v_blocks):
+            o = alloc((len(ri), len(cj)))
+            for (aa, as_), (va, vs) in zip(a_blocks[i], v_row):
+                ab = read_block(aa, as_)
+                vb = read_block(va, vs)
+                compute("scaled_addmm", o, dvec, ab, vb, out=o)
+                free(ab)
+                free(vb)
+            write_block(o, addrs("O", ri, cj))
+            free(o)
+        free(dvec)
 
     return _finish(h, h.fetch_matrix("O", (n, d)), "tiling", completions)
 
@@ -260,40 +265,45 @@ def streaming_attention(h: MemoryHierarchy, inst: AttentionInstance) -> KernelRe
     h.load("Q", inst.Q)
     h.load("K", inst.K)
     h.load("V", inst.V)
-    addrs = functools.cache(_addrs)
+    read_block, write_block = h.read_block, h.write_block
+    compute, alloc, free = h.compute, h.alloc, h.free
     cols = range(d)
+    row_shape = (d,)
+    # Each K and V row is read once per row block: build its addresses once.
+    kv_rows = [(_addrs("K", (j,), cols), _addrs("V", (j,), cols)) for j in range(n)]
     completions: list[tuple[int, int]] = []
 
     for i0 in range(0, n, r_max):
         rows = range(i0, min(i0 + r_max, n))
         r = len(rows)
-        q = h.read_block(addrs("Q", rows, cols), (r, d))
-        o = h.alloc((r, d))
-        lsum = h.alloc((r,))
-        mrun = h.alloc((r,), fill=-math.inf)
-        for j in range(n):
-            krow = h.read_block(addrs("K", (j,), cols), (d,))
-            s = h.compute("matmul", q, krow)
-            h.free(krow)
-            mnew = h.compute("maximum", mrun, s)
-            alpha = h.compute("exp_sub", mrun, mnew)
-            h.free(mrun)
+        q = read_block(_addrs("Q", rows, cols), (r, d))
+        o = alloc((r, d))
+        lsum = alloc((r,))
+        mrun = alloc((r,), fill=-math.inf)
+        for k_addrs, v_addrs in kv_rows:
+            krow = read_block(k_addrs, row_shape)
+            s = compute("matmul", q, krow)
+            free(krow)
+            mnew = compute("maximum", mrun, s)
+            alpha = compute("exp_sub", mrun, mnew)
+            free(mrun)
             mrun = mnew
             # s becomes p = exp(s - m) in place
-            h.compute("exp_sub", s, mrun, out=s)
-            h.compute("mul_add", lsum, alpha, s, out=lsum)
-            h.compute("rowscale", o, alpha, out=o)
-            h.free(alpha)
-            vrow = h.read_block(addrs("V", (j,), cols), (d,))
-            h.compute("add_outer", o, s, vrow, out=o)
-            h.free(vrow)
-            h.free(s)
-            completions.append((len(h.trace), r))
-        h.compute("inv", lsum, out=lsum)
-        h.compute("rowscale", o, lsum, out=o)
-        h.write_block(o, addrs("O", rows, cols))
+            compute("exp_sub", s, mrun, out=s)
+            compute("mul_add", lsum, alpha, s, out=lsum)
+            compute("rowscale", o, alpha, out=o)
+            free(alpha)
+            vrow = read_block(v_addrs, row_shape)
+            compute("add_outer", o, s, vrow, out=o)
+            free(vrow)
+            free(s)
+            # reads + writes is the trace length, without a method call.
+            completions.append((h.reads + h.writes, r))
+        compute("inv", lsum, out=lsum)
+        compute("rowscale", o, lsum, out=o)
+        write_block(o, _addrs("O", rows, cols))
         for slot in (q, o, lsum, mrun):
-            h.free(slot)
+            free(slot)
 
     return _finish(h, h.fetch_matrix("O", (n, d)), "streaming", completions)
 

@@ -11,18 +11,19 @@ One matrix entry is one word is one I/O unit, and every word is a 64-bit
 float.  There is no eviction policy: kernels manage their slots
 explicitly and the simulator only enforces capacity.
 
-``compute`` does not silence numpy's overflow and invalid-value
-warnings; the kernels do that once per run.  Either way the hierarchy's
-``overflow`` flag records any NaN or +inf result.  The check is
-deferred: results are scanned with one reduction per cache-full
-(``capacity`` words) of them, and whatever is still pending is scanned
-when ``overflow`` is read, so every read is exact.  That relies on no
-slot array ever being mutated after ``compute`` returns.
+``compute`` does not silence numpy's floating-point warnings; the
+kernels do that once per run.  Either way the hierarchy's ``overflow``
+flag records any NaN or +inf result.  The check is deferred: results
+are scanned with one reduction per max(``capacity``, 1024) words of
+them, and whatever is still pending is scanned when ``overflow`` is
+read, so every read is exact.  That relies on no slot array ever being
+mutated after ``compute`` returns.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 import operator
 from bisect import bisect_right
 from collections.abc import Sequence
@@ -47,6 +48,11 @@ WRITE = "W"
 
 # Algorithm-level kernels need a cache of at least 4 words (block size 1).
 MIN_CAPACITY = 4
+
+# Fewest pending result words that trigger an overflow scan.  A scan
+# costs a concatenate and a max whatever its size, so at small
+# capacities one per cache-full would run after every few results.
+SCAN_FLOOR = 1024
 
 
 @dataclass(frozen=True)
@@ -102,18 +108,14 @@ class Trace(Sequence):
 
     It stores one (kind, addresses, values) entry per block move plus the
     offset at which each move starts, so recording a move costs one
-    append however many words it carries.
+    append however many words it carries.  ``MemoryHierarchy`` appends
+    to these lists directly in its block moves.
     """
 
     def __init__(self):
         self._moves: list[tuple[str, tuple, list[float]]] = []
         self._starts: list[int] = []
         self._len = 0
-
-    def _record(self, kind: str, addresses: tuple, values: list[float]) -> None:
-        self._moves.append((kind, addresses, values))
-        self._starts.append(self._len)
-        self._len += len(values)
 
     def __len__(self) -> int:
         return self._len
@@ -165,6 +167,7 @@ class MemoryHierarchy:
         # fresh ones), so scanning a result late sees what it held.
         self._pending: list[np.ndarray] = []
         self._pending_words = 0
+        self._scan_words = max(capacity, SCAN_FLOOR)
         self._slots: dict[int, np.ndarray] = {}
         self._used = 0
         self._next_handle = 0
@@ -195,12 +198,6 @@ class MemoryHierarchy:
                 f"cache full: {self._used} used + {n} requested > {self.capacity}"
             )
         self._used += n
-
-    def _store(self, array: np.ndarray) -> int:
-        handle = self._next_handle
-        self._next_handle += 1
-        self._slots[handle] = array
-        return handle
 
     def _resident(self, handle: int) -> np.ndarray:
         try:
@@ -241,10 +238,17 @@ class MemoryHierarchy:
         arr = np.array(values, dtype=np.float64)
         if shape is not None:
             arr = arr.reshape(shape)
-        self._claim(len(values))
-        self.trace._record(READ, addresses, values)
-        self.reads += len(values)
-        return self._store(arr)
+        n = len(values)
+        self._claim(n)
+        trace = self.trace
+        trace._moves.append((READ, addresses, values))
+        trace._starts.append(trace._len)
+        trace._len += n
+        self.reads += n
+        handle = self._next_handle
+        self._next_handle = handle + 1
+        self._slots[handle] = arr
+        return handle
 
     def write_word(self, handle: int, address: Address) -> None:
         """Copy a scalar slot's word to memory.  The slot stays resident."""
@@ -260,8 +264,12 @@ class MemoryHierarchy:
             )
         values = arr.ravel().tolist()
         self.memory.update(zip(addresses, values))
-        self.trace._record(WRITE, addresses, values)
-        self.writes += len(addresses)
+        n = len(values)
+        trace = self.trace
+        trace._moves.append((WRITE, addresses, values))
+        trace._starts.append(trace._len)
+        trace._len += n
+        self.writes += n
 
     def free(self, handle: int) -> None:
         """Vacate a slot.  No I/O is counted."""
@@ -274,9 +282,16 @@ class MemoryHierarchy:
 
     def alloc(self, shape: tuple = (), fill=0) -> int:
         """Create a zero-filled (or constant) slot without any I/O."""
-        arr = np.full(shape, float(fill), dtype=np.float64)
+        # np.zeros is the cheaper +0 fill; -0.0 == 0 keeps its sign via np.full.
+        if fill == 0 and math.copysign(1.0, fill) > 0:
+            arr = np.zeros(shape, dtype=np.float64)
+        else:
+            arr = np.full(shape, float(fill), dtype=np.float64)
         self._claim(arr.size)
-        return self._store(arr)
+        handle = self._next_handle
+        self._next_handle = handle + 1
+        self._slots[handle] = arr
+        return handle
 
     def compute(self, op: str, *operands: int, out: int | None = None) -> int:
         """Apply a named arithmetic primitive to cache-resident operands.
@@ -295,23 +310,35 @@ class MemoryHierarchy:
             raise UsageError(f"op {op!r} takes {arity} operands, got {len(operands)}")
         slots = self._slots
         try:
-            arrays = [slots[h] for h in operands]
+            arrays = tuple(map(slots.__getitem__, operands))
         except KeyError as exc:
             raise ResidencyError(f"slot {exc.args[0]} is not cache-resident") from None
-        result = np.asarray(fn(*arrays), dtype=np.float64)
-        if result.size:
+        # Slots hold float64 arrays, so every op yields float64; only a
+        # numpy scalar (any op with a shape-() result) needs wrapping.
+        result = fn(*arrays)
+        if type(result) is not np.ndarray:
+            result = np.asarray(result, dtype=np.float64)
+        size = result.size
+        if size:
             self._pending.append(result)
-            self._pending_words += result.size
-            if self._pending_words >= self.capacity:
+            self._pending_words += size
+            if self._pending_words >= self._scan_words:
                 self._scan_pending()
         if out is not None:
-            target = self._resident(out)
-            if target.size != result.size:
+            try:
+                target = slots[out]
+            except KeyError:
+                raise ResidencyError(f"slot {out} is not cache-resident") from None
+            if target.size != size:
                 raise UsageError("out slot size mismatch")
-            self._slots[out] = result.reshape(target.shape)
+            shape = target.shape
+            slots[out] = result if result.shape == shape else result.reshape(shape)
             return out
-        self._claim(result.size)
-        return self._store(result)
+        self._claim(size)
+        handle = self._next_handle
+        self._next_handle = handle + 1
+        slots[handle] = result
+        return handle
 
     def value(self, handle: int) -> np.ndarray:
         """Inspect a slot's contents (testing convenience, not a memory op)."""

@@ -1,6 +1,7 @@
 """Sweeps, fits, bound checks, and CSV determinism."""
 
 import math
+import warnings
 
 import pytest
 
@@ -45,6 +46,16 @@ def test_sweep_overflow_is_numeric_error():
     assert [r.status for r in records] == ["numeric_error"]
     assert records[0].io > 0
     assert E.check_bounds(records).flags == []
+
+
+def test_sweep_underflowed_row_is_silent_numeric_error():
+    # the zero row sum's reciprocal divides by zero without a warning
+    config = small_config(n_grid=(1,), d_grid=(1,), m_grid=(16,),
+                          algorithms=("tiling",), seed=16, magnitude=30.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        records = E.run_sweep(config)
+    assert [r.status for r in records] == ["numeric_error"]
 
 
 def test_sweep_determinism():

@@ -155,6 +155,20 @@ def test_streaming_peak_matches_cache_model():
             assert h.peak == 2 * r * d + max(5 * r, 3 * r + d), (n, d, m)
 
 
+def test_tiling_peak_matches_cache_model():
+    # the score block, its Q and KT blocks, and the row-sum vector (plus
+    # the row-max vector when stabilized), each clipped to N and d
+    for n, d, m, stabilize in product((1, 3, 5, 17), (1, 2, 4, 8, 16),
+                                      (4, 8, 16, 32, 64, 128, 256, 1024), (False, True)):
+        b = math.isqrt(m // 4)
+        if stabilize and 3 * b * b + 2 * b > m:
+            continue
+        h = PeakHierarchy(m)
+        square_tiling_attention(h, random_instance(n, d, n + d), stabilize=stabilize)
+        bn, bd = min(b, n), min(b, d)
+        assert h.peak == (1 + stabilize) * bn + bn * bn + 2 * bn * bd, (n, d, m, stabilize)
+
+
 def test_streaming_io_halves_with_cache():
     inst = random_instance(32, 4, 9)
     io1 = streaming_attention(MemoryHierarchy(64), inst).io.total
@@ -247,6 +261,16 @@ def test_kernels_silence_overflow_once_per_run():
             assert kernel(MemoryHierarchy(m), random_instance(16, 4, 2, magnitude)).overflow
         assert not streaming_attention(MemoryHierarchy(64),
                                        random_instance(16, 4, 2, 30.0)).overflow
+
+
+def test_kernels_silence_divide_by_zero_of_underflowed_row():
+    # every exp of the one score row underflows, so inv of its zero row
+    # sum divides by zero; the run reports it through overflow alone
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = square_tiling_attention(MemoryHierarchy(16),
+                                         random_instance(1, 1, 126, 30.0))
+    assert result.overflow
 
 
 def test_kernels_restore_numpy_error_state():

@@ -5,6 +5,8 @@ import pytest
 
 from attnio import errors
 from attnio.memory import (
+    _OPS,
+    SCAN_FLOOR,
     Epoch,
     MemoryHierarchy,
     export_trace_csv,
@@ -128,6 +130,61 @@ def test_overflow_stays_set():
         for _ in range(4):  # one cache-full of finite results
             h.free(h.compute("neg", s))
         assert h.overflow
+
+
+@pytest.mark.parametrize("m", [4, 16])
+@pytest.mark.parametrize("further_words", [2, SCAN_FLOOR + 2])
+def test_overflow_replaced_by_out_stays_flagged(m, further_words):
+    # the +inf result is gone from every slot long before a scan is due
+    h = MemoryHierarchy(m)
+    s = h.alloc((2,), fill=1e308)
+    t = h.alloc((2,))
+    with pytest.warns(RuntimeWarning):
+        h.compute("exp", s, out=t)
+    for _ in range(further_words // 2):
+        h.compute("neg", s, out=t)
+    assert h.overflow
+
+
+def test_alloc_zero_fill_keeps_its_sign():
+    h = MemoryHierarchy(8)
+    for shape in ((), (3,)):
+        plus, minus = h.value(h.alloc(shape)), h.value(h.alloc(shape, fill=-0.0))
+        assert plus.dtype == minus.dtype == np.float64
+        assert plus.shape == minus.shape == shape
+        assert not np.signbit(plus).any() and np.signbit(minus).all()
+        assert (plus == 0).all() and (minus == 0).all()
+
+
+def test_every_op_leaves_a_float64_array_slot():
+    # operand shapes per op; reductions and ufuncs of a 1-D or shape-()
+    # slot give numpy scalars, which must land as shape-() arrays
+    cases = {
+        "add": [((3,), (3,)), ((), ())], "sub": [((3,), (3,))],
+        "mul": [((3,), (3,))], "div": [((3,), (3,)), ((), ())],
+        "neg": [((3,),), ((),)], "exp": [((3,),), ((),)], "inv": [((2, 3),), ((),)],
+        "maximum": [((3,), (3,)), ((), ())], "matmul": [((2, 3), (3,)), ((3,), (3,))],
+        "rowsum": [((2, 3),), ((3,),)], "rowmax": [((2, 3),), ((3,),)],
+        "rowscale": [((2, 3), (2,))], "subrow": [((2, 3), (2,))],
+        "exp_sub": [((3,), (3,)), ((), ())], "mul_add": [((2,), (2,), (2,))],
+        "addmm": [((2, 2), (2, 3), (3, 2))], "add_outer": [((2, 3), (2,), (3,))],
+        "scaled_addmm": [((2, 2), (2,), (2, 3), (3, 2))],
+    }
+    assert set(cases) == set(_OPS)
+    for op, shape_lists in cases.items():
+        fn = _OPS[op][0]
+        for shapes in shape_lists:
+            h = MemoryHierarchy(64)
+            slots = [h.alloc(shape, fill=0.5 + k) for k, shape in enumerate(shapes)]
+            expected = np.asarray(fn(*map(h.value, slots)))
+            fresh = h.compute(op, *slots)
+            target = h.alloc(expected.shape)
+            assert h.compute(op, *slots, out=target) == target
+            for handle in (fresh, target):
+                got = h._slots[handle]
+                assert type(got) is np.ndarray and got.dtype == np.float64, (op, shapes)
+                assert got.shape == expected.shape
+                assert got.tobytes() == expected.tobytes()
 
 
 def test_compute_checks_operand_count():
