@@ -171,10 +171,7 @@ def _load_k_matrix(spec: str, n: int, d: int, q: int) -> FieldMatrix:
 
 
 def _cmd_compress_count(args) -> int:
-    try:
-        pairs = np.loadtxt(args.indices, delimiter=",", dtype=np.int64, ndmin=2)
-    except ValueError as exc:
-        raise ConfigurationError(f"{args.indices}: not a CSV of integers ({exc})") from None
+    pairs = fields.read_int_csv(args.indices)
     if pairs.shape[1] != 2:
         raise ConfigurationError(
             f"{args.indices}: expected (row, col) pairs, got {pairs.shape[1]} columns")

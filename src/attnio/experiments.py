@@ -14,8 +14,11 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import astuple, dataclass, fields
 from importlib import resources
+from itertools import product
+from numbers import Integral
 
 import numpy as np
 
@@ -29,7 +32,7 @@ from .kernels import (
     streaming_fits,
 )
 from .matrices import random_instance
-from .memory import MemoryHierarchy
+from .memory import MIN_CAPACITY, MemoryHierarchy
 
 _KERNELS = {
     "tiling": square_tiling_attention,
@@ -37,18 +40,31 @@ _KERNELS = {
     "dispatch": dispatch_attention,
 }
 
-CSV_COLUMNS = ["algorithm", "N", "d", "M", "status", "reads", "writes",
-               "epochs", "bmax"]
-
 
 def load_bound_config() -> dict:
     with resources.files(__package__).joinpath("bound_config.json").open() as fh:
         return json.load(fh)
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, Integral) and not isinstance(x, bool)
+
+
+def _is_list(value) -> bool:
+    return isinstance(value, Sequence) and not isinstance(value, str)
+
+
 @dataclass(frozen=True)
 class SweepConfig:
-    """Grid specification; the seed fully determines all inputs."""
+    """Grid specification; the seed fully determines all inputs.
+
+    Every grid is a non-empty sequence of ints, N and d >= 1 and
+    M >= ``memory.MIN_CAPACITY``; ``algorithms`` is a sequence of kernel
+    names; the seed is an int >= 0.  Anything else raises
+    ``ConfigurationError`` naming the field, before any point runs.  A
+    magnitude ``random_instance`` cannot draw from raises it at the
+    first point, before any kernel runs.
+    """
 
     n_grid: tuple
     d_grid: tuple
@@ -58,11 +74,21 @@ class SweepConfig:
     magnitude: float = 1.0
 
     def __post_init__(self):
+        for field, name, least in (("n_grid", "N", 1), ("d_grid", "d", 1),
+                                   ("m_grid", "M", MIN_CAPACITY)):
+            grid = getattr(self, field)
+            if not (_is_list(grid) and grid and all(_is_int(x) and x >= least for x in grid)):
+                raise ConfigurationError(
+                    f"{name} must be a non-empty list of integers >= {least}, got {grid!r}")
+            object.__setattr__(self, field, tuple(grid))
+        if not _is_list(self.algorithms):
+            raise ConfigurationError(f"algorithms must be a list, got {self.algorithms!r}")
         for alg in self.algorithms:
-            if alg not in _KERNELS:
+            if not isinstance(alg, str) or alg not in _KERNELS:
                 raise ConfigurationError(f"unknown algorithm {alg!r}")
-        if not (self.n_grid and self.d_grid and self.m_grid):
-            raise ConfigurationError("grids must be non-empty")
+        object.__setattr__(self, "algorithms", tuple(self.algorithms))
+        if not (_is_int(self.seed) and self.seed >= 0):
+            raise ConfigurationError(f"seed must be an integer >= 0, got {self.seed!r}")
 
     @classmethod
     def from_json(cls, path) -> "SweepConfig":
@@ -70,12 +96,9 @@ class SweepConfig:
         with open(path) as fh:
             try:
                 raw = json.load(fh)
-                parsed = dict(
-                    n_grid=tuple(raw["N"]), d_grid=tuple(raw["d"]), m_grid=tuple(raw["M"]),
-                    algorithms=tuple(raw.get("algorithms", ("tiling", "streaming"))),
-                    seed=int(raw.get("seed", 0)),
-                    magnitude=float(raw.get("magnitude", 1.0)),
-                )
+                parsed = dict(n_grid=raw["N"], d_grid=raw["d"], m_grid=raw["M"])
+                parsed.update((key, raw[key]) for key in ("algorithms", "seed", "magnitude")
+                              if key in raw)
             except (ValueError, KeyError, TypeError) as exc:
                 raise ConfigurationError(f"{path}: malformed sweep config ({exc!r})") from None
         return cls(**parsed)
@@ -98,6 +121,9 @@ class SweepRecord:
         return self.reads + self.writes
 
 
+CSV_COLUMNS = [f.name for f in fields(SweepRecord)]
+
+
 def _point_seed(base: int, alg: str, n: int, d: int, m: int) -> np.random.SeedSequence:
     alg_id = sorted(_KERNELS).index(alg)
     return np.random.SeedSequence([base, alg_id, n, d, m])
@@ -112,25 +138,20 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
     gets status "numeric_error", so bound checks skip it.
     """
     records = []
-    for alg in config.algorithms:
-        kernel = _KERNELS[alg]
-        for n in config.n_grid:
-            for d in config.d_grid:
-                for m in config.m_grid:
-                    seed = _point_seed(config.seed, alg, n, d, m)
-                    inst = random_instance(n, d, seed, config.magnitude)
-                    h = MemoryHierarchy(m)
-                    try:
-                        res = kernel(h, inst)
-                    except RegimeError:
-                        records.append(SweepRecord(alg, n, d, m, "regime_error",
-                                                   0, 0, 0, 0))
-                        continue
-                    bmax = max_entries_per_epoch(res.entry_completions, res.epochs)
-                    status = "numeric_error" if res.overflow else "ok"
-                    records.append(SweepRecord(
-                        alg, n, d, m, status, res.io.reads, res.io.writes,
-                        len(res.epochs), bmax))
+    for alg, n, d, m in product(config.algorithms, config.n_grid, config.d_grid,
+                                config.m_grid):
+        seed = _point_seed(config.seed, alg, n, d, m)
+        inst = random_instance(n, d, seed, config.magnitude)
+        h = MemoryHierarchy(m)
+        try:
+            res = _KERNELS[alg](h, inst)
+        except RegimeError:
+            records.append(SweepRecord(alg, n, d, m, "regime_error", 0, 0, 0, 0))
+            continue
+        bmax = max_entries_per_epoch(res.entry_completions, res.epochs)
+        status = "numeric_error" if res.overflow else "ok"
+        records.append(SweepRecord(alg, n, d, m, status, res.io.reads, res.io.writes,
+                                   len(res.epochs), bmax))
     return records
 
 
@@ -139,9 +160,7 @@ def records_to_csv(records) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    for r in records:
-        writer.writerow([r.algorithm, r.N, r.d, r.M, r.status,
-                         r.reads, r.writes, r.epochs, r.bmax])
+    writer.writerows(map(astuple, records))
     return buf.getvalue()
 
 
@@ -168,18 +187,16 @@ def fit_scaling_exponent(records, vary: str = "M") -> tuple[float, float]:
     log deviation from the fitted line.  Needs at least 3 records that
     differ only along the chosen axis.
     """
-    axis_of = {"M": lambda r: r.M, "N": lambda r: r.N, "d": lambda r: r.d}
-    if vary not in axis_of:
-        raise ConfigurationError(f"vary must be one of {sorted(axis_of)}")
+    axes = ["M", "N", "d"]
+    if vary not in axes:
+        raise ConfigurationError(f"vary must be one of {axes}")
     usable = [r for r in records if r.status == "ok"]
     if len(usable) < 3:
         raise ConfigurationError("need at least 3 ok records to fit")
-    fixed = {"M", "N", "d"} - {vary}
-    for name in fixed:
-        values = {axis_of[name](r) for r in usable}
-        if len(values) != 1:
+    for name in axes:
+        if name != vary and len({getattr(r, name) for r in usable}) != 1:
             raise ConfigurationError(f"records vary along {name}, expected only {vary}")
-    xs = np.log([axis_of[vary](r) for r in usable])
+    xs = np.log([getattr(r, vary) for r in usable])
     if len(set(xs)) < 2:
         raise ConfigurationError("degenerate grid: axis values all equal")
     ys = np.log([r.io for r in usable])
@@ -227,7 +244,7 @@ def upper_bound_formula(algorithm: str, n: int, d: int, m: int) -> float:
                upper_bound_formula("streaming", n, d, m))
 
 
-def check_bounds(records, config: dict | None = None) -> BoundReport:
+def check_bounds(records) -> BoundReport:
     """Flag each ok record against three inequalities; other records are
     counted as skipped.
 
@@ -235,7 +252,7 @@ def check_bounds(records, config: dict | None = None) -> BoundReport:
     I/O >= C_lo * min(N^2 d^2 / M, N^2) and I/O >= 3Nd; (iii) epoch
     progress: B_max <= C_ep * epoch_progress_bound(2M, d).
     """
-    cfg = config or load_bound_config()
+    cfg = load_bound_config()
     c_up = cfg["upper_constant"]
     c_lo = cfg["lower_constant"]
     c_ep = cfg["epoch_progress_constant"]

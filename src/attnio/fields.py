@@ -14,6 +14,7 @@ prime q (no floats, no fixed-width overflow).
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 
@@ -26,6 +27,10 @@ from .errors import (
 
 SUBSET_ENUMERATION_CAP = 10 ** 6
 NULLSPACE_DIM_CAP = 20
+
+# The first 12 primes: as Miller-Rabin bases they decide primality
+# exactly for every n < 3.18 * 10^23 (Sorenson and Webster, 2015).
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 # Primitive polynomials over F_2, x^m + (lower-order terms); bitmask
 # includes the leading bit.  Standard minimal-weight choices.
@@ -43,20 +48,56 @@ _PRIMITIVE_POLYS = {
 
 
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin over ``_WITNESSES``."""
     if n < 2:
         return False
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
+    for p in _WITNESSES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 1
     return True
 
 
+def read_int_csv(path) -> np.ndarray:
+    """A comma-separated file of integers as a 2-D int64 array.
+
+    Content that is not all integers, or a file with no rows, raises
+    ``ConfigurationError`` naming the file.
+    """
+    try:
+        with warnings.catch_warnings():
+            # numpy warns, rather than raises, on a file with no data
+            warnings.simplefilter("error", UserWarning)
+            return np.loadtxt(path, delimiter=",", dtype=np.int64, ndmin=2)
+    except ValueError as exc:
+        raise ConfigurationError(f"{path}: not a CSV of integers ({exc})") from None
+    except UserWarning:
+        raise ConfigurationError(f"{path}: empty, no rows of integers") from None
+
+
 class PrimeField:
-    """Arithmetic modulo a checked prime q."""
+    """Arithmetic modulo a checked prime q.
+
+    ``FieldMatrix`` stores entries as int64, so q must be below 2^63;
+    that is checked before the prime test.
+    """
 
     def __init__(self, q: int):
+        if q >= 2 ** 63:
+            raise FieldError(f"q must be below 2^63 (entries are int64), got {q}")
         if not _is_prime(q):
             raise FieldError(f"q must be prime, got {q}")
         self.q = q
@@ -108,11 +149,7 @@ class FieldMatrix:
 
     @classmethod
     def load_csv(cls, path, q: int) -> "FieldMatrix":
-        try:
-            data = np.loadtxt(path, delimiter=",", dtype=np.int64, ndmin=2)
-        except ValueError as exc:
-            raise ConfigurationError(f"{path}: not a CSV of integers ({exc})") from None
-        return cls(data, q)
+        return cls(read_int_csv(path), q)
 
     def __eq__(self, other):
         return (isinstance(other, FieldMatrix) and self.q == other.q

@@ -29,7 +29,7 @@ from itertools import product
 import numpy as np
 
 from .errors import ConfigurationError, RegimeError
-from .matrices import AttentionInstance, block_extent, num_blocks
+from .matrices import AttentionInstance
 from .memory import Epoch, IoStats, MemoryHierarchy, split_into_epochs
 
 
@@ -65,8 +65,8 @@ def reference_attention(inst: AttentionInstance) -> np.ndarray:
 def _addrs(name, *extents):
     """Addresses (name, i, ...) of a block, row-major over the extents.
 
-    Kernels build each block's tuple once per run, so a block moved
-    many times reuses one address tuple.
+    Kernels build the tuple of each block they move many times once per
+    run and call this directly for blocks they move once or twice.
     """
     # tuple() of a list allocates once; tuple() of an iterator grows by
     # reallocation, which raised peak RSS on the stream benchmark.
@@ -97,7 +97,7 @@ def _kernel(run):
 def _finish(h: MemoryHierarchy, output, algorithm, completions) -> KernelResult:
     return KernelResult(
         output=output,
-        io=IoStats(h.reads, h.writes),
+        io=h.io,
         epochs=split_into_epochs(h.trace, h.capacity),
         algorithm=algorithm,
         entry_completions=completions,
@@ -127,7 +127,6 @@ def square_tiling_attention(
     n, d = inst.N, inst.d
     m = h.capacity
     b = math.isqrt(m // 4)
-    nb, db = num_blocks(n, b), num_blocks(d, b)
     if stabilize and 3 * b * b + 2 * b > m:
         raise RegimeError("stabilized pre-pass needs M >= 3B^2 + 2B")
 
@@ -136,15 +135,14 @@ def square_tiling_attention(
     h.load("V", inst.V)
     read_block, write_block = h.read_block, h.write_block
     compute, alloc, free = h.compute, h.alloc, h.free
-    addrs = functools.cache(_addrs)
-    rows = [block_extent(n, b, i) for i in range(nb)]
-    cols = [block_extent(d, b, l) for l in range(db)]
+    rows = [range(i, min(i + b, n)) for i in range(0, n, b)]
+    cols = [range(l, min(l + b, d)) for l in range(0, d, b)]
     # (addresses, shape) of every block moved more than once, built once:
     # Q[i][l] and KT[j][l] feed the l-loop, A[i][k] and V[j][k] Phase 2.
-    q_blocks = [[(addrs("Q", ri, rl), (len(ri), len(rl))) for rl in cols] for ri in rows]
-    kt_blocks = [[(addrs("KT", rl, rj), (len(rl), len(rj))) for rl in cols] for rj in rows]
-    a_blocks = [[(addrs("A", ri, rk), (len(ri), len(rk))) for rk in rows] for ri in rows]
-    v_blocks = [[(addrs("V", rk, cj), (len(rk), len(cj))) for rk in rows] for cj in cols]
+    q_blocks = [[(_addrs("Q", ri, rl), (len(ri), len(rl))) for rl in cols] for ri in rows]
+    kt_blocks = [[(_addrs("KT", rl, rj), (len(rl), len(rj))) for rl in cols] for rj in rows]
+    a_blocks = [[(_addrs("A", ri, rk), (len(ri), len(rk))) for rk in rows] for ri in rows]
+    v_blocks = [[(_addrs("V", rk, cj), (len(rk), len(cj))) for rk in rows] for cj in cols]
     completions: list[tuple[int, int]] = []
 
     def score_block(i, j):
@@ -164,7 +162,7 @@ def square_tiling_attention(
         # reads + writes is the trace length, without a method call.
         completions.append((h.reads + h.writes, len(ri) * len(rj)))
         if write_qkt:
-            write_block(a, addrs("QKT", ri, rj))
+            write_block(a, _addrs("QKT", ri, rj))
 
     if stabilize:
         # Pre-pass: per row block, the running max over all score blocks.
@@ -177,7 +175,7 @@ def square_tiling_attention(
                 compute("maximum", mrow, t, out=mrow)
                 free(t)
                 free(a)
-            write_block(mrow, addrs("rmax", ri))
+            write_block(mrow, _addrs("rmax", ri))
             free(mrow)
 
     # Phase 1: compute and store A = exp(Q K^T [- rowmax]) and row sums.
@@ -185,7 +183,7 @@ def square_tiling_attention(
         dvec = alloc((len(ri),))
         mrow = None
         if stabilize:
-            mrow = read_block(addrs("rmax", ri), (len(ri),))
+            mrow = read_block(_addrs("rmax", ri), (len(ri),))
         for j, rj in enumerate(rows):
             a = score_block(i, j)
             if stabilize:
@@ -198,14 +196,14 @@ def square_tiling_attention(
             compute("add", dvec, t, out=dvec)
             free(t)
             free(a)
-        write_block(dvec, addrs("dvec", ri))
+        write_block(dvec, _addrs("dvec", ri))
         free(dvec)
         if mrow is not None:
             free(mrow)
 
     # Phase 2: O block = sum_k diag(d)^{-1} A[i,k] V[k,j].
     for i, ri in enumerate(rows):
-        dvec = read_block(addrs("dvec", ri), (len(ri),))
+        dvec = read_block(_addrs("dvec", ri), (len(ri),))
         compute("inv", dvec, out=dvec)
         for cj, v_row in zip(cols, v_blocks):
             o = alloc((len(ri), len(cj)))
@@ -215,7 +213,7 @@ def square_tiling_attention(
                 compute("scaled_addmm", o, dvec, ab, vb, out=o)
                 free(ab)
                 free(vb)
-            write_block(o, addrs("O", ri, cj))
+            write_block(o, _addrs("O", ri, cj))
             free(o)
         free(dvec)
 
@@ -308,11 +306,12 @@ def streaming_attention(h: MemoryHierarchy, inst: AttentionInstance) -> KernelRe
     return _finish(h, h.fetch_matrix("O", (n, d)), "streaming", completions)
 
 
-def dispatch_attention(h: MemoryHierarchy, inst: AttentionInstance, **kw) -> KernelResult:
-    """Pick the regime-appropriate kernel by ``picks_streaming``."""
+def dispatch_attention(h: MemoryHierarchy, inst: AttentionInstance) -> KernelResult:
+    """Pick the regime-appropriate kernel by ``picks_streaming`` and run
+    it with its defaults (plain, unstabilized tiling)."""
     if picks_streaming(h.capacity, inst.d):
         return streaming_attention(h, inst)
-    return square_tiling_attention(h, inst, **kw)
+    return square_tiling_attention(h, inst)
 
 
 def matmul_via_attention(h: MemoryHierarchy, Q, K) -> np.ndarray:

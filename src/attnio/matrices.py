@@ -1,9 +1,4 @@
-"""Block extents and the attention problem instance.
-
-Blocks follow the tiling convention used by the kernels: the (i, j)
-block of size B covers rows i*B .. min((i+1)*B, rows) and the analogous
-column range (0-based; boundary blocks are clipped).
-"""
+"""The attention problem instance and its seeded random generator."""
 
 from __future__ import annotations
 
@@ -12,15 +7,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-
-
-def block_extent(n: int, b: int, i: int) -> range:
-    """Index range of the i-th size-b block along an axis of length n."""
-    return range(i * b, min((i + 1) * b, n))
-
-
-def num_blocks(n: int, b: int) -> int:
-    return -(-n // b)
 
 
 @dataclass(frozen=True)
@@ -53,10 +39,21 @@ class AttentionInstance:
 
 
 def random_instance(n: int, d: int, seed, magnitude: float = 1.0) -> AttentionInstance:
-    """Seeded instance with entries uniform in [-magnitude, magnitude]."""
+    """Seeded instance with entries uniform in [-magnitude, magnitude].
+
+    A seed numpy's ``default_rng`` rejects, or a magnitude ``uniform``
+    cannot draw from (negative, non-finite, or 2*magnitude overflows),
+    raises ``ConfigurationError``.
+    """
     if n < 1 or d < 1:
         raise ConfigurationError(f"N and d must be >= 1, got N={n}, d={d}")
-    rng = np.random.default_rng(seed)
-    q, k, v = (rng.uniform(-magnitude, magnitude, size=(n, d)) for _ in range(3))
+    try:
+        rng = np.random.default_rng(seed)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"bad seed {seed!r}: {exc}") from None
+    try:
+        q, k, v = (rng.uniform(-magnitude, magnitude, size=(n, d)) for _ in range(3))
+    except (OverflowError, TypeError, ValueError) as exc:
+        raise ConfigurationError(f"bad magnitude {magnitude!r}: {exc}") from None
     return AttentionInstance(q, k, v)
 

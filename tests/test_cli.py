@@ -1,6 +1,7 @@
 """Command-line interface: every subcommand, exit codes, enumeration caps."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -261,3 +262,53 @@ def test_bad_configuration_exit_code(tmp_path):
     idx.write_text("0,0\n")
     assert run_cli("compress", "count", "--q", "4", "--N", "2", "--d", "1",
                    "--K", "vandermonde", "--indices", str(idx)) == 2
+
+
+@pytest.mark.parametrize("fields, named", [
+    ({"N": [2.5]}, "N"),
+    ({"N": "16"}, "N"),
+    ({"seed": -1}, "seed"),
+    ({"M": [16, 2]}, "M"),
+    ({"algorithms": "tiling"}, "algorithms"),
+], ids=["float_N", "string_N", "negative_seed", "M_below_min", "string_algorithms"])
+def test_attn_sweep_bad_config_exit_code(tmp_path, capsys, fields, named):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"N": [8], "d": [2], "M": [16], **fields}))
+    out = tmp_path / "records.csv"
+    assert run_cli("attn", "sweep", "--config", str(cfg), "--out", str(out)) == 2
+    assert capsys.readouterr().err.startswith(f"error: {named} must be")
+    # rejected before the output is opened, so before any point runs
+    assert not out.exists()
+
+
+def test_attn_bad_seed_or_magnitude_exit_code(tmp_path, capsys):
+    assert run_cli("attn", "run", "--N", "4", "--d", "2", "--M", "16", "--seed", "-1") == 2
+    cfg = tmp_path / "cfg.json"
+    out = tmp_path / "records.csv"
+    for magnitude in ("NaN", '"nan"', "1e308"):
+        cfg.write_text('{"N": [4], "d": [2], "M": [16], "magnitude": %s}' % magnitude)
+        assert run_cli("attn", "sweep", "--config", str(cfg), "--out", str(out)) == 2
+        assert out.read_text() == ""
+    err = capsys.readouterr().err
+    assert err.count("bad seed") == 1 and err.count("bad magnitude") == 3
+
+
+def test_empty_csv_exit_code(tmp_path, capsys):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    commands = [("compress", "count", "--q", "3", "--N", "2", "--d", "1",
+                 "--K", "vandermonde", "--indices", str(empty)),
+                ("codes", "verify", str(empty), "1")]
+    for argv in commands:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli(*argv) == 2, argv
+        assert caught == [], argv
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "empty.csv: empty" in err, argv
+
+
+def test_codes_vandermonde_q_beyond_int64_exit_code(capsys):
+    for q in (2 ** 63, 2 ** 63 + 25):
+        assert run_cli("codes", "vandermonde", "5", "2", str(q)) == 2
+    assert capsys.readouterr().err.count("2^63") == 2

@@ -1,7 +1,11 @@
 """Sweeps, fits, bound checks, and CSV determinism."""
 
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -166,3 +170,23 @@ def test_report_does_not_mutate_records():
     snapshot = list(records)
     E.check_bounds(records)
     assert records == snapshot
+
+
+def test_fit_names_the_first_varying_axis_whatever_the_hash_seed():
+    script = ("from attnio import experiments as E\n"
+              "recs = [E.SweepRecord('tiling', n, d, m, 'ok', 100 + n + d + m, 0, 1, 0)\n"
+              "        for n, d, m in [(8, 2, 16), (16, 4, 32), (8, 4, 64)]]\n"
+              "try:\n    E.fit_scaling_exponent(recs, 'M')\n"
+              "except E.ConfigurationError as exc:\n    print(exc)\n")
+    src = str(Path(E.__file__).resolve().parents[1])
+    messages = {subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                               env={**os.environ, "PYTHONHASHSEED": str(seed),
+                                    "PYTHONPATH": src}).stdout
+                for seed in range(4)}
+    assert messages == {"records vary along N, expected only M\n"}
+
+
+def test_config_from_json_takes_the_dataclass_defaults(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"N": [8], "d": [2], "M": [16]}')
+    assert E.SweepConfig.from_json(path) == E.SweepConfig((8,), (2,), (16,))

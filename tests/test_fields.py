@@ -1,6 +1,8 @@
 """Finite-field linear algebra and the independence constructions."""
 
 import itertools
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -332,3 +334,39 @@ def test_bch_distances_pinned():
             else:
                 with pytest.raises(errors.EnumerationCapError):
                     F.min_code_distance(h)
+
+
+def _trial_division(n):
+    return n >= 2 and all(n % f for f in range(2, math.isqrt(n) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(10 ** 5) if F._is_prime(n)] == \
+        [n for n in range(10 ** 5) if _trial_division(n)]
+
+
+def test_is_prime_rejects_carmichael_numbers():
+    assert not F._is_prime(561) and not F._is_prime(41041)
+
+
+def test_prime_field_accepts_mersenne_61():
+    assert F.PrimeField(2 ** 61 - 1).q == 2 ** 61 - 1
+
+
+def test_field_matrix_rejects_q_beyond_int64_before_the_prime_test(monkeypatch):
+    calls = []
+    monkeypatch.setattr(F, "_is_prime", lambda n: calls.append(n) or True)
+    for q in (2 ** 63, 2 ** 64 + 13):
+        with pytest.raises(errors.FieldError, match="2\\^63"):
+            F.FieldMatrix([[1]], q)
+    assert calls == []
+
+
+def test_load_csv_rejects_empty_file(tmp_path):
+    for text in ("", "\n"):
+        path = tmp_path / "empty.csv"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(errors.ConfigurationError, match="empty.csv: empty"):
+                F.FieldMatrix.load_csv(path, 5)

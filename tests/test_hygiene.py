@@ -1,6 +1,8 @@
-"""Source hygiene: no module-level import that a module or demo never uses."""
+"""Source hygiene: no module-level import that a module or demo never uses,
+and no module-level function or class that nothing references."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -8,6 +10,8 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src" / "attnio"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 DEMOS = sorted((SRC.parents[1] / "demos").glob("*.py"))
+# Every place a definition may be used from; bench looks some up by string.
+USERS = [SRC.parents[1] / part for part in ("src", "tests", "demos", "bench")]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -39,3 +43,51 @@ def test_no_unused_imports_in_demos(path):
 
 def test_demos_found():
     assert DEMOS, f"no demos found under {SRC.parents[1] / 'demos'}"
+
+
+def references(tree: ast.AST) -> Counter:
+    """Names, attributes, imported names and string constants in ``tree``."""
+    found = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            found[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            found[node.name.rsplit(".", 1)[-1]] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found[node.value] += 1
+    return found
+
+
+def unreferenced_definitions(sources: dict) -> list[str]:
+    """Module-level functions and classes of ``sources`` (name -> text of
+    the modules checked) that no text in ``sources`` or in the rest of the
+    users refers to outside their own definition."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    total = Counter()
+    for tree in trees.values():
+        total += references(tree)
+    for root in USERS:
+        for path in root.rglob("*.py"):
+            if str(path) not in sources:
+                total += references(ast.parse(path.read_text()))
+    unused = []
+    for name, tree in trees.items():
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                if total[stmt.name] == references(stmt)[stmt.name]:
+                    unused.append(f"{Path(name).name}:{stmt.name}")
+    return unused
+
+
+def test_checker_flags_an_unreferenced_definition():
+    source = ("def used():\n    pass\n\n"
+              "def orphan_probe(n):\n    return orphan_probe(n - 1)\n\n"
+              "KINDS = {'k': 'looked_up'}\n\n"
+              "def looked_up():\n    return used()\n")
+    assert unreferenced_definitions({"probe.py": source}) == ["probe.py:orphan_probe"]
+
+
+def test_every_module_level_definition_is_referenced():
+    assert unreferenced_definitions({str(p): p.read_text() for p in MODULES}) == []

@@ -300,3 +300,13 @@ def test_kernels_never_overflow_cache():
         square_tiling_attention(MemoryHierarchy(m), inst)
         if m >= 8 * d:
             streaming_attention(MemoryHierarchy(m), inst)
+
+
+def test_random_instance_rejects_what_numpy_cannot_draw():
+    for seed in (-1, 2.5, "x"):
+        with pytest.raises(errors.ConfigurationError, match="seed"):
+            random_instance(4, 2, seed)
+    for magnitude in (math.nan, math.inf, 1e308, -1.0, "1"):
+        with pytest.raises(errors.ConfigurationError, match="magnitude"):
+            random_instance(4, 2, 0, magnitude)
+    assert np.abs(random_instance(4, 2, 0, 1e200).Q).max() <= 1e200
