@@ -11,9 +11,12 @@ Subcommand groups mirror the library's modules:
 Exit code is 0 iff every check the invocation enables passes; bad
 input, including a path that cannot be read or written, exits 2.  The
 output paths of ``attn run`` and ``attn sweep`` are opened before the
-run, so an unwritable one exits 2 with no run and no output.  The
-environment variable ATTNIO_ENUM_CAP overrides the enumeration caps of
-the exhaustive routines.
+run, so an unwritable one exits 2 with no run and no output.  An input
+above an enumeration cap exits 1 with one ``refused: ...`` line, and
+ATTNIO_ENUM_CAP sets the cap in each command's unit: ``pebble search``
+configurations 4^n for n nodes, ``codes vandermonde|verify`` subsets
+C(N, k), ``codes bch`` codewords 2^(null space dimension), ``compress
+count`` assignments q^(free rows * d).  ``main`` alone sets exit codes.
 """
 
 from __future__ import annotations
@@ -62,11 +65,7 @@ def _cmd_attn_run(args) -> int:
     inst = random_instance(args.N, args.d, args.seed)
     h = MemoryHierarchy(args.M)
     _check_writable(args.trace)
-    try:
-        result = experiments._KERNELS[args.algorithm](h, inst)
-    except RegimeError as exc:
-        print(f"regime error: {exc}", file=sys.stderr)
-        return 1
+    result = experiments._KERNELS[args.algorithm](h, inst)
     reference = kernels.reference_attention(inst)
     err = np.linalg.norm(result.output - reference) / np.linalg.norm(reference)
     print(f"algorithm={result.algorithm} N={args.N} d={args.d} M={args.M}")
@@ -120,12 +119,8 @@ def _cmd_pebble_validate(args) -> int:
 
 def _cmd_pebble_search(args) -> int:
     dag = pebbling.PebblingDag.from_jsonl(args.dag)
-    cap = _enum_cap(pebbling.BRUTE_FORCE_NODE_CAP)
-    try:
-        best = pebbling.brute_force_min_io(dag, args.M, node_cap=cap)
-    except EnumerationCapError as exc:
-        print(f"refused: {exc}", file=sys.stderr)
-        return 1
+    best = pebbling.brute_force_min_io(
+        dag, args.M, cap=_enum_cap(pebbling.CONFIGURATION_ENUMERATION_CAP))
     print(f"minimum I/O = {best}")
     return 0
 
@@ -151,7 +146,8 @@ def _cmd_codes_bch(args) -> int:
     if args.out:
         h.save_csv(args.out)
         print(f"parity check written to {args.out}")
-    distance = fields.min_code_distance(h)
+    distance = fields.min_code_distance(
+        h, cap=_enum_cap(fields.CODEWORD_ENUMERATION_CAP))
     print(f"rows={h.rows} cols={h.cols} rank={h.rank()} min_distance={distance}")
     return 0
 
@@ -177,13 +173,9 @@ def _cmd_compress_count(args) -> int:
             f"{args.indices}: expected (row, col) pairs, got {pairs.shape[1]} columns")
     index_set = compression.IndexSet(pairs.tolist())
     k = _load_k_matrix(args.K, args.N, args.d, args.q)
-    try:
-        count = compression.distinct_output_count(
-            k, index_set, args.q, args.N, args.d,
-            cap=_enum_cap(compression.ENUMERATION_CAP))
-    except EnumerationCapError as exc:
-        print(f"refused: {exc} (required budget {exc.required})", file=sys.stderr)
-        return 1
+    count = compression.distinct_output_count(
+        k, index_set, args.q, args.N, args.d,
+        cap=_enum_cap(compression.ENUMERATION_CAP))
     symbols = compression.cc_lower_bound_symbols(count, args.q)
     print(f"distinct outputs: {count}")
     print(f"lower bound: {symbols} field symbols")
@@ -263,10 +255,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except EnumerationCapError as exc:
+        print(f"refused: {exc}", file=sys.stderr)
+        return 1
+    except RegimeError as exc:
+        print(f"regime error: {exc}", file=sys.stderr)
+        return 1
     except (ConfigurationError, FieldError, DegenerateParameterError,
             OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,7 +18,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigurationError, EnumerationCapError
+from .errors import ConfigurationError, check_enumeration
 from .fields import FieldMatrix
 
 ENUMERATION_CAP = 10 ** 7
@@ -66,6 +66,7 @@ def distinct_output_count(k: FieldMatrix, index_set: IndexSet, q: int,
     ``row_restriction`` (default: the index set's rows) are free; all
     other rows are fixed to zero.  Fixing rows only shrinks the output
     set, so the count is a sound lower bound on the unrestricted one.
+    ``cap`` bounds the assignments enumerated, q^(free rows * d).
     """
     if k.q != q:
         raise ConfigurationError(f"K is over F_{k.q}, expected F_{q}")
@@ -82,11 +83,7 @@ def distinct_output_count(k: FieldMatrix, index_set: IndexSet, q: int,
         raise ConfigurationError(f"row_restriction row {outside[0]} outside [0, {n})")
     if not pairs:
         return 1
-    size = q ** (len(free_rows) * d)
-    if size > cap:
-        raise EnumerationCapError(
-            f"enumeration of {size} matrices exceeds cap {cap}",
-            required=size, cap=cap)
+    check_enumeration(q ** (len(free_rows) * d), cap, "assignments")
     kt = k.data.T.tolist()  # d x N, Python ints
     seen = set()
     row_pos = {r: t for t, r in enumerate(free_rows)}
@@ -107,10 +104,7 @@ def cc_lower_bound_symbols(count: int, q: int) -> int:
     """ceil(log_q count): minimum one-way message length in field symbols."""
     if count < 1:
         raise ConfigurationError("count must be >= 1")
-    if count == 1:
-        return 0
-    symbols = 0
-    reach = 1
+    symbols, reach = 0, 1
     while reach < count:
         reach *= q
         symbols += 1

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import math
+
 
 class ConfigurationError(ValueError):
     """Bad construction parameters (cache too small, unknown field degree, ...)."""
@@ -30,12 +32,27 @@ class FieldError(ValueError):
 
 
 class EnumerationCapError(RuntimeError):
-    """An exhaustive check would exceed its documented enumeration budget."""
+    """An exhaustive check would exceed its documented enumeration budget:
+    ``required`` cases against ``cap``, both exact and in one unit."""
 
-    def __init__(self, message, required=None, cap=None):
+    def __init__(self, message, required, cap):
         super().__init__(message)
         self.required = required
         self.cap = cap
+
+
+def _magnitude(n: int) -> str:
+    # str() of a huge int is slow, and refused past 4,300 digits.
+    return str(n) if n < 10 ** 18 else f"≈10^{math.log10(n):.1f}"
+
+
+def check_enumeration(required: int, cap: int, unit: str) -> None:
+    """Refuse an enumeration of ``required`` cases (say ``unit``) above
+    ``cap``; the only place that raises ``EnumerationCapError``."""
+    if required > cap:
+        raise EnumerationCapError(
+            f"enumeration of {_magnitude(required)} {unit} exceeds the cap "
+            f"of {_magnitude(cap)}", required, cap)
 
 
 class DegenerateParameterError(ValueError):

@@ -19,6 +19,7 @@ from dataclasses import astuple, dataclass, fields
 from importlib import resources
 from itertools import product
 from numbers import Integral
+from typing import get_type_hints
 
 import numpy as np
 
@@ -59,8 +60,8 @@ class SweepConfig:
     """Grid specification; the seed fully determines all inputs.
 
     Every grid is a non-empty sequence of ints, N and d >= 1 and
-    M >= ``memory.MIN_CAPACITY``; ``algorithms`` is a sequence of kernel
-    names; the seed is an int >= 0.  Anything else raises
+    M >= ``memory.MIN_CAPACITY``; ``algorithms`` is a non-empty sequence
+    of kernel names; the seed is an int >= 0.  Anything else raises
     ``ConfigurationError`` naming the field, before any point runs.  A
     magnitude ``random_instance`` cannot draw from raises it at the
     first point, before any kernel runs.
@@ -81,8 +82,9 @@ class SweepConfig:
                 raise ConfigurationError(
                     f"{name} must be a non-empty list of integers >= {least}, got {grid!r}")
             object.__setattr__(self, field, tuple(grid))
-        if not _is_list(self.algorithms):
-            raise ConfigurationError(f"algorithms must be a list, got {self.algorithms!r}")
+        if not (_is_list(self.algorithms) and self.algorithms):
+            raise ConfigurationError(
+                f"algorithms must be a non-empty list, got {self.algorithms!r}")
         for alg in self.algorithms:
             if not isinstance(alg, str) or alg not in _KERNELS:
                 raise ConfigurationError(f"unknown algorithm {alg!r}")
@@ -122,6 +124,7 @@ class SweepRecord:
 
 
 CSV_COLUMNS = [f.name for f in fields(SweepRecord)]
+_COLUMN_TYPES = [get_type_hints(SweepRecord)[name] for name in CSV_COLUMNS]
 
 
 def _point_seed(base: int, alg: str, n: int, d: int, m: int) -> np.random.SeedSequence:
@@ -170,14 +173,16 @@ def write_records_csv(records, path) -> None:
 
 
 def read_records_csv(path) -> list[SweepRecord]:
-    records = []
+    """The records of a CSV that ``write_records_csv`` wrote; a header
+    other than ``CSV_COLUMNS`` raises ``ConfigurationError``."""
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            records.append(SweepRecord(
-                row["algorithm"], int(row["N"]), int(row["d"]), int(row["M"]),
-                row["status"], int(row["reads"]), int(row["writes"]),
-                int(row["epochs"]), int(row["bmax"])))
-    return records
+        rows = csv.reader(fh)
+        header = next(rows, None)
+        if header != CSV_COLUMNS:
+            raise ConfigurationError(
+                f"{path}: header {header} is not the sweep columns {CSV_COLUMNS}")
+        return [SweepRecord(*(t(v) for t, v in zip(_COLUMN_TYPES, row, strict=True)))
+                for row in rows]
 
 
 def fit_scaling_exponent(records, vary: str = "M") -> tuple[float, float]:

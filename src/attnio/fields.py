@@ -21,12 +21,12 @@ import numpy as np
 from .errors import (
     ConfigurationError,
     DegenerateParameterError,
-    EnumerationCapError,
     FieldError,
+    check_enumeration,
 )
 
 SUBSET_ENUMERATION_CAP = 10 ** 6
-NULLSPACE_DIM_CAP = 20
+CODEWORD_ENUMERATION_CAP = 2 ** 20
 
 # The first 12 primes: as Miller-Rabin bases they decide primality
 # exactly for every n < 3.18 * 10^23 (Sorenson and Webster, 2015).
@@ -230,14 +230,11 @@ def all_k_subsets_independent(matrix: FieldMatrix, k: int,
     row at a time.  The first dependent prefix, completed by the next
     smallest indices, is the lexicographically first dependent k-subset,
     since every subset before it was reached and found independent.
+    ``cap`` bounds the subsets checked, C(rows, k).
     """
     if k > matrix.rows:
         raise ConfigurationError(f"k={k} exceeds row count {matrix.rows}")
-    total = math.comb(matrix.rows, k)
-    if total > cap:
-        raise EnumerationCapError(
-            f"{total} subsets exceed the enumeration cap {cap}",
-            required=total, cap=cap)
+    check_enumeration(math.comb(matrix.rows, k), cap, "subsets")
     rows, field = matrix.data.tolist(), matrix.field
 
     def extend(prefix: tuple, reduced: list) -> tuple | None:
@@ -322,9 +319,7 @@ def bch_parity_check(m: int, s: int) -> FieldMatrix:
     field = BinaryExtField(m)
     n = field.order
     rows = []
-    for j in range(1, s):
-        if j % 2 == 0:
-            continue
+    for j in range(1, s, 2):
         powers = [field.pow(2, j * i) for i in range(n)]
         for bit in range(m):
             rows.append([(p >> bit) & 1 for p in powers])
@@ -342,19 +337,12 @@ def binary_independence_matrix(n: int, d: int) -> FieldMatrix:
     """
     if d > n:
         raise ConfigurationError(f"d={d} must not exceed N={n}")
-    m = 1
-    while (1 << m) - 1 < n:
-        m += 1
-    m = max(m, 2)
+    m = max(math.ceil(math.log2(n + 1)), 2)
     target = independence_parameter(n, d)
     if target < 1:
         raise DegenerateParameterError(
             f"floor(2d/log2(N+1)) - 1 = {target} < 1: construction is vacuous")
-    s = 2 * math.ceil(d / m) + 1
-    h = bch_parity_check(m, s)
-    k = h.transpose()
-    if h.cols < n:
-        raise ConfigurationError("internal: BCH length shorter than N")
+    k = bch_parity_check(m, 2 * math.ceil(d / m) + 1).transpose()
     return FieldMatrix(k.data[:n, :d], 2)
 
 
@@ -363,11 +351,12 @@ def independence_parameter(n: int, d: int) -> int:
     return math.floor(2 * d / math.log2(n + 1)) - 1
 
 
-def min_code_distance(h: FieldMatrix, dim_cap: int = NULLSPACE_DIM_CAP):
+def min_code_distance(h: FieldMatrix, cap: int = CODEWORD_ENUMERATION_CAP):
     """Minimum Hamming weight over nonzero codewords of the code with
     parity check H, by enumerating the null space over F_2.
 
-    Returns None for the trivial code (no nonzero codeword).
+    Returns None for the trivial code (no nonzero codeword).  ``cap``
+    bounds the codewords enumerated, 2^(null space dimension).
     """
     if h.q != 2:
         raise FieldError("distance enumeration implemented for binary codes")
@@ -380,10 +369,7 @@ def min_code_distance(h: FieldMatrix, dim_cap: int = NULLSPACE_DIM_CAP):
     dim = len(basis)
     if dim == 0:
         return None
-    if dim > dim_cap:
-        raise EnumerationCapError(
-            f"null space dimension {dim} exceeds cap {dim_cap}",
-            required=dim, cap=dim_cap)
+    check_enumeration(1 << dim, cap, "codewords")
     # Gray-code walk: each step flips one basis vector into or out of the word.
     best, word = h.cols, 0
     for g in range(1, 1 << dim):

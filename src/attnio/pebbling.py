@@ -22,7 +22,7 @@ import json
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import ConfigurationError, EnumerationCapError, RegimeError
+from .errors import ConfigurationError, RegimeError, check_enumeration
 
 INPUT = "Input"
 L1_PRODUCT = "L1Product"
@@ -39,7 +39,7 @@ SCALE = "Scale"
 
 LEVEL1_KINDS = {L1_PRODUCT, SUM_INTERNAL, QKT_ROOT}
 
-BRUTE_FORCE_NODE_CAP = 12
+CONFIGURATION_ENUMERATION_CAP = 4 ** 12
 
 
 @dataclass(frozen=True)
@@ -543,7 +543,8 @@ def _dependence_cycle(dag: PebblingDag, parts: list[PartSpec]):
 
 # -- exact I/O by exhaustive search ----------------------------------------------
 
-def brute_force_min_io(dag: PebblingDag, m: int, node_cap: int = BRUTE_FORCE_NODE_CAP) -> int:
+def brute_force_min_io(dag: PebblingDag, m: int,
+                       cap: int = CONFIGURATION_ENUMERATION_CAP) -> int:
     """Exact Q(G, M) by a 0-1 breadth-first search over configurations,
     R1/R2 transitions costing 1 and R3/R4 costing 0.  Tiny graphs only.
 
@@ -554,16 +555,15 @@ def brute_force_min_io(dag: PebblingDag, m: int, node_cap: int = BRUTE_FORCE_NOD
 
     R3 needs every parent and the vertex itself red at once, so no
     complete calculation exists when M < max in-degree + 1; such an M is
-    rejected up front with ``ConfigurationError``."""
+    rejected up front with ``ConfigurationError``.  ``cap`` bounds the
+    configurations of an n-vertex graph, 4^n (one red and one blue bit
+    per vertex)."""
     need = 1 + max((len(node.parents) for node in dag.nodes.values()), default=0)
     if m < need:
         raise ConfigurationError(
             f"M = {m} < max in-degree + 1 = {need}: no complete calculation exists")
     n = len(dag.nodes)
-    if n > node_cap:
-        raise EnumerationCapError(
-            f"graph has {n} nodes, search capped at {node_cap}",
-            required=n, cap=node_cap)
+    check_enumeration(4 ** n, cap, "configurations")
 
     order = sorted(dag.nodes)
     idx = {v: i for i, v in enumerate(order)}

@@ -251,6 +251,30 @@ def test_compress_count_cap(tmp_path, capsys, monkeypatch):
     assert "refused" in capsys.readouterr().err
 
 
+def test_codes_bch_honours_enum_cap(capsys, monkeypatch):
+    monkeypatch.setenv("ATTNIO_ENUM_CAP", "1")
+    assert run_cli("codes", "bch", "4", "5") == 1
+    assert capsys.readouterr().err == "refused: enumeration of 128 codewords exceeds the cap of 1\n"
+
+
+@pytest.mark.parametrize("argv, line", [
+    (("codes", "bch", "10", "3"),
+     "refused: enumeration of ≈10^304.9 codewords exceeds the cap of 1048576"),
+    (("codes", "vandermonde", "50", "5", "53"),
+     "refused: enumeration of 2118760 subsets exceeds the cap of 1000000"),
+    (("compress", "count", "--q", str(2 ** 61 - 1), "--N", "400", "--d", "20",
+      "--K", "vandermonde"),
+     "refused: enumeration of ≈10^146902.6 assignments exceeds the cap of 10000000"),
+], ids=["bch", "vandermonde", "compress_count_huge"])
+def test_refusal_is_one_line_and_exit_1(tmp_path, capsys, argv, line):
+    idx = tmp_path / "idx.csv"
+    idx.write_text("".join(f"{i},0\n" for i in range(400)))
+    if argv[0] == "compress":
+        argv += ("--indices", str(idx))
+    assert run_cli(*argv) == 1
+    assert capsys.readouterr().err == line + "\n"
+
+
 def test_enum_cap_not_an_integer_exit_code(capsys, monkeypatch):
     monkeypatch.setenv("ATTNIO_ENUM_CAP", "abc")
     assert run_cli("codes", "vandermonde", "5", "2", "7") == 2
@@ -270,7 +294,9 @@ def test_bad_configuration_exit_code(tmp_path):
     ({"seed": -1}, "seed"),
     ({"M": [16, 2]}, "M"),
     ({"algorithms": "tiling"}, "algorithms"),
-], ids=["float_N", "string_N", "negative_seed", "M_below_min", "string_algorithms"])
+    ({"algorithms": []}, "algorithms"),
+], ids=["float_N", "string_N", "negative_seed", "M_below_min", "string_algorithms",
+        "empty_algorithms"])
 def test_attn_sweep_bad_config_exit_code(tmp_path, capsys, fields, named):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"N": [8], "d": [2], "M": [16], **fields}))

@@ -102,6 +102,18 @@ def test_count_cap_refusal():
     assert exc.value.required == 5 ** 30
 
 
+def test_count_cap_refusal_of_a_huge_count_is_short():
+    # q^(400 * 20) has more digits than str() of an int may print
+    q = 2 ** 61 - 1
+    k = vandermonde_matrix(400, 20, q)
+    idx = C.IndexSet([(i, 0) for i in range(400)])
+    with pytest.raises(errors.EnumerationCapError) as exc:
+        C.distinct_output_count(k, idx, q, 400, 20)
+    assert exc.value.required == q ** 8000
+    assert exc.value.cap == C.ENUMERATION_CAP
+    assert len(str(exc.value)) < 200 and "assignments" in str(exc.value)
+
+
 def test_count_zero_fixing_undercounts():
     # restricting more rows to zero can only shrink the count
     v = vandermonde_matrix(3, 2, 3)

@@ -75,6 +75,21 @@ def test_csv_round_trip(tmp_path):
     assert E.read_records_csv(path) == records
     header = path.read_text().splitlines()[0]
     assert header == ",".join(E.CSV_COLUMNS)
+    body = path.read_text().splitlines(keepends=True)[1:]
+    columns = E.CSV_COLUMNS
+    for wrong in ([], columns[:-1], columns[1:2] + columns[:1] + columns[2:],
+                  columns + ["extra"]):
+        path.write_text("".join([",".join(wrong) + "\n"] + body))
+        with pytest.raises(errors.ConfigurationError, match="records.csv: header"):
+            E.read_records_csv(path)
+    path.write_text("")
+    with pytest.raises(errors.ConfigurationError, match="header None"):
+        E.read_records_csv(path)
+    # a row longer or shorter than the header is not read in part
+    for row in (body[0].rstrip("\n") + ",9\n", body[0].rsplit(",", 1)[0] + "\n"):
+        path.write_text(header + "\n" + row)
+        with pytest.raises(ValueError, match="zip"):
+            E.read_records_csv(path)
 
 
 def test_config_from_json(tmp_path):

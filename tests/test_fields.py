@@ -311,6 +311,18 @@ def test_distance_cap():
         F.min_code_distance(h)
 
 
+def test_distance_cap_counts_codewords():
+    for dim in range(21, 26):
+        h = F.FieldMatrix(np.zeros((1, dim), dtype=int), 2)
+        with pytest.raises(errors.EnumerationCapError) as exc:
+            F.min_code_distance(h)
+        assert (exc.value.required, exc.value.cap) == (2 ** dim, 2 ** 20)
+    # [1 1 0] has a null space of dimension 2: 4 codewords
+    assert F.min_code_distance(F.FieldMatrix([[1, 1, 0]], 2), cap=4) == 1
+    with pytest.raises(errors.EnumerationCapError):
+        F.min_code_distance(F.FieldMatrix([[1, 1, 0]], 2), cap=3)
+
+
 # Minimum distances of every BCH(m, s) with m <= 5, pinned from the
 # enumeration before it shared the Gauss-Jordan reduction with rank.
 # BCH(5, s) for s <= 5 has a null space above the dimension cap.

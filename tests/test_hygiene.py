@@ -1,5 +1,8 @@
 """Source hygiene: no module-level import that a module or demo never uses,
-and no module-level function or class that nothing references."""
+no module-level function or class that nothing references, and one
+enumeration-cap contract: ``errors.check_enumeration`` alone raises
+``EnumerationCapError``, and ``cli.main`` alone turns it or a
+``RegimeError`` into an exit code."""
 
 import ast
 from collections import Counter
@@ -91,3 +94,46 @@ def test_checker_flags_an_unreferenced_definition():
 
 def test_every_module_level_definition_is_referenced():
     assert unreferenced_definitions({str(p): p.read_text() for p in MODULES}) == []
+
+
+# Handlers that catch a refusal or a regime error, named or not.
+CAUGHT_BY_MAIN = {"EnumerationCapError", "RegimeError", "Exception", "BaseException"}
+
+
+def _names(node: ast.AST) -> set:
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def contract_breaches(name: str, source: str) -> list[str]:
+    """Lines of module ``name`` that raise ``EnumerationCapError`` other
+    than through ``errors.check_enumeration``, or, in ``cli.py``, catch
+    what only ``main`` may catch."""
+    tree = ast.parse(source)
+    main = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "main"]
+    in_main = {id(n) for fn in main for n in ast.walk(fn)}
+    found = []
+    for node in ast.walk(tree):
+        if (name != "errors.py" and isinstance(node, ast.Call)
+                and "EnumerationCapError" in _names(node.func)):
+            found.append(node.lineno)
+        if (name == "cli.py" and isinstance(node, ast.ExceptHandler)
+                and id(node) not in in_main
+                and (node.type is None or _names(node.type) & CAUGHT_BY_MAIN)):
+            found.append(node.lineno)
+    return [f"{name}:{line}" for line in sorted(found)]
+
+
+def test_checker_flags_a_contract_breach():
+    source = ("def f(n):\n    if n > 1:\n        raise errors.EnumerationCapError('x', n, 1)\n\n"
+              "def g():\n    try:\n        f(2)\n    except RegimeError:\n        pass\n\n"
+              "def main():\n    try:\n        g()\n    except EnumerationCapError:\n"
+              "        return 1\n")
+    assert contract_breaches("fields.py", source) == ["fields.py:3"]
+    assert contract_breaches("cli.py", source) == ["cli.py:3", "cli.py:8"]
+    assert contract_breaches("errors.py", source) == []
+
+
+def test_one_enumeration_cap_contract():
+    assert [breach for path in MODULES
+            for breach in contract_breaches(path.name, path.read_text())] == []

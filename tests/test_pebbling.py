@@ -353,6 +353,19 @@ def test_brute_force_cap():
         P.brute_force_min_io(dag, 4)
 
 
+def test_brute_force_cap_counts_configurations():
+    # n lone vertices are inputs and outputs at once: the search ends at
+    # its start, so only the refusal costs anything
+    for n in range(1, 17):
+        dag = P.PebblingDag({f"v{i}": P.Node(P.INPUT, ()) for i in range(n)})
+        if n <= 12:
+            assert P.brute_force_min_io(dag, 1) == 0
+            continue
+        with pytest.raises(errors.EnumerationCapError) as exc:
+            P.brute_force_min_io(dag, 1)
+        assert (exc.value.required, exc.value.cap) == (4 ** n, 4 ** 12)
+
+
 def test_brute_force_lower_bounds_schedule():
     dag = P.build_attention_dag(1, 1)
     calc = P.blocked_pebbling_schedule(dag, 8)
