@@ -112,7 +112,7 @@ class SweepRecord:
     N: int
     d: int
     M: int
-    status: str            # "ok", "regime_error" or "numeric_error"
+    status: str            # one of STATUSES
     reads: int
     writes: int
     epochs: int
@@ -123,6 +123,7 @@ class SweepRecord:
         return self.reads + self.writes
 
 
+STATUSES = ("ok", "regime_error", "numeric_error")
 CSV_COLUMNS = [f.name for f in fields(SweepRecord)]
 _COLUMN_TYPES = [get_type_hints(SweepRecord)[name] for name in CSV_COLUMNS]
 
@@ -173,16 +174,26 @@ def write_records_csv(records, path) -> None:
 
 
 def read_records_csv(path) -> list[SweepRecord]:
-    """The records of a CSV that ``write_records_csv`` wrote; a header
-    other than ``CSV_COLUMNS`` raises ``ConfigurationError``."""
+    """The records of a CSV that ``write_records_csv`` wrote.  A header
+    other than ``CSV_COLUMNS``, or a row with the wrong field count, a
+    non-integer count or a status outside ``STATUSES``, raises
+    ``ConfigurationError`` naming the file (and the line)."""
+    records = []
     with open(path, newline="") as fh:
         rows = csv.reader(fh)
         header = next(rows, None)
         if header != CSV_COLUMNS:
             raise ConfigurationError(
                 f"{path}: header {header} is not the sweep columns {CSV_COLUMNS}")
-        return [SweepRecord(*(t(v) for t, v in zip(_COLUMN_TYPES, row, strict=True)))
-                for row in rows]
+        for row in rows:
+            try:
+                record = SweepRecord(*(t(v) for t, v in zip(_COLUMN_TYPES, row, strict=True)))
+                if record.status not in STATUSES:
+                    raise ValueError(f"status {record.status!r} not in {STATUSES}")
+            except ValueError as exc:
+                raise ConfigurationError(f"{path}, line {rows.line_num}: {exc}") from None
+            records.append(record)
+    return records
 
 
 def fit_scaling_exponent(records, vary: str = "M") -> tuple[float, float]:

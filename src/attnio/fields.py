@@ -224,33 +224,42 @@ def all_k_subsets_independent(matrix: FieldMatrix, k: int,
     """Check every k-row subset for full rank k by exact elimination.
 
     Returns (True, None) or (False, witness) with the first dependent
-    index tuple in lexicographic order.  Subsets share their prefixes:
-    a depth-first walk over increasing index prefixes, in lexicographic
-    order, reduces each prefix once and extends its reduced rows by one
-    row at a time.  The first dependent prefix, completed by the next
-    smallest indices, is the lexicographically first dependent k-subset,
-    since every subset before it was reached and found independent.
-    ``cap`` bounds the subsets checked, C(rows, k).
+    index tuple in lexicographic order.  A depth-first walk over
+    increasing index prefixes, in lexicographic order, keeps one echelon
+    basis per prefix: (pivot column, row scaled to pivot 1) pairs, each
+    row zero in the pivot columns before it.  A new row is reduced
+    against the pairs in turn; a zero remainder means it depends on the
+    prefix, and otherwise the scaled remainder extends the basis.  The
+    first dependent prefix, completed by the next smallest indices, is
+    the lexicographically first dependent k-subset, since every subset
+    before it was reached and found independent.  ``_row_reduce`` (behind
+    ``FieldMatrix.rank``) is not used.  ``cap`` bounds the subsets
+    checked, C(rows, k).
     """
     if k > matrix.rows:
         raise ConfigurationError(f"k={k} exceeds row count {matrix.rows}")
     check_enumeration(math.comb(matrix.rows, k), cap, "subsets")
-    rows, field = matrix.data.tolist(), matrix.field
+    rows, q, inv = matrix.data.tolist(), matrix.q, matrix.field.inv
 
-    def extend(prefix: tuple, reduced: list) -> tuple | None:
+    def extend(prefix: tuple, basis: list) -> tuple | None:
         j = len(prefix)
-        if j == k:
-            return None
         for i in range(prefix[-1] + 1 if prefix else 0, matrix.rows - k + j + 1):
-            grown = reduced + [rows[i]]
-            if len(_row_reduce(grown, field)[0]) == j:
+            row = rows[i]
+            for c, pivot_row in basis:
+                f = row[c]
+                if f:
+                    row = [(x - f * y) % q for x, y in zip(row, pivot_row)]
+            c = next((c for c, x in enumerate(row) if x), None)
+            if c is None:
                 return prefix + tuple(range(i, i + k - j))
-            witness = extend(prefix + (i,), grown)
-            if witness:
-                return witness
+            if j + 1 < k:
+                s = inv(row[c])
+                witness = extend(prefix + (i,), basis + [(c, [x * s % q for x in row])])
+                if witness:
+                    return witness
         return None
 
-    witness = extend((), [])
+    witness = extend((), []) if k else None
     return (False, witness) if witness else (True, None)
 
 

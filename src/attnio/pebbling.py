@@ -90,9 +90,10 @@ class PebblingDag:
 
     @classmethod
     def from_jsonl(cls, path) -> "PebblingDag":
-        """Read one node per line.  ``level1`` may be omitted; when given it
-        must agree with the kind.  Malformed content raises
-        ``ConfigurationError`` naming the file and line."""
+        """Read one node per line: an object with a string ``id`` and
+        ``kind`` and a list of string ``parents``.  ``level1`` may be
+        omitted; when given it must agree with the kind.  Malformed content
+        raises ``ConfigurationError`` naming the file and line."""
         nodes = {}
         with open(path) as fh:
             for lineno, line in enumerate(fh, 1):
@@ -100,12 +101,18 @@ class PebblingDag:
                     continue
                 try:
                     rec = json.loads(line)
-                    node = Node(rec["kind"], tuple(rec["parents"]))
-                    level1 = node.level1
-                    nodes[rec["id"]] = node
+                    vid, kind, parents = rec["id"], rec["kind"], rec["parents"]
                 except (ValueError, KeyError, TypeError) as exc:
                     raise ConfigurationError(
                         f"{path}, line {lineno}: malformed node record ({exc!r})") from None
+                if not (isinstance(vid, str) and isinstance(kind, str)
+                        and isinstance(parents, list)
+                        and all(isinstance(p, str) for p in parents)):
+                    raise ConfigurationError(
+                        f"{path}, line {lineno}: 'id' and 'kind' must be strings and "
+                        f"'parents' a list of strings")
+                node = nodes[vid] = Node(kind, tuple(parents))
+                level1 = node.level1
                 if rec.get("level1", level1) != level1:
                     raise ConfigurationError(
                         f"{path}, line {lineno}: level1 disagrees with kind {node.kind!r}")
@@ -121,26 +128,33 @@ class AttentionDag(PebblingDag):
         self.d = d
 
 
-def _sum_tree(nodes: dict[str, Node], leaves: list[str], prefix: str, kind: str) -> str:
-    """Add a balanced binary summation network of ``kind`` nodes over ``leaves``.
+def _tree_shape(leaves: int) -> list[tuple[int, int]]:
+    """Creation-order (left, right) operands of the balanced binary sum
+    tree over ``leaves`` leaves.  Operand t < ``leaves`` is leaf t; operand
+    ``leaves`` + c is the c-th internal node created, so the last one
+    (or the only leaf) is the top."""
+    shape: list[tuple[int, int]] = []
 
-    Returns the id of the topmost sum node (a leaf itself when there is
-    only one).  Internal nodes are created in a deterministic order.
-    """
-    counter = [0]
-
-    def build(lo: int, hi: int) -> str:
+    def build(lo: int, hi: int) -> int:
         if hi - lo == 1:
-            return leaves[lo]
+            return lo
         mid = (lo + hi + 1) // 2
-        left = build(lo, mid)
-        right = build(mid, hi)
-        vid = f"{prefix}#{counter[0]}"
-        counter[0] += 1
-        nodes[vid] = Node(kind, (left, right))
-        return vid
+        left, right = build(lo, mid), build(mid, hi)
+        shape.append((left, right))
+        return leaves + len(shape) - 1
 
-    return build(0, len(leaves))
+    build(0, leaves)
+    return shape
+
+
+def _sum_tree(nodes: dict[str, Node], leaves: list[str], prefix: str, kind: str,
+              shape: list[tuple[int, int]]) -> str:
+    """Add ``kind`` nodes ``prefix#0``, ``prefix#1``, ... over ``leaves``
+    in the order of ``shape``; returns the id of the top."""
+    ids = leaves + [f"{prefix}#{c}" for c in range(len(shape))]
+    for vid, (left, right) in zip(ids[len(leaves):], shape):
+        nodes[vid] = Node(kind, (ids[left], ids[right]))
+    return ids[-1]
 
 
 def build_attention_dag(n: int, d: int) -> AttentionDag:
@@ -156,40 +170,47 @@ def build_attention_dag(n: int, d: int) -> AttentionDag:
     if n < 1 or d < 1:
         raise ConfigurationError("N and d must be >= 1")
     nodes: dict[str, Node] = {}
-    for name in ("Q", "K", "V"):
-        for i in range(n):
-            for l in range(d):
-                nodes[f"{name}[{i},{l}]"] = Node(INPUT, ())
+    q_ids, k_ids, v_ids = _input_ids(n, d)
+    leaf = Node(INPUT, ())
+    for table in (q_ids, k_ids, v_ids):
+        for row in table:
+            nodes.update(dict.fromkeys(row, leaf))
+    d_shape, n_shape = _tree_shape(d), _tree_shape(n)
 
-    for i in range(n):
-        for j in range(n):
-            leaves = []
-            for l in range(d):
-                vid = f"L1[{i},{j},{l}]"
-                nodes[vid] = Node(L1_PRODUCT, (f"Q[{i},{l}]", f"K[{j},{l}]"))
-                leaves.append(vid)
-            top = _sum_tree(nodes, leaves, f"S1[{i},{j}]", SUM_INTERNAL)
-            nodes[f"QKT[{i},{j}]"] = Node(QKT_ROOT, (top,))
-            nodes[f"EXP[{i},{j}]"] = Node(EXP, (f"QKT[{i},{j}]",))
+    exp_ids = [[f"EXP[{i},{j}]" for j in range(n)] for i in range(n)]
+    for i, (q_row, exp_row) in enumerate(zip(q_ids, exp_ids)):
+        for j, (k_row, exp) in enumerate(zip(k_ids, exp_row)):
+            leaves = [f"L1[{i},{j},{l}]" for l in range(d)]
+            for vid, qv, kv in zip(leaves, q_row, k_row):
+                nodes[vid] = Node(L1_PRODUCT, (qv, kv))
+            top = _sum_tree(nodes, leaves, f"S1[{i},{j}]", SUM_INTERNAL, d_shape)
+            qkt = f"QKT[{i},{j}]"
+            nodes[qkt] = Node(QKT_ROOT, (top,))
+            nodes[exp] = Node(EXP, (qkt,))
 
-    for i in range(n):
-        leaves = [f"EXP[{i},{j}]" for j in range(n)]
-        top = _sum_tree(nodes, leaves, f"SR[{i}]", ROWSUM_INTERNAL)
-        nodes[f"RS[{i}]"] = Node(ROWSUM_ROOT, (top,))
-        nodes[f"INV[{i}]"] = Node(INVERSE, (f"RS[{i}]",))
+    inv_ids = [f"INV[{i}]" for i in range(n)]
+    for i, (exp_row, inv) in enumerate(zip(exp_ids, inv_ids)):
+        top = _sum_tree(nodes, exp_row, f"SR[{i}]", ROWSUM_INTERNAL, n_shape)
+        rs = f"RS[{i}]"
+        nodes[rs] = Node(ROWSUM_ROOT, (top,))
+        nodes[inv] = Node(INVERSE, (rs,))
 
-    for i in range(n):
+    for i, (exp_row, inv) in enumerate(zip(exp_ids, inv_ids)):
         for j in range(d):
-            leaves = []
-            for k in range(n):
-                vid = f"L2[{i},{k},{j}]"
-                nodes[vid] = Node(L2_PRODUCT, (f"EXP[{i},{k}]", f"V[{k},{j}]"))
-                leaves.append(vid)
-            top = _sum_tree(nodes, leaves, f"SA[{i},{j}]", AV_SUM_INTERNAL)
-            nodes[f"AV[{i},{j}]"] = Node(AV_ROOT, (top,))
-            nodes[f"OUT[{i},{j}]"] = Node(SCALE, (f"AV[{i},{j}]", f"INV[{i}]"))
+            leaves = [f"L2[{i},{k},{j}]" for k in range(n)]
+            for vid, exp, v_row in zip(leaves, exp_row, v_ids):
+                nodes[vid] = Node(L2_PRODUCT, (exp, v_row[j]))
+            top = _sum_tree(nodes, leaves, f"SA[{i},{j}]", AV_SUM_INTERNAL, n_shape)
+            av = f"AV[{i},{j}]"
+            nodes[av] = Node(AV_ROOT, (top,))
+            nodes[f"OUT[{i},{j}]"] = Node(SCALE, (av, inv))
 
     return AttentionDag(nodes, n, d)
+
+
+def _input_ids(n: int, d: int) -> list[list[list[str]]]:
+    """The Q, K and V input ids, each as N rows of d."""
+    return [[[f"{name}[{i},{l}]" for l in range(d)] for i in range(n)] for name in "QKV"]
 
 
 def level1_vertex_count(dag: PebblingDag, part) -> int:
@@ -241,11 +262,13 @@ def validate_calculation(dag: PebblingDag, m: int, calc: list[Transition]) -> Va
         if node is None:
             return fail(i, rule, f"unknown vertex {v!r}")
         if rule == "R4":
-            color = tr[2] if len(tr) > 2 else None
-            if color == "red" or (color is None and v in red):
+            color = tr[2] if len(tr) > 2 else "red" if v in red else "blue"
+            if color == "red":
                 if v not in red:
                     return fail(i, rule, f"R4 red on {v!r} without a red pebble")
                 red.discard(v)
+            elif color != "blue":
+                return fail(i, rule, f"R4 with unknown color {color!r}")
             elif v in blue:
                 blue.discard(v)
             else:
@@ -288,59 +311,11 @@ class _BudgetExceeded(Exception):
     pass
 
 
-class _Scheduler:
-    def __init__(self, dag: PebblingDag, m: int):
-        self.dag = dag
-        self.m = m
-        self.red: set[str] = set()
-        self.moves: list[Transition] = []
-
-    def r1(self, v):
-        self._add(v, "R1")
-
-    def r3(self, v):
-        self._add(v, "R3")
-
-    def _add(self, v, rule):
-        if len(self.red) >= self.m and v not in self.red:
-            raise _BudgetExceeded
-        self.red.add(v)
-        self.moves.append((rule, v))
-
-    def r2(self, v):
-        self.moves.append(("R2", v))
-
-    def r4(self, v):
-        self.red.discard(v)
-        self.moves.append(("R4", v))
-
-
 # The three summation trees the schedule folds, each named by the kinds
 # above its leaves up to and including its top.
 _SCORE_TREE = frozenset({SUM_INTERNAL, QKT_ROOT, EXP})
 _OUTPUT_TREE = frozenset({AV_SUM_INTERNAL, AV_ROOT})
 _ROWSUM_TREE = frozenset({ROWSUM_INTERNAL, ROWSUM_ROOT, INVERSE})
-
-
-def _fold(sched: _Scheduler, v: str, kinds: frozenset) -> None:
-    """Climb from the red vertex ``v`` to its child whose kind is in
-    ``kinds`` while that child's parents are all red, computing it and
-    deleting the parents' red pebbles.  Folding each leaf as it turns
-    red keeps at most O(log #leaves) partials resident per tree."""
-    nodes, children, red = sched.dag.nodes, sched.dag.children, sched.red
-    while True:
-        for up in children[v]:
-            if nodes[up].kind in kinds:
-                break
-        else:
-            return
-        parents = nodes[up].parents
-        if not red.issuperset(parents):
-            return
-        sched.r3(up)
-        for p in parents:
-            sched.r4(p)
-        v = up
 
 
 def _infer_dimensions(dag: PebblingDag) -> tuple[int, int]:
@@ -390,48 +365,84 @@ def blocked_pebbling_schedule(dag: PebblingDag, m: int) -> list[Transition]:
 
 
 def _emit_schedule(dag: PebblingDag, n: int, d: int, m: int, r: int) -> list[Transition]:
-    sched = _Scheduler(dag, m)
+    """The calculation with row blocks of r.  Every add is of a vertex not
+    yet red, so a red count above m after an add (or a run of adds) is
+    the first break of the budget: ``_BudgetExceeded`` is raised there."""
+    nodes, children = dag.nodes, dag.children
+    red: set[str] = set()
+    moves: list[Transition] = []
+    add, discard, append = red.add, red.discard, moves.append
+    q_ids, k_ids, v_ids = _input_ids(n, d)
+
+    def read(ids):
+        red.update(ids)
+        moves.extend([("R1", v) for v in ids])
+        if len(red) > m:
+            raise _BudgetExceeded
+
+    def compute(v):
+        add(v)
+        append(("R3", v))
+        if len(red) > m:
+            raise _BudgetExceeded
+
+    def delete(ids):
+        red.difference_update(ids)
+        moves.extend([("R4", v) for v in ids])
+
+    def fold(v, kinds):
+        """Climb from the red vertex ``v`` to its child whose kind is in
+        ``kinds`` while that child's parents are all red, computing it
+        and deleting the parents' red pebbles.  Folding each leaf as it
+        turns red keeps at most O(log #leaves) partials resident per tree."""
+        while True:
+            for up in children[v]:
+                if nodes[up].kind in kinds:
+                    break
+            else:
+                return
+            parents = nodes[up].parents
+            if not red.issuperset(parents):
+                return
+            compute(up)
+            for p in parents:
+                discard(p)
+                append(("R4", p))
+            v = up
 
     for i0 in range(0, n, r):
         rows = range(i0, min(i0 + r, n))
         for i in rows:
-            for l in range(d):
-                sched.r1(f"Q[{i},{l}]")
-
-        for k in range(n):
-            for l in range(d):
-                sched.r1(f"K[{k},{l}]")
+            read(q_ids[i])
+        for k, (k_row, v_row) in enumerate(zip(k_ids, v_ids)):
+            read(k_row)
             for i in rows:
                 for l in range(d):
-                    sched.r3(f"L1[{i},{k},{l}]")
-                    _fold(sched, f"L1[{i},{k},{l}]", _SCORE_TREE)
-            for l in range(d):
-                sched.r4(f"K[{k},{l}]")
-            for j in range(d):
-                sched.r1(f"V[{k},{j}]")
+                    leaf = f"L1[{i},{k},{l}]"
+                    compute(leaf)
+                    fold(leaf, _SCORE_TREE)
+            delete(k_row)
+            read(v_row)
             for i in rows:
                 for j in range(d):
-                    sched.r3(f"L2[{i},{k},{j}]")
-                    _fold(sched, f"L2[{i},{k},{j}]", _OUTPUT_TREE)
-            for j in range(d):
-                sched.r4(f"V[{k},{j}]")
+                    leaf = f"L2[{i},{k},{j}]"
+                    compute(leaf)
+                    fold(leaf, _OUTPUT_TREE)
+            delete(v_row)
             for i in rows:
-                _fold(sched, f"EXP[{i},{k}]", _ROWSUM_TREE)
+                fold(f"EXP[{i},{k}]", _ROWSUM_TREE)
 
         for i in rows:
             for j in range(d):
-                sched.r3(f"OUT[{i},{j}]")
-                sched.r2(f"OUT[{i},{j}]")
-                sched.r4(f"OUT[{i},{j}]")
-                sched.r4(f"AV[{i},{j}]")
-            sched.r4(f"INV[{i}]")
-            for l in range(d):
-                sched.r4(f"Q[{i},{l}]")
+                out = f"OUT[{i},{j}]"
+                compute(out)
+                append(("R2", out))
+                delete((out, f"AV[{i},{j}]"))
+            delete([f"INV[{i}]", *q_ids[i]])
 
     # clear the initial blue pebbles so only outputs remain pebbled
-    for v in sorted(dag.inputs):
-        sched.moves.append(("R4", v))
-    return sched.moves
+    delete(sorted(dag.inputs))
+    return moves
 
 
 # -- M-partitions ----------------------------------------------------------------
@@ -626,7 +637,10 @@ def save_calculation(calc: list[Transition], path) -> None:
 
 
 def load_calculation(path) -> list[Transition]:
-    """Read a calculation file; malformed content raises ``ConfigurationError``."""
+    """Read a calculation file: a JSON list of objects with a string
+    ``rule`` and ``vertex`` and an optional ``color`` of "red" or "blue".
+    Malformed content raises ``ConfigurationError`` naming the file and
+    the transition's index."""
     with open(path) as fh:
         try:
             raw = json.load(fh)
@@ -635,11 +649,19 @@ def load_calculation(path) -> list[Transition]:
     if not isinstance(raw, list):
         raise ConfigurationError(f"{path}: expected a JSON list of transitions")
     out = []
-    for rec in raw:
+    for index, rec in enumerate(raw):
         if not isinstance(rec, dict) or "rule" not in rec or "vertex" not in rec:
-            raise ConfigurationError(f"{path}: transition {rec!r} needs 'rule' and 'vertex'")
-        if "color" in rec:
-            out.append((rec["rule"], rec["vertex"], rec["color"]))
+            raise ConfigurationError(
+                f"{path}: transition {index} {rec!r} needs 'rule' and 'vertex'")
+        rule, vertex = rec["rule"], rec["vertex"]
+        if not (isinstance(rule, str) and isinstance(vertex, str)):
+            raise ConfigurationError(
+                f"{path}: transition {index}: 'rule' and 'vertex' must be strings")
+        if "color" not in rec:
+            out.append((rule, vertex))
+        elif rec["color"] in ("red", "blue"):
+            out.append((rule, vertex, rec["color"]))
         else:
-            out.append((rec["rule"], rec["vertex"]))
+            raise ConfigurationError(f"{path}: transition {index}: 'color' must be "
+                                     f"\"red\" or \"blue\", not {rec['color']!r}")
     return out

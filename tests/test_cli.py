@@ -162,6 +162,47 @@ def test_pebble_malformed_dag_exit_code(tmp_path, capsys):
     assert err.count(f"{dag_path}, line 12:") == 2
 
 
+# Lines appended to the 11-line DAG of N = d = 1, and whole calculation
+# files; each must exit 2 with one error naming the file and place.
+MALFORMED_DAG_LINES = {
+    "parents_nested": {"id": "z", "kind": pebbling.INPUT, "parents": [["x"]]},
+    "parents_string": {"id": "z", "kind": pebbling.INPUT, "parents": "ab"},
+    "id_not_string": {"id": 5, "kind": pebbling.INPUT, "parents": []},
+    "line_not_object": [1, 2],
+}
+MALFORMED_CALCULATIONS = {
+    "vertex_list": [{"rule": "R1", "vertex": ["Q[0,0]"]}],
+    "rule_not_string": [{"rule": 1, "vertex": "Q[0,0]"}],
+    "color_list": [{"rule": "R4", "vertex": "Q[0,0]", "color": ["red"]}],
+    "color_unknown": [{"rule": "R4", "vertex": "Q[0,0]", "color": "green"}],
+    "not_a_list": {"rule": "R1", "vertex": "Q[0,0]"},
+}
+
+
+@pytest.mark.parametrize("command, dag_case, calc_case", [
+    *((command, case, None) for case in MALFORMED_DAG_LINES
+      for command in ("search", "validate")),
+    *(("validate", None, case) for case in MALFORMED_CALCULATIONS),
+])
+def test_pebble_malformed_input_exit_code(tmp_path, capsys, command, dag_case, calc_case):
+    dag_path = tmp_path / "dag.jsonl"
+    pebbling.build_attention_dag(1, 1).to_jsonl(dag_path)
+    where = f"{dag_path}, line 12:"
+    if dag_case:
+        dag_path.write_text(dag_path.read_text() + json.dumps(MALFORMED_DAG_LINES[dag_case]) + "\n")
+    calc_path = tmp_path / "calc.json"
+    calc_path.write_text(json.dumps(MALFORMED_CALCULATIONS.get(calc_case, [])))
+    if calc_case:
+        where = f"{calc_path}: " + ("expected a JSON list" if calc_case == "not_a_list"
+                                    else "transition 0")
+    argv = ["pebble", command, "--dag", str(dag_path), "--M", "3"]
+    if command == "validate":
+        argv += ["--calculation", str(calc_path)]
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and where in err and "Traceback" not in err
+
+
 def test_pebble_search_cap_refusal(tmp_path, capsys, monkeypatch):
     dag_path = tmp_path / "dag.jsonl"
     pebbling.build_attention_dag(2, 2).to_jsonl(dag_path)

@@ -92,6 +92,21 @@ def test_csv_round_trip(tmp_path):
             E.read_records_csv(path)
 
 
+@pytest.mark.parametrize("bad_row, message", [
+    (lambda f: f[:5] + ["x"] + f[6:], "invalid literal for int"),
+    (lambda f: f[:-1], "shorter"),
+    (lambda f: f + ["9"], "longer"),
+    (lambda f: f[:4] + ["done"] + f[5:], "status 'done' not in"),
+], ids=["non_integer_count", "short_row", "long_row", "unknown_status"])
+def test_csv_bad_row_names_file_and_line(tmp_path, bad_row, message):
+    path = tmp_path / "records.csv"
+    E.write_records_csv(E.run_sweep(small_config())[:1], path)
+    header, first = path.read_text().splitlines()
+    path.write_text(f"{header}\n{first}\n{','.join(bad_row(first.split(',')))}\n")
+    with pytest.raises(errors.ConfigurationError, match=f"records.csv, line 3: .*{message}"):
+        E.read_records_csv(path)
+
+
 def test_config_from_json(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text('{"N": [8], "d": [2], "M": [16, 32], '

@@ -196,6 +196,26 @@ def test_subset_check_matches_per_subset_ranks():
     assert dependent >= 100
 
 
+@pytest.mark.parametrize("q", [2, 3, 5, 29, 2 ** 31 - 1])
+def test_subset_check_matches_brute_force_for_every_k(q):
+    # the basis extension against per-subset FieldMatrix.rank, for k = 1
+    # up to k = rows on each of 64 seeded matrices per field
+    rng = np.random.default_rng(q % 1000)
+    dependent = 0
+    for t in range(64):
+        rows, cols = int(rng.integers(1, 8)), int(rng.integers(1, 6))
+        data = rng.integers(0, min(q, 2 + t % 4), size=(rows, cols)).tolist()
+        if t % 3 == 0 and rows > 1:
+            a, b = rng.choice(rows, size=2, replace=False)
+            data[b] = list(data[a])
+        matrix = F.FieldMatrix(data, q)
+        for k in range(1, rows + 1):
+            got = F.all_k_subsets_independent(matrix, k)
+            assert got == subsets_independent_reference(matrix, k), (q, data, k)
+            dependent += not got[0]
+    assert dependent >= 64
+
+
 def test_subset_enumeration_cap():
     m = F.FieldMatrix(np.ones((40, 2), dtype=int), 5)
     with pytest.raises(errors.EnumerationCapError):

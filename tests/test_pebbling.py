@@ -1,8 +1,10 @@
 """Pebble game: DAG construction, validation, schedules, partitions."""
 
+import hashlib
 import json
 import math
 import random
+import re
 
 import pytest
 
@@ -536,4 +538,74 @@ def test_jsonl_level1_is_derived_from_kind(tmp_path):
     records[0]["level1"] = True
     path.write_text("".join(json.dumps(r) + "\n" for r in records))
     with pytest.raises(errors.ConfigurationError, match="line 1: level1"):
+        P.PebblingDag.from_jsonl(path)
+
+
+# sha256 of the to_jsonl bytes, and of the save_calculation bytes of the
+# blocked schedule or else the RegimeError message
+GOLDEN_DIGESTS = {
+    (1, 1, 8): ("b5b117d5c4e8770dca76de38d786867c80981efe4d7f0aacddf08b3f9d29551f",
+                "e70462a07e6977f69f0debf3f4767d0c9ea6e4255a10e1dadba56c7ca752df62"),
+    (2, 2, 16): ("49205196c430910c726b63b330424f885bf0ee24ddf5432955e839117f1004be",
+                 "21e4dcddbb9d2661606f26dcf3a0f9faed93f03d1dccd25b092675c37670e250"),
+    (4, 2, 16): ("3c197e900e770b1ae473c2f18288c7c3616a295100454ee011a07c6ba4312cc6",
+                 "d07b678b1614c0391521c13fa70f8106ebc4f68d598c6d137edade39b9a05920"),
+    (3, 5, 40): ("4c5c33113188d0e57bda863d6918519eb8b4d1eeccea06aa21737e5a3bdbdcc4",
+                 "928413560c95f94a17fbd478617f29f7b2db35436d0be82600d8735917208af7"),
+    (16, 4, 32): ("4d9ccfc46e33815e5b2ee93445e48393c6130d8f7c8a0db96ad13a9c9ed58e90",
+                  "ffc48431658d286b2fb8cc685a2b64c2a8790b31b10050789a6979084676ba75"),
+    (16, 1, 12): ("7771565c6a328ae7b469375eb2ecbade461dd0417ebe30ef38bb6b4da66fa6cc",
+                  "cache of 12 words cannot hold even a single-row block"),
+}
+
+
+@pytest.mark.parametrize("n, d, m", list(GOLDEN_DIGESTS))
+def test_dag_and_schedule_bytes_pinned(tmp_path, n, d, m):
+    dag_digest, calc_digest = GOLDEN_DIGESTS[n, d, m]
+    dag = P.build_attention_dag(n, d)
+    path = tmp_path / "out"
+    dag.to_jsonl(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == dag_digest
+    # a plain PebblingDag goes through _infer_dimensions to the same schedule
+    for graph in (dag, P.PebblingDag(dag.nodes)):
+        try:
+            P.save_calculation(P.blocked_pebbling_schedule(graph, m), path)
+        except errors.RegimeError as exc:
+            assert str(exc) == calc_digest
+        else:
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == calc_digest
+
+
+@pytest.mark.parametrize("record, message", [
+    ({"rule": "R1", "vertex": ["in"]}, "transition 1: 'rule' and 'vertex' must be strings"),
+    ({"rule": 1, "vertex": "in"}, "transition 1: 'rule' and 'vertex' must be strings"),
+    ({"rule": "R4", "vertex": "in", "color": ["red"]}, "transition 1: 'color' must be"),
+    ({"rule": "R4", "vertex": "in", "color": "green"}, "transition 1: 'color' must be"),
+    ({"rule": "R4", "vertex": "in", "color": None}, "transition 1: 'color' must be"),
+    ("R1", "transition 1 'R1' needs 'rule' and 'vertex'"),
+])
+def test_load_calculation_rejects_bad_transition(tmp_path, record, message):
+    path = tmp_path / "calc.json"
+    path.write_text(json.dumps([{"rule": "R1", "vertex": "in"}, record]))
+    with pytest.raises(errors.ConfigurationError, match=f"calc.json: {re.escape(message)}"):
+        P.load_calculation(path)
+
+
+def test_validator_rejects_unknown_r4_color():
+    res = P.validate_calculation(edge_dag(), 2, [("R4", "in", "green")])
+    assert res.violation == P.Violation(0, "R4", "R4 with unknown color 'green'")
+
+
+@pytest.mark.parametrize("record", [
+    {"id": ["a"], "kind": P.INPUT, "parents": []},
+    {"id": "a", "kind": [P.INPUT], "parents": []},
+    {"id": "a", "kind": P.INPUT, "parents": "ab"},
+    {"id": "a", "kind": P.INPUT, "parents": [["x"]]},
+    {"id": "a", "kind": P.INPUT, "parents": [1]},
+])
+def test_jsonl_rejects_bad_id_or_parents(tmp_path, record):
+    path = tmp_path / "dag.jsonl"
+    path.write_text(json.dumps({"id": "x", "kind": P.INPUT, "parents": []}) + "\n"
+                    + json.dumps(record) + "\n")
+    with pytest.raises(errors.ConfigurationError, match="dag.jsonl, line 2: 'id' and 'kind'"):
         P.PebblingDag.from_jsonl(path)
