@@ -74,7 +74,7 @@ def _cmd_attn_run(args) -> int:
     if args.trace:
         export_trace_csv(h.trace, args.trace)
         print(f"trace written to {args.trace}")
-    return 0 if err <= 1e-9 else 1
+    return 0 if err <= experiments.load_bound_config()["oracle_rel_tolerance"] else 1
 
 
 def _cmd_attn_sweep(args) -> int:

@@ -104,6 +104,8 @@ def cc_lower_bound_symbols(count: int, q: int) -> int:
     """ceil(log_q count): minimum one-way message length in field symbols."""
     if count < 1:
         raise ConfigurationError("count must be >= 1")
+    if q < 2:
+        raise ConfigurationError(f"alphabet size q must be >= 2, got {q}")
     symbols, reach = 0, 1
     while reach < count:
         reach *= q

@@ -16,11 +16,13 @@ class AddressError(KeyError):
 
 
 class UsageError(RuntimeError):
-    """Operation on an empty slot, an unknown op, or a slot-size mismatch."""
+    """A misused simulator primitive: an unknown op, a wrong operand
+    count, a slot-size mismatch, or a slot that is not resident."""
 
 
-class ResidencyError(RuntimeError):
-    """A compute referenced an operand that is not cache-resident."""
+class ResidencyError(UsageError):
+    """A slot handed to ``free``, ``write_block``, ``value`` or ``compute``
+    is not cache-resident: never made, or already freed."""
 
 
 class RegimeError(ValueError):

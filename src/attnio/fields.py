@@ -200,8 +200,8 @@ def vandermonde_matrix(n: int, d: int, q: int) -> FieldMatrix:
     which makes every d-row submatrix invertible (Vandermonde
     determinant over distinct points).
     """
-    if d > n:
-        raise ConfigurationError(f"d={d} must not exceed N={n}")
+    if not 1 <= d <= n:
+        raise ConfigurationError(f"d={d} must be in 1..N={n}")
     field = PrimeField(q)  # FieldError on composite q
     if q < n:
         raise ConfigurationError(f"need q >= N for distinct points, got q={q}, N={n}")
@@ -236,8 +236,8 @@ def all_k_subsets_independent(matrix: FieldMatrix, k: int,
     ``FieldMatrix.rank``) is not used.  ``cap`` bounds the subsets
     checked, C(rows, k).
     """
-    if k > matrix.rows:
-        raise ConfigurationError(f"k={k} exceeds row count {matrix.rows}")
+    if not 0 <= k <= matrix.rows:
+        raise ConfigurationError(f"k={k} must be in 0..{matrix.rows} (the row count)")
     check_enumeration(math.comb(matrix.rows, k), cap, "subsets")
     rows, q, inv = matrix.data.tolist(), matrix.q, matrix.field.inv
 
@@ -293,8 +293,12 @@ class BinaryExtField:
         return result
 
     def pow(self, a: int, e: int) -> int:
+        if not a:
+            if e < 0:
+                raise FieldError("zero has no inverse")
+            return int(e == 0)
         result = 1
-        e %= self.order if a else 1
+        e %= self.order
         while e:
             if e & 1:
                 result = self.mul(result, a)

@@ -159,7 +159,7 @@ def square_tiling_attention(
     def complete(a, ri, rj):
         """Log the block's finished entries (and write them if asked).
         Called once per block, on its first computation."""
-        # reads + writes is the trace length, without a method call.
+        # reads + writes = len(h.trace), without summing the moves.
         completions.append((h.reads + h.writes, len(ri) * len(rj)))
         if write_qkt:
             write_block(a, _addrs("QKT", ri, rj))
@@ -295,7 +295,7 @@ def streaming_attention(h: MemoryHierarchy, inst: AttentionInstance) -> KernelRe
             compute("add_outer", o, s, vrow, out=o)
             free(vrow)
             free(s)
-            # reads + writes is the trace length, without a method call.
+            # reads + writes = len(h.trace), without summing the moves.
             completions.append((h.reads + h.writes, r))
         compute("inv", lsum, out=lsum)
         compute("rowscale", o, lsum, out=o)

@@ -2,10 +2,10 @@
 
 All arithmetic happens inside a bounded cache of ``capacity`` word slots.
 An unbounded slow memory holds everything else, and every word moved
-between the two levels is recorded in a trace, so any kernel running on
-the simulator gets exact read/write counts for free.  The trace stores
-one entry per block move and is read as one (kind, address, value) row
-per word.
+between the two levels is recorded, so any kernel running on the
+simulator gets exact read/write counts for free.  The hierarchy keeps
+one (kind, addresses, values) record per block move, and its ``trace``
+reads that record as one (kind, address, value) row per word.
 
 One matrix entry is one word is one I/O unit, and every word is a 64-bit
 float.  There is no eviction policy: kernels manage their slots
@@ -25,7 +25,6 @@ from __future__ import annotations
 import csv
 import math
 import operator
-from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import product, repeat
@@ -104,21 +103,20 @@ _OPS: dict[str, tuple[Callable, int]] = {
 
 
 class Trace(Sequence):
-    """The I/O trace, read as one (kind, address, value) row per word.
+    """The I/O trace: a view of a hierarchy's block moves, read as one
+    (kind, address, value) row per word.
 
-    It stores one (kind, addresses, values) entry per block move plus the
-    offset at which each move starts, so recording a move costs one
-    append however many words it carries.  ``MemoryHierarchy`` appends
-    to these lists directly in its block moves.
+    It keeps only a reference to the hierarchy's move list, so a move is
+    recorded once, by one append in ``read_block`` or ``write_block``.
+    Length sums the move sizes and indexing walks the moves; kernels
+    take the length once per run.
     """
 
-    def __init__(self):
-        self._moves: list[tuple[str, tuple, list[float]]] = []
-        self._starts: list[int] = []
-        self._len = 0
+    def __init__(self, moves: list[tuple[str, tuple, list[float]]]):
+        self._moves = moves
 
     def __len__(self) -> int:
-        return self._len
+        return sum(len(values) for _, _, values in self._moves)
 
     def __iter__(self):
         for kind, addresses, values in self._moves:
@@ -127,13 +125,13 @@ class Trace(Sequence):
     def __getitem__(self, index: int) -> tuple[str, Address, float]:
         index = operator.index(index)
         if index < 0:
-            index += self._len
-        if not 0 <= index < self._len:
-            raise IndexError("trace index out of range")
-        move = bisect_right(self._starts, index) - 1
-        kind, addresses, values = self._moves[move]
-        offset = index - self._starts[move]
-        return kind, addresses[offset], values[offset]
+            index += len(self)
+        if index >= 0:
+            for kind, addresses, values in self._moves:
+                if index < len(values):
+                    return kind, addresses[index], values[index]
+                index -= len(values)
+        raise IndexError("trace index out of range")
 
     def __eq__(self, other):
         if not isinstance(other, (Trace, list)):
@@ -157,7 +155,9 @@ class MemoryHierarchy:
             )
         self.capacity = capacity
         self.memory: dict[Address, float] = {}
-        self.trace = Trace()
+        # One (kind, addresses, values) record per block move.
+        self._moves = []
+        self.trace = Trace(self._moves)
         self.reads = 0
         self.writes = 0
         self._overflow = False
@@ -220,10 +220,6 @@ class MemoryHierarchy:
 
     # -- I/O -----------------------------------------------------------------
 
-    def read_word(self, address: Address) -> int:
-        """Copy one word from memory into a fresh cache slot."""
-        return self.read_block([address], ())
-
     def read_block(self, addresses: Sequence[Address], shape: tuple = None) -> int:
         """Copy a group of words into a single slot holding an array.
 
@@ -240,19 +236,12 @@ class MemoryHierarchy:
             arr = arr.reshape(shape)
         n = len(values)
         self._claim(n)
-        trace = self.trace
-        trace._moves.append((READ, addresses, values))
-        trace._starts.append(trace._len)
-        trace._len += n
+        self._moves.append((READ, addresses, values))
         self.reads += n
         handle = self._next_handle
         self._next_handle = handle + 1
         self._slots[handle] = arr
         return handle
-
-    def write_word(self, handle: int, address: Address) -> None:
-        """Copy a scalar slot's word to memory.  The slot stays resident."""
-        self.write_block(handle, [address])
 
     def write_block(self, handle: int, addresses: Sequence[Address]) -> None:
         """Copy a slot's words to memory, one Write event per word."""
@@ -264,18 +253,14 @@ class MemoryHierarchy:
             )
         values = arr.ravel().tolist()
         self.memory.update(zip(addresses, values))
-        n = len(values)
-        trace = self.trace
-        trace._moves.append((WRITE, addresses, values))
-        trace._starts.append(trace._len)
-        trace._len += n
-        self.writes += n
+        self._moves.append((WRITE, addresses, values))
+        self.writes += len(values)
 
     def free(self, handle: int) -> None:
         """Vacate a slot.  No I/O is counted."""
         arr = self._slots.pop(handle, None)
         if arr is None:
-            raise UsageError(f"slot {handle} is already empty")
+            raise ResidencyError(f"slot {handle} is not cache-resident")
         self._used -= arr.size
 
     # -- computation ---------------------------------------------------------

@@ -258,7 +258,10 @@ def validate_calculation(dag: PebblingDag, m: int, calc: list[Transition]) -> Va
     # rules are tested in order of their frequency in a schedule
     for i, tr in enumerate(calc):
         rule, v = tr[0], tr[1]
-        node = nodes.get(v)
+        try:
+            node = nodes.get(v)
+        except TypeError:  # an unhashable vertex names no node
+            node = None
         if node is None:
             return fail(i, rule, f"unknown vertex {v!r}")
         if rule == "R4":

@@ -22,6 +22,14 @@ def test_attn_run(capsys):
     assert "reads=" in out
 
 
+def test_attn_run_tolerance_comes_from_bound_config(capsys, monkeypatch):
+    argv = ("attn", "run", "--N", "8", "--d", "2", "--M", "64")
+    assert run_cli(*argv) == 0
+    config = {**experiments.load_bound_config(), "oracle_rel_tolerance": -1.0}
+    monkeypatch.setattr(experiments, "load_bound_config", lambda: config)
+    assert run_cli(*argv) == 1
+
+
 def test_attn_run_trace(tmp_path, capsys):
     trace = tmp_path / "trace.csv"
     assert run_cli("attn", "run", "--N", "4", "--d", "2", "--M", "4",
@@ -238,6 +246,23 @@ def test_codes_verify(tmp_path, capsys):
     dep = tmp_path / "dep.csv"
     dep.write_text("1,0\n1,0\n")
     assert run_cli("codes", "verify", str(dep), "2", "--q", "2") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("codes", "verify", "{matrix}", "-1"),
+    ("codes", "vandermonde", "5", "-1", "7"),
+    ("codes", "vandermonde", "5", "0", "7"),
+    ("compress", "count", "--q", "3", "--N", "2", "--d", "0", "--K", "vandermonde",
+     "--indices", "{indices}"),
+])
+def test_out_of_domain_code_parameters_exit_code(tmp_path, capsys, argv):
+    paths = {"matrix": tmp_path / "m.csv", "indices": tmp_path / "idx.csv"}
+    paths["matrix"].write_text("1,0\n0,1\n")
+    paths["indices"].write_text("0,0\n")
+    assert run_cli(*(arg.format(**paths) for arg in argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("error:") == 1 and "Traceback" not in captured.err
 
 
 def test_codes_verify_non_integer_csv_exit_code(tmp_path, capsys):

@@ -134,6 +134,13 @@ def test_cc_lower_bound_symbols():
         C.cc_lower_bound_symbols(0, 3)
 
 
+@pytest.mark.parametrize("q", [1, 0, -2])
+def test_cc_lower_bound_symbols_refuses_alphabet_below_two(q):
+    # reach *= q never grows for q < 2, so the loop would never end
+    with pytest.raises(errors.ConfigurationError, match="q must be >= 2"):
+        C.cc_lower_bound_symbols(5, q)
+
+
 def test_protocol_single_entry():
     k = FieldMatrix([[1], [1]], 3)
     result = C.direct_compression_protocol(k, k, C.IndexSet([(0, 0)]))

@@ -150,6 +150,20 @@ def test_zero_row_witness():
     assert not ok and witness == (0,)
 
 
+def test_subset_check_k_domain():
+    m = F.FieldMatrix([[1, 2], [1, 2], [3, 4]], 5)
+    assert F.all_k_subsets_independent(m, 0) == (True, None)
+    for k in (-1, -3, 4):
+        with pytest.raises(errors.ConfigurationError, match=f"k={k} must be in 0..3"):
+            F.all_k_subsets_independent(m, k)
+
+
+@pytest.mark.parametrize("n, d", [(5, 0), (5, -1), (3, 4)])
+def test_vandermonde_refuses_d_outside_one_to_n(n, d):
+    with pytest.raises(errors.ConfigurationError, match=f"d={d} must be in 1..N={n}"):
+        F.vandermonde_matrix(n, d, 7)
+
+
 def test_subset_check_tests_the_prime_once(monkeypatch):
     # trial division of q = 4294967311 takes milliseconds; submatrices,
     # transposes and products reuse the parent's checked field
@@ -235,6 +249,15 @@ def test_ext_field_arithmetic_gf8():
     # alpha^3 = alpha + 1 -> 0b011
     assert f.pow(2, 3) == 0b011
     assert f.mul(0b011, 0b011) == f.pow(2, 6)
+
+
+def test_ext_field_powers_of_zero():
+    f = F.BinaryExtField(3)
+    assert f.pow(0, 0) == 1
+    assert [f.pow(0, e) for e in (1, 2, 7, 8, 100)] == [0] * 5
+    with pytest.raises(errors.FieldError):
+        f.pow(0, -1)
+    assert f.pow(2, 0) == 1 and f.pow(2, -1) == f.pow(2, 6)
 
 
 def test_ext_field_unknown_degree():

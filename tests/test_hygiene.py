@@ -1,5 +1,6 @@
 """Source hygiene: no module-level import that a module or demo never uses,
-no module-level function or class that nothing references, and one
+no module-level function or class that nothing references, no module
+that reaches into another object's private attributes, and one
 enumeration-cap contract: ``errors.check_enumeration`` alone raises
 ``EnumerationCapError``, and ``cli.main`` alone turns it or a
 ``RegimeError`` into an exit code."""
@@ -137,3 +138,33 @@ def test_checker_flags_a_contract_breach():
 def test_one_enumeration_cap_contract():
     assert [breach for path in MODULES
             for breach in contract_breaches(path.name, path.read_text())] == []
+
+
+def foreign_private_attributes(source: str) -> list[int]:
+    """Lines that read or write an underscore attribute of an object other
+    than ``self``, ``cls`` or an imported name (a module, such as
+    ``experiments._KERNELS``).  Dunder attributes are not private."""
+    tree = ast.parse(source)
+    own = {"self", "cls"} | {alias.asname or alias.name.split(".")[0]
+                             for node in ast.walk(tree)
+                             if isinstance(node, (ast.Import, ast.ImportFrom))
+                             for alias in node.names}
+    return sorted({node.lineno for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                   and not node.attr.endswith("__")
+                   and not (isinstance(node.value, ast.Name) and node.value.id in own)})
+
+
+def test_checker_flags_a_foreign_private_attribute():
+    source = ("from . import experiments\n\n"
+              "class A:\n"
+              "    def f(self, other):\n"
+              "        self._x = other._y\n"
+              "        other._z = experiments._KERNELS\n"
+              "        return other.__class__, cls._w, self.peer._v\n")
+    assert foreign_private_attributes(source) == [5, 6, 7]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_foreign_private_attributes(path):
+    assert foreign_private_attributes(path.read_text()) == []

@@ -19,9 +19,9 @@ from attnio.memory import (
 def test_read_write_counting():
     h = MemoryHierarchy(8)
     h.initialize(("x", 0), 3.0)
-    s = h.read_word(("x", 0))
+    s = h.read_block([("x", 0)], ())
     assert h.reads == 1 and h.writes == 0
-    h.write_word(s, ("y", 0))
+    h.write_block(s, [("y", 0)])
     assert h.writes == 1
     assert h.io.total == 2
     assert [e[0] for e in h.trace] == ["R", "W"]
@@ -41,7 +41,7 @@ def test_capacity_enforced_no_eviction():
     h.load("A", np.zeros((1, 4)))
     h.read_block([("A", 0, j) for j in range(4)], (4,))
     with pytest.raises(errors.CapacityError):
-        h.read_word(("A", 0, 0))
+        h.read_block([("A", 0, 0)], ())
 
 
 def test_free_releases_capacity():
@@ -50,15 +50,39 @@ def test_free_releases_capacity():
     s = h.read_block([("A", 0, j) for j in range(4)], (4,))
     h.free(s)
     assert h.words_used == 0
-    h.read_word(("A", 0, 0))  # fits again
+    h.read_block([("A", 0, 0)], ())  # fits again
     with pytest.raises(errors.UsageError):
         h.free(s)
+
+
+SLOT_FAULTS = {
+    "free": lambda h, live, gone: h.free(gone),
+    "write_block": lambda h, live, gone: h.write_block(gone, [("C", 0), ("C", 1)]),
+    "value": lambda h, live, gone: h.value(gone),
+    "compute_operand": lambda h, live, gone: h.compute("neg", gone),
+    "compute_out": lambda h, live, gone: h.compute("neg", live, out=gone),
+}
+
+
+@pytest.mark.parametrize("fault", SLOT_FAULTS)
+def test_slot_fault_raises_residency_error_and_changes_nothing(fault):
+    assert issubclass(errors.ResidencyError, errors.UsageError)
+    h = MemoryHierarchy(8)
+    h.load("A", np.ones((1, 2)))
+    live = h.read_block([("A", 0, 0), ("A", 0, 1)], (2,))
+    h.write_block(live, [("B", 0), ("B", 1)])
+    gone = h.alloc((2,))
+    h.free(gone)
+    before = (h.reads, h.writes, list(h.trace), h.words_used, dict(h.memory))
+    with pytest.raises(errors.ResidencyError, match=f"slot {gone} is not cache-resident"):
+        SLOT_FAULTS[fault](h, live, gone)
+    assert (h.reads, h.writes, list(h.trace), h.words_used, h.memory) == before
 
 
 def test_uninitialized_address_rejected():
     h = MemoryHierarchy(4)
     with pytest.raises(errors.AddressError):
-        h.read_word(("nope", 0))
+        h.read_block([("nope", 0)], ())
 
 
 def test_compute_no_io_and_fused_ops():
@@ -79,7 +103,7 @@ def test_minimum_capacity():
 def test_overflow_flag():
     h = MemoryHierarchy(8)
     h.initialize(("x",), 1e308)
-    s = h.read_word(("x",))
+    s = h.read_block([("x",)], ())
     assert not h.overflow
     with pytest.warns(RuntimeWarning, match="overflow"):
         h.compute("exp", s)
@@ -209,7 +233,7 @@ def test_compute_on_empty_slot():
 def test_read_block_missing_address_leaves_no_trace():
     h = MemoryHierarchy(8)
     h.load("A", np.ones((1, 3)))
-    h.read_word(("A", 0, 0))
+    h.read_block([("A", 0, 0)], ())
     before = (list(h.trace), h.reads, h.words_used)
     with pytest.raises(errors.AddressError, match=r"\('A', 0, 3\)"):
         h.read_block([("A", 0, 1), ("A", 0, 3), ("A", 0, 2)], (3,))
@@ -240,8 +264,8 @@ def test_trace_stored_per_move_reads_per_word():
     h.initialize(("i",), 2)
     a = h.read_block([("A", i, j) for i in range(2) for j in range(3)], (2, 3))
     h.write_block(a, [("B", k) for k in range(6)])
-    s = h.read_word(("A", 1, 2))
-    h.write_word(s, ("y",))
+    s = h.read_block([("A", 1, 2)], ())
+    h.write_block(s, [("y",)])
     h.read_block((("B", 4), ("z",), ("i",)), (3,))
     expected = ([("R", ("A", i, j), 3.0 * i + j) for i in range(2) for j in range(3)]
                 + [("W", ("B", k), float(k)) for k in range(6)]
@@ -291,16 +315,16 @@ def test_split_into_epochs():
 def test_replay_trace_rebuilds_memory():
     h = MemoryHierarchy(8)
     h.initialize(("x",), 2.0)
-    s = h.read_word(("x",))
-    h.write_word(s, ("y",))
+    s = h.read_block([("x",)], ())
+    h.write_block(s, [("y",)])
     assert replay_trace(h.trace) == {("y",): 2.0}
 
 
 def test_trace_csv(tmp_path):
     h = MemoryHierarchy(8)
     h.initialize(("x", 1, 2), 5.0)
-    s = h.read_word(("x", 1, 2))
-    h.write_word(s, ("y", 0))
+    s = h.read_block([("x", 1, 2)], ())
+    h.write_block(s, [("y", 0)])
     path = tmp_path / "trace.csv"
     export_trace_csv(h.trace, path)
     lines = path.read_text().splitlines()

@@ -596,6 +596,13 @@ def test_validator_rejects_unknown_r4_color():
     assert res.violation == P.Violation(0, "R4", "R4 with unknown color 'green'")
 
 
+def test_validator_reports_unhashable_vertex():
+    calc = [("R1", "Q[0,0]"), ("R1", ["Q[0,0]"])]
+    res = P.validate_calculation(P.build_attention_dag(1, 1), 3, calc)
+    assert not res.ok and res.reads == 1
+    assert res.violation == P.Violation(1, "R1", "unknown vertex ['Q[0,0]']")
+
+
 @pytest.mark.parametrize("record", [
     {"id": ["a"], "kind": P.INPUT, "parents": []},
     {"id": "a", "kind": [P.INPUT], "parents": []},
