@@ -4,7 +4,9 @@
   are linearly independent (distinct evaluation points).
 * Transposed parity-check matrices of binary BCH codes: any
   floor(2d / log2(N + 1)) - 1 rows are linearly independent over F_2,
-  via the distance/independence duality for linear codes.
+  via the distance/independence duality for linear codes.  Their
+  GF(2^m) arithmetic reads one table of powers of alpha, built and
+  checked for primitivity when a ``BinaryExtField`` is constructed.
 
 Rank, determinant, and code distance all come from one Gauss-Jordan
 elimination over Python integers modulo q, so they are exact for every
@@ -266,9 +268,13 @@ def all_k_subsets_independent(matrix: FieldMatrix, k: int,
 class BinaryExtField:
     """F_{2^m} with the polynomial basis and alpha = x primitive.
 
-    Elements are m-bit integers; multiplication reduces by the stored
-    primitive polynomial.  Primitivity of alpha is verified at
-    construction by checking its multiplicative order is 2^m - 1.
+    Elements are the integers 0 .. 2^m - 1 (bit i is the coefficient of
+    x^i).  ``powers`` holds alpha^0 .. alpha^(2^m - 2), built by one walk
+    that multiplies by x (shift, then reduce by the stored polynomial);
+    the dict ``log`` inverts it.  The walk is the primitivity check: it
+    must visit every nonzero element once and return to 1 after exactly
+    2^m - 1 steps.  ``mul`` and ``pow`` are index arithmetic on the two
+    tables; an operand outside 0 .. 2^m - 1 raises ``FieldError``.
     """
 
     def __init__(self, m: int):
@@ -276,44 +282,36 @@ class BinaryExtField:
             raise ConfigurationError(
                 f"no stored primitive polynomial for m={m} (have m in 2..10)")
         self.m = m
-        self.poly = _PRIMITIVE_POLYS[m]
-        self.order = (1 << m) - 1
-        if self._alpha_order() != self.order:
+        self.poly = poly = _PRIMITIVE_POLYS[m]
+        self.order = n = (1 << m) - 1
+        powers = [1]
+        for _ in range(n):
+            x = powers[-1] << 1
+            powers.append(x ^ poly if x >> m else x)
+        self.log = dict(zip(powers, range(n)))
+        # n distinct nonzero m-bit values are exactly 1..n
+        if powers.pop() != 1 or len(self.log) != n:
             raise ConfigurationError(f"stored polynomial for m={m} is not primitive")
+        self.powers = tuple(powers)
+
+    def _check(self, a: int) -> None:
+        if not 0 <= a <= self.order:
+            raise FieldError(f"{a} is not an element of GF(2^{self.m})")
 
     def mul(self, a: int, b: int) -> int:
-        result = 0
-        while b:
-            if b & 1:
-                result ^= a
-            b >>= 1
-            a <<= 1
-            if a >> self.m:
-                a ^= self.poly
-        return result
+        self._check(a)
+        self._check(b)
+        if not (a and b):
+            return 0
+        return self.powers[(self.log[a] + self.log[b]) % self.order]
 
     def pow(self, a: int, e: int) -> int:
+        self._check(a)
         if not a:
             if e < 0:
                 raise FieldError("zero has no inverse")
             return int(e == 0)
-        result = 1
-        e %= self.order
-        while e:
-            if e & 1:
-                result = self.mul(result, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return result
-
-    def _alpha_order(self) -> int:
-        x, k = 2, 1
-        while x != 1:
-            x = self.mul(x, 2)
-            k += 1
-            if k > self.order:
-                break
-        return k
+        return self.powers[self.log[a] * e % self.order]
 
 
 def bch_parity_check(m: int, s: int) -> FieldMatrix:
@@ -325,18 +323,15 @@ def bch_parity_check(m: int, s: int) -> FieldMatrix:
     in the polynomial basis).  Even powers are dropped: over F_2,
     c(gamma) = 0 iff c(gamma^2) = 0, so their rows are redundant.
     """
-    if s - 1 >= (1 << m) - 1:
+    field = BinaryExtField(m)
+    n = field.order
+    if s - 1 >= n:
         raise ConfigurationError(f"designed distance s={s} too large for m={m}")
     if s < 2:
         raise ConfigurationError("designed distance must be >= 2")
-    field = BinaryExtField(m)
-    n = field.order
-    rows = []
-    for j in range(1, s, 2):
-        powers = [field.pow(2, j * i) for i in range(n)]
-        for bit in range(m):
-            rows.append([(p >> bit) & 1 for p in powers])
-    return FieldMatrix(rows, 2)
+    powers, i = np.array(field.powers), np.arange(n)
+    return FieldMatrix([powers[j * i % n] >> bit & 1
+                        for j in range(1, s, 2) for bit in range(m)], 2)
 
 
 def binary_independence_matrix(n: int, d: int) -> FieldMatrix:

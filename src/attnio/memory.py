@@ -13,11 +13,12 @@ explicitly and the simulator only enforces capacity.
 
 ``compute`` does not silence numpy's floating-point warnings; the
 kernels do that once per run.  Either way the hierarchy's ``overflow``
-flag records any NaN or +inf result.  The check is deferred: results
-are scanned with one reduction per max(``capacity``, 1024) words of
-them, and whatever is still pending is scanned when ``overflow`` is
-read, so every read is exact.  That relies on no slot array ever being
-mutated after ``compute`` returns.
+flag records any NaN or +inf result stored in a slot; a result refused
+by the capacity or ``out`` check is never seen.  The check is deferred:
+results are scanned with one reduction per max(``capacity``, 1024)
+words of them, and whatever is still pending is scanned when
+``overflow`` is read, so every read is exact.  That relies on no slot
+array ever being mutated after ``compute`` returns.
 """
 
 from __future__ import annotations
@@ -180,7 +181,7 @@ class MemoryHierarchy:
 
     @property
     def overflow(self) -> bool:
-        """Whether any ``compute`` result so far held a NaN or +inf."""
+        """Whether any stored ``compute`` result so far held a NaN or +inf."""
         if self._pending:
             self._scan_pending()
         return self._overflow
@@ -304,26 +305,26 @@ class MemoryHierarchy:
         if type(result) is not np.ndarray:
             result = np.asarray(result, dtype=np.float64)
         size = result.size
-        if size:
-            self._pending.append(result)
-            self._pending_words += size
-            if self._pending_words >= self._scan_words:
-                self._scan_pending()
-        if out is not None:
+        if out is None:
+            self._claim(size)
+            out = self._next_handle
+            self._next_handle = out + 1
+        else:
             try:
                 target = slots[out]
             except KeyError:
                 raise ResidencyError(f"slot {out} is not cache-resident") from None
             if target.size != size:
                 raise UsageError("out slot size mismatch")
-            shape = target.shape
-            slots[out] = result if result.shape == shape else result.reshape(shape)
-            return out
-        self._claim(size)
-        handle = self._next_handle
-        self._next_handle = handle + 1
-        slots[handle] = result
-        return handle
+            if result.shape != target.shape:
+                result = result.reshape(target.shape)
+        slots[out] = result
+        if size:
+            self._pending.append(result)
+            self._pending_words += size
+            if self._pending_words >= self._scan_words:
+                self._scan_pending()
+        return out
 
     def value(self, handle: int) -> np.ndarray:
         """Inspect a slot's contents (testing convenience, not a memory op)."""

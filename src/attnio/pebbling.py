@@ -257,7 +257,10 @@ def validate_calculation(dag: PebblingDag, m: int, calc: list[Transition]) -> Va
 
     # rules are tested in order of their frequency in a schedule
     for i, tr in enumerate(calc):
-        rule, v = tr[0], tr[1]
+        try:
+            rule, v = tr[0], tr[1]
+        except (IndexError, TypeError):
+            return fail(i, "malformed", f"transition {tr!r} is not (rule, vertex)")
         try:
             node = nodes.get(v)
         except TypeError:  # an unhashable vertex names no node

@@ -254,6 +254,7 @@ def test_codes_verify(tmp_path, capsys):
     ("codes", "vandermonde", "5", "0", "7"),
     ("compress", "count", "--q", "3", "--N", "2", "--d", "0", "--K", "vandermonde",
      "--indices", "{indices}"),
+    ("codes", "bch", "-1", "5"),
 ])
 def test_out_of_domain_code_parameters_exit_code(tmp_path, capsys, argv):
     paths = {"matrix": tmp_path / "m.csv", "indices": tmp_path / "idx.csv"}
@@ -347,11 +348,12 @@ def test_enum_cap_not_an_integer_exit_code(capsys, monkeypatch):
     assert "ATTNIO_ENUM_CAP must be an integer" in capsys.readouterr().err
 
 
-def test_bad_configuration_exit_code(tmp_path):
+def test_bad_configuration_exit_code(tmp_path, capsys):
     idx = tmp_path / "idx.csv"
     idx.write_text("0,0\n")
     assert run_cli("compress", "count", "--q", "4", "--N", "2", "--d", "1",
                    "--K", "vandermonde", "--indices", str(idx)) == 2
+    assert capsys.readouterr().err == "error: q must be prime, got 4\n"
 
 
 @pytest.mark.parametrize("fields, named", [

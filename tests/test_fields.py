@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 import warnings
 
 import numpy as np
@@ -241,7 +242,77 @@ def test_subset_enumeration_cap():
 def test_ext_field_primitivity_all_degrees():
     for m in range(2, 11):
         field = F.BinaryExtField(m)
-        assert field._alpha_order() == (1 << m) - 1
+        # alpha^0 .. alpha^(2^m - 2) are the nonzero elements, each once
+        assert sorted(field.powers) == list(range(1, 1 << m))
+        assert all(field.log[x] == k for k, x in enumerate(field.powers))
+
+
+@pytest.mark.parametrize("poly", [0b11111, 0b10001], ids=["alpha_order_5", "reducible"])
+def test_ext_field_refuses_non_primitive_polynomial(monkeypatch, poly):
+    monkeypatch.setitem(F._PRIMITIVE_POLYS, 4, poly)
+    with pytest.raises(errors.ConfigurationError, match="m=4 is not primitive"):
+        F.BinaryExtField(4)
+
+
+def _bit_serial_mul(a, b, m, poly):
+    """Carry-less shift-and-add product reduced by ``poly``: the reference."""
+    result = 0
+    while b:
+        if b & 1:
+            result ^= a
+        b >>= 1
+        a <<= 1
+        if a >> m:
+            a ^= poly
+    return result
+
+
+def _square_and_multiply(a, e, m, poly):
+    """a^e for a != 0 by square-and-multiply on the reference product."""
+    result, e = 1, e % ((1 << m) - 1)  # a^(2^m - 1) = 1
+    while e:
+        if e & 1:
+            result = _bit_serial_mul(result, a, m, poly)
+        a = _bit_serial_mul(a, a, m, poly)
+        e >>= 1
+    return result
+
+
+@pytest.mark.parametrize("m", range(2, 11))
+def test_ext_field_matches_bit_serial_reference(m):
+    field, rng = F.BinaryExtField(m), random.Random(m)
+    size, poly = 1 << m, field.poly
+    if m <= 6:
+        pairs, elements = itertools.product(range(size), repeat=2), range(size)
+    else:
+        pairs = [(rng.randrange(size), rng.randrange(size)) for _ in range(4096)]
+        elements = [0, 1, 2, size - 1] + rng.sample(range(3, size - 1), 60)
+    for a, b in pairs:
+        assert field.mul(a, b) == _bit_serial_mul(a, b, m, poly), (a, b)
+    for e in (-5, -1, 0, 1, 2, 7, field.order, field.order + 3, 10 ** 6):
+        for a in elements:
+            if a:
+                power = field.pow(a, e)
+                assert power == _square_and_multiply(a, e, m, poly), (a, e)
+                assert _bit_serial_mul(power, _square_and_multiply(a, -e, m, poly),
+                                       m, poly) == 1
+            elif e < 0:
+                with pytest.raises(errors.FieldError, match="zero has no inverse"):
+                    field.pow(0, e)
+            else:
+                assert field.pow(0, e) == int(e == 0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda f: f.mul(9, 3),
+    lambda f: f.mul(3, -1),
+    lambda f: f.pow(-1, 1),
+    lambda f: f.mul(0, 8),
+    lambda f: f.pow(8, 0),
+], ids=["mul_9_3", "mul_3_neg1", "pow_neg1_1", "mul_0_8", "pow_8_0"])
+def test_ext_field_refuses_non_elements(call):
+    with pytest.raises(errors.FieldError, match=r"is not an element of GF\(2\^3\)"):
+        call(F.BinaryExtField(3))
 
 
 def test_ext_field_arithmetic_gf8():

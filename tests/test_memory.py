@@ -170,6 +170,23 @@ def test_overflow_replaced_by_out_stays_flagged(m, further_words):
     assert h.overflow
 
 
+@pytest.mark.parametrize("m, use_out, error", [
+    (8, True, errors.UsageError),  # the out slot holds 3 words, the result 2
+    (4, False, errors.CapacityError),  # no room left for a fresh 2-word slot
+], ids=["out_size_mismatch", "cache_full"])
+def test_refused_compute_leaves_overflow_unset(m, use_out, error):
+    # exp(1e308) is +inf, but no slot ever holds it
+    h = MemoryHierarchy(m)
+    h.load("x", np.full((1, 2), 1e308))
+    s = h.read_block([("x", 0, 0), ("x", 0, 1)], (2,))
+    t = h.alloc((3,) if use_out else (2,))
+    before = (h.reads, h.writes, list(h.trace), h.words_used)
+    with pytest.raises(error), pytest.warns(RuntimeWarning, match="overflow"):
+        h.compute("exp", s, out=t if use_out else None)
+    assert (h.reads, h.writes, list(h.trace), h.words_used) == before
+    assert not h.overflow
+
+
 def test_alloc_zero_fill_keeps_its_sign():
     h = MemoryHierarchy(8)
     for shape in ((), (3,)):

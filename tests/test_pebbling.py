@@ -177,6 +177,10 @@ def fork_dag():
      "red pebbles remain: ['a', 'b']"),
     (edge_dag(), [("R1", "in"), ("R4", "in", "blue")], None, "terminal",
      "red pebbles remain: ['in']"),
+    (edge_dag(), [("R1", "in"), ("R1",)], 1, "malformed",
+     "transition ('R1',) is not (rule, vertex)"),
+    (edge_dag(), [()], 0, "malformed", "transition () is not (rule, vertex)"),
+    (edge_dag(), [None], 0, "malformed", "transition None is not (rule, vertex)"),
 ])
 def test_validator_first_violation_messages(dag, calc, index, rule, message):
     res = P.validate_calculation(dag, 2, calc)
