@@ -56,7 +56,6 @@ from .kernels import (
 )
 from .matrices import AttentionInstance, random_instance
 from .memory import (
-    Epoch,
     IoStats,
     MemoryHierarchy,
     export_trace_csv,

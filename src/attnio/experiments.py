@@ -138,8 +138,9 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
 
     A kernel raising a regime error yields a record with status
     "regime_error" and zeroed counters; the sweep continues.  A run whose
-    arithmetic overflowed (NaN or +inf in the cache) keeps its counts but
-    gets status "numeric_error", so bound checks skip it.
+    arithmetic overflowed (NaN or +inf in the cache, or any non-finite
+    value in the output) keeps its counts but gets status
+    "numeric_error", so bound checks skip it.
     """
     records = []
     for alg, n, d, m in product(config.algorithms, config.n_grid, config.d_grid,

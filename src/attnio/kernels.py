@@ -14,9 +14,11 @@ Two exact kernels cover the two cache regimes:
 
 ``dispatch_attention`` selects between them at the M = d^2 crossover.
 ``reference_attention`` is the plain-memory oracle both are tested
-against.  Every kernel needs a fresh hierarchy - empty trace, memory
-and cache - and raises ``ConfigurationError`` otherwise, so one
-hierarchy's counts always belong to exactly one run.
+against.  Every kernel needs a fresh hierarchy - one that has moved no
+word and holds no memory or cache - and raises ``ConfigurationError``
+otherwise, so one hierarchy's counts always belong to exactly one run.
+Kernels read the hierarchy's read and write counters, never its trace:
+completion ticks and the epoch split both come from ``reads + writes``.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import numpy as np
 
 from .errors import ConfigurationError, RegimeError
 from .matrices import AttentionInstance
-from .memory import Epoch, IoStats, MemoryHierarchy, split_into_epochs
+from .memory import IoStats, MemoryHierarchy, split_into_epochs
 
 
 @dataclass(frozen=True)
@@ -38,13 +40,16 @@ class KernelResult:
     """Output plus exact I/O accounting for one kernel run.
 
     ``entry_completions`` logs, for each group of Q K^T entries, the
-    trace length at the moment their summations finished, as
-    (tick, count) pairs.  Epoch-progress checks bucket these by epoch.
+    number of words moved when their summations finished, as
+    (tick, count) pairs.  Epoch-progress checks bucket these by epoch,
+    each a ``range`` of ticks.  ``overflow`` is set if the arithmetic
+    stored a NaN or +inf in the cache or if the output holds any
+    non-finite value, -inf included.
     """
 
     output: np.ndarray
     io: IoStats
-    epochs: list[Epoch]
+    epochs: list[range]
     algorithm: str
     entry_completions: list[tuple[int, int]]
     overflow: bool
@@ -82,9 +87,9 @@ def _kernel(run):
     records the NaN or +inf they leave.
     """
     def kernel(h: MemoryHierarchy, *args, **kwargs) -> KernelResult:
-        if h.trace or h.memory or h.words_used:
+        if h.reads or h.writes or h.memory or h.words_used:
             raise ConfigurationError(
-                "kernels need a fresh MemoryHierarchy (empty trace, memory and cache)"
+                "kernels need a fresh MemoryHierarchy (no word moved, empty memory and cache)"
             )
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             return run(h, *args, **kwargs)
@@ -98,10 +103,12 @@ def _finish(h: MemoryHierarchy, output, algorithm, completions) -> KernelResult:
     return KernelResult(
         output=output,
         io=h.io,
-        epochs=split_into_epochs(h.trace, h.capacity),
+        epochs=split_into_epochs(h.reads + h.writes, h.capacity),
         algorithm=algorithm,
         entry_completions=completions,
-        overflow=h.overflow,
+        # The cache flag leaves out -inf, the running max's identity; a
+        # -inf that reaches the output is an overflow all the same.
+        overflow=h.overflow or not np.isfinite(output).all(),
     )
 
 
@@ -159,7 +166,6 @@ def square_tiling_attention(
     def complete(a, ri, rj):
         """Log the block's finished entries (and write them if asked).
         Called once per block, on its first computation."""
-        # reads + writes = len(h.trace), without summing the moves.
         completions.append((h.reads + h.writes, len(ri) * len(rj)))
         if write_qkt:
             write_block(a, _addrs("QKT", ri, rj))
@@ -295,7 +301,6 @@ def streaming_attention(h: MemoryHierarchy, inst: AttentionInstance) -> KernelRe
             compute("add_outer", o, s, vrow, out=o)
             free(vrow)
             free(s)
-            # reads + writes = len(h.trace), without summing the moves.
             completions.append((h.reads + h.writes, r))
         compute("inv", lsum, out=lsum)
         compute("rowscale", o, lsum, out=o)

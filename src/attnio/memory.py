@@ -11,6 +11,10 @@ One matrix entry is one word is one I/O unit, and every word is a 64-bit
 float.  There is no eviction policy: kernels manage their slots
 explicitly and the simulator only enforces capacity.
 
+The I/O clock is the read and write counters, one tick per word moved.
+``split_into_epochs`` cuts a tick count into ``range`` epochs of at
+most M ticks each, the epochs of the lower-bound simulation argument.
+
 ``compute`` does not silence numpy's floating-point warnings; the
 kernels do that once per run.  Either way the hierarchy's ``overflow``
 flag records any NaN or +inf result stored in a slot; a result refused
@@ -65,18 +69,6 @@ class IoStats:
         return self.reads + self.writes
 
 
-@dataclass(frozen=True)
-class Epoch:
-    """A contiguous slice [start, stop) of a trace with at most M events."""
-
-    start: int
-    stop: int
-
-    @property
-    def io_count(self) -> int:
-        return self.stop - self.start
-
-
 # Elementwise and fused cache primitives, each with its operand count.
 # Fused ops (exp_sub, mul_add, addmm, add_outer, scaled_addmm) apply
 # their steps in one call and in the same order as the separate ops,
@@ -109,8 +101,8 @@ class Trace(Sequence):
 
     It keeps only a reference to the hierarchy's move list, so a move is
     recorded once, by one append in ``read_block`` or ``write_block``.
-    Length sums the move sizes and indexing walks the moves; kernels
-    take the length once per run.
+    Length sums the move sizes and indexing lists the rows; kernels
+    never read the trace, only the hierarchy's counters.
     """
 
     def __init__(self, moves: list[tuple[str, tuple, list[float]]]):
@@ -124,15 +116,7 @@ class Trace(Sequence):
             yield from zip(repeat(kind), addresses, values)
 
     def __getitem__(self, index: int) -> tuple[str, Address, float]:
-        index = operator.index(index)
-        if index < 0:
-            index += len(self)
-        if index >= 0:
-            for kind, addresses, values in self._moves:
-                if index < len(values):
-                    return kind, addresses[index], values[index]
-                index -= len(values)
-        raise IndexError("trace index out of range")
+        return list(self)[index]
 
     def __eq__(self, other):
         if not isinstance(other, (Trace, list)):
@@ -344,18 +328,18 @@ class MemoryHierarchy:
         return IoStats(self.reads, self.writes)
 
 
-def split_into_epochs(trace: Sequence, m: int) -> list[Epoch]:
-    """Greedy left-to-right split of a trace into epochs of <= m I/O events.
+def split_into_epochs(ticks: int, m: int) -> list[range]:
+    """Greedy left-to-right split of ticks 0 .. ticks-1 (one per moved
+    word) into epochs, each a ``range`` of at most m ticks.
 
-    The empty trace yields a single empty epoch.  The split is minimal:
-    T = ceil(len(trace)/m) epochs, hence len(trace) >= (T - 1) * m.
+    Zero ticks yield a single empty epoch.  The split is minimal:
+    T = ceil(ticks/m) epochs, hence ticks >= (T - 1) * m.
     """
     if m < 1:
         raise ConfigurationError("epoch size must be positive")
-    n = len(trace)
-    if n == 0:
-        return [Epoch(0, 0)]
-    return [Epoch(k, min(k + m, n)) for k in range(0, n, m)]
+    if ticks == 0:
+        return [range(0, 0)]
+    return [range(k, min(k + m, ticks)) for k in range(0, ticks, m)]
 
 
 def replay_trace(trace: Iterable[tuple]) -> dict[Address, float]:

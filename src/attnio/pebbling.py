@@ -478,9 +478,11 @@ def verify_m_partition(dag: PebblingDag, m: int, parts: list[PartSpec]) -> list[
     (minimum sets of size <= M), and P4 (no cyclic part dependence).
 
     A part containing an input vertex must include it in its dominator
-    set (length-0 paths count).  Every violation is reported with a
-    witness: the offending vertex, an uncovered input-to-part path, or
-    the part indices of a dependence cycle.
+    set (length-0 paths count).  A part vertex the DAG lacks is a P1
+    violation, and P2 and P3 are checked on the part's other vertices.
+    Every violation is reported with a witness: the offending vertex, an
+    uncovered input-to-part path, or the part indices of a dependence
+    cycle.
     """
     violations: list[Violation] = []
 
@@ -488,8 +490,13 @@ def verify_m_partition(dag: PebblingDag, m: int, parts: list[PartSpec]) -> list[
     for idx, part in enumerate(parts):
         overlap = seen & part.vertices
         if overlap:
-            violations.append(Violation(idx, "P1", "parts overlap", sorted(overlap)[:5]))
+            violations.append(Violation(idx, "P1", "parts overlap",
+                                        sorted(overlap, key=str)[:5]))
         seen |= part.vertices
+        unknown = part.vertices.difference(dag.nodes)
+        if unknown:
+            violations.append(Violation(idx, "P1", "vertices not in the DAG",
+                                        sorted(unknown, key=str)[:5]))
     missing = set(dag.nodes) - seen
     if missing:
         violations.append(Violation(None, "P1", "vertices not covered", sorted(missing)[:5]))
@@ -501,7 +508,7 @@ def verify_m_partition(dag: PebblingDag, m: int, parts: list[PartSpec]) -> list[
         path = _uncovered_path(dag, part)
         if path is not None:
             violations.append(Violation(idx, "P2", "input-to-part path avoids dominator", path))
-        msize = len(minimum_set(dag, part.vertices))
+        msize = len(minimum_set(dag, part.vertices.intersection(dag.nodes)))
         if msize > m:
             violations.append(Violation(
                 idx, "P3", f"minimum set has {msize} > {m} vertices", None))

@@ -40,6 +40,8 @@ def test_attn_run_trace(tmp_path, capsys):
 def test_attn_run_regime_error(capsys):
     assert run_cli("attn", "run", "--N", "8", "--d", "4", "--M", "16",
                    "--algorithm", "streaming") == 1
+    assert capsys.readouterr() == (
+        "", "regime error: streaming needs M >= 8d, got M=16 with d=4; use square_tiling_attention\n")
 
 
 def test_attn_run_bad_size_exit_code(capsys):
@@ -67,6 +69,18 @@ def test_attn_sweep_numeric_error(tmp_path, capsys):
     assert run_cli("attn", "sweep", "--config", str(cfg), "--out", str(out)) == 1
     assert "numeric errors: 1" in capsys.readouterr().out
     assert ",numeric_error," in out.read_text()
+
+
+def test_attn_sweep_output_neg_inf_is_numeric_error(tmp_path, capsys):
+    # the overflowed running max leaves -inf in O, which the cache flag
+    # (NaN and +inf only) does not catch
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"N": [4], "d": [1], "M": [16], "algorithms": ["tiling"],
+                               "seed": 4, "magnitude": 30}))
+    out = tmp_path / "records.csv"
+    assert run_cli("attn", "sweep", "--config", str(cfg), "--out", str(out)) == 1
+    assert "numeric errors: 1\n" in capsys.readouterr().out
+    assert out.read_text().splitlines()[1] == "tiling,4,1,16,numeric_error,44,24,5,8"
 
 
 def test_attn_sweep_config_missing_key_exit_code(tmp_path, capsys):
@@ -115,6 +129,8 @@ def test_unwritable_output_fails_before_the_run(tmp_path, capsys, monkeypatch):
     kept.write_text("old\n")
     assert run_cli("attn", "run", "--N", "8", "--d", "4", "--M", "16",
                    "--algorithm", "streaming", "--trace", str(kept)) == 1
+    assert capsys.readouterr() == (
+        "", "regime error: streaming needs M >= 8d, got M=16 with d=4; use square_tiling_attention\n")
     assert kept.read_text() == "old\n"
 
 
@@ -223,6 +239,8 @@ def test_pebble_search_cap_refusal(tmp_path, capsys, monkeypatch):
     edge_path = tmp_path / "edge.jsonl"
     edge.to_jsonl(edge_path)
     assert run_cli("pebble", "search", "--dag", str(edge_path), "--M", "2") == 1
+    assert capsys.readouterr().err == (
+        "refused: enumeration of 16 configurations exceeds the cap of 1\n")
 
 
 def test_codes_vandermonde(tmp_path, capsys):
@@ -243,9 +261,11 @@ def test_codes_verify(tmp_path, capsys):
     path = tmp_path / "kt.csv"
     bch_parity_check(4, 5).transpose().save_csv(path)
     assert run_cli("codes", "verify", str(path), "4", "--q", "2") == 0
+    assert capsys.readouterr().out == "all 4-row subsets independent: True\n"
     dep = tmp_path / "dep.csv"
     dep.write_text("1,0\n1,0\n")
     assert run_cli("codes", "verify", str(dep), "2", "--q", "2") == 1
+    assert capsys.readouterr().out == "all 2-row subsets independent: False (witness (0, 1))\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -197,15 +197,13 @@ def test_epoch_progress_bound_values():
 
 
 def test_max_entries_per_epoch_bucketing():
-    from attnio.memory import Epoch
-    epochs = [Epoch(0, 4), Epoch(4, 8)]
+    epochs = [range(0, 4), range(4, 8)]
     completions = [(2, 3), (4, 1), (7, 2)]  # tick 4 = last event index 3
     assert C.max_entries_per_epoch(completions, epochs) == 4
 
 
 def test_max_entries_per_epoch_bucketing_edges():
-    from attnio.memory import Epoch
-    epochs = [Epoch(0, 4), Epoch(4, 8)]
+    epochs = [range(0, 4), range(4, 8)]
     # tick 0 and tick 4 (event 3, epoch 0's last) land in epoch 0
     assert C.max_entries_per_epoch([(0, 1), (4, 2)], epochs) == 3
     # tick 5 is event 4, the first of epoch 1

@@ -7,7 +7,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from attnio import errors
+from attnio import errors, experiments
 from attnio.kernels import (
     dispatch_attention,
     matmul_via_attention,
@@ -249,6 +249,59 @@ def test_kernels_reject_used_hierarchy():
     holding.alloc((2,))
     with pytest.raises(errors.ConfigurationError):
         square_tiling_attention(holding, inst)
+
+
+class _UnreadableTrace:
+    """Stands in for a hierarchy's trace and fails any read of it."""
+
+    def _refuse(self, *args):
+        raise AssertionError("the run path read the trace")
+
+    __bool__ = __len__ = __iter__ = __getitem__ = _refuse
+
+
+class _CountersOnlyHierarchy(MemoryHierarchy):
+    def __init__(self, capacity):
+        super().__init__(capacity)
+        self.trace = _UnreadableTrace()
+
+
+def test_kernels_run_on_counters_alone(monkeypatch):
+    """Kernels and sweeps read the I/O counters, never the trace, and
+    give the same counts, epochs and completions either way."""
+    inst = random_instance(12, 4, 3)
+    runs = [
+        (16, lambda h: square_tiling_attention(h, inst)),
+        (64, lambda h: square_tiling_attention(h, inst, stabilize=True)),
+        (16, lambda h: square_tiling_attention(h, inst, write_qkt=True)),
+        (64, lambda h: streaming_attention(h, inst)),
+        (16, lambda h: dispatch_attention(h, inst)),
+        (64, lambda h: dispatch_attention(h, inst)),
+        (16, lambda h: matmul_via_attention(h, inst.Q, inst.K)),
+    ]
+    for m, run in runs:
+        plain, guarded = MemoryHierarchy(m), _CountersOnlyHierarchy(m)
+        expected, got = run(plain), run(guarded)
+        assert guarded.io == plain.io
+        if isinstance(got, np.ndarray):
+            assert np.array_equal(got, expected)
+            continue
+        assert (got.io, got.epochs, got.entry_completions, got.overflow) == (
+            expected.io, expected.epochs, expected.entry_completions, expected.overflow)
+        assert np.array_equal(got.output, expected.output)
+    config = experiments.SweepConfig((4, 8), (2, 4), (16, 64), ("tiling", "streaming", "dispatch"))
+    expected = experiments.run_sweep(config)
+    monkeypatch.setattr(experiments, "MemoryHierarchy", _CountersOnlyHierarchy)
+    assert experiments.run_sweep(config) == expected
+
+
+def test_non_finite_output_is_overflow():
+    # exp of a score near 709 is finite, but its product with V overflows
+    # to -inf inside the fused phase-2 step; the cache flag leaves -inf out
+    h = MemoryHierarchy(16)
+    result = square_tiling_attention(h, random_instance(4, 1, 216, 30.0))
+    assert not np.isfinite(result.output).all() and not h.overflow
+    assert result.overflow
 
 
 def test_kernels_silence_overflow_once_per_run():

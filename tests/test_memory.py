@@ -7,7 +7,6 @@ from attnio import errors
 from attnio.memory import (
     _OPS,
     SCAN_FLOOR,
-    Epoch,
     MemoryHierarchy,
     export_trace_csv,
     format_address,
@@ -320,13 +319,12 @@ def test_failed_block_moves_add_no_move():
 
 
 def test_split_into_epochs():
-    trace = [("R", i, 0.0) for i in range(10)]
-    epochs = split_into_epochs(trace, 4)
-    assert epochs == [Epoch(0, 4), Epoch(4, 8), Epoch(8, 10)]
-    assert sum(e.io_count for e in epochs) == 10
-    assert split_into_epochs([], 4) == [Epoch(0, 0)]
+    epochs = split_into_epochs(10, 4)
+    assert epochs == [range(0, 4), range(4, 8), range(8, 10)]
+    assert sum(len(e) for e in epochs) == 10
+    assert split_into_epochs(0, 4) == [range(0, 0)]
     # minimality: T epochs means at least (T - 1) * m events
-    assert len(trace) >= (len(epochs) - 1) * 4
+    assert 10 >= (len(epochs) - 1) * 4
 
 
 def test_replay_trace_rebuilds_memory():

@@ -449,6 +449,25 @@ def test_partition_p1_overlap_and_cover():
     assert any(v.rule == "P1" and "not covered" in v.message for v in violations)
 
 
+def test_partition_p1_vertices_not_in_the_dag():
+    dag = P.build_attention_dag(1, 1)
+    ghost = P.PartSpec(set(dag.nodes) | {"ghost"}, dag.inputs)
+    assert P.verify_m_partition(dag, 4, [ghost]) == [
+        P.Violation(0, "P1", "vertices not in the DAG", ["ghost"])]
+    # the witness is sorted and capped at 5; P2 and P3 still run on the
+    # known vertices, whose minimum set is the one output
+    ghosts = P.PartSpec(set(dag.nodes) | {f"g{i}" for i in range(7)}, dag.inputs)
+    assert P.verify_m_partition(dag, 1, [ghosts]) == [
+        P.Violation(0, "P1", "vertices not in the DAG", ["g0", "g1", "g2", "g3", "g4"]),
+        P.Violation(0, "P2", "dominator has 3 > 1 vertices")]
+    # unknown vertices need not be strings, nor of one type
+    strays = [P.PartSpec(dag.nodes, dag.inputs), P.PartSpec({0, "ghost"}, ()),
+              P.PartSpec({0, "ghost"}, ())]
+    assert P.verify_m_partition(dag, 4, strays)[1:] == [
+        P.Violation(2, "P1", "parts overlap", [0, "ghost"]),
+        P.Violation(2, "P1", "vertices not in the DAG", [0, "ghost"])]
+
+
 def test_partition_p2_uncovered_path_witness():
     dag = P.build_attention_dag(2, 2)
     dom = set(dag.inputs)
