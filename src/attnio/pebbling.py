@@ -92,9 +92,10 @@ class PebblingDag:
     def from_jsonl(cls, path) -> "PebblingDag":
         """Read one node per line: an object with a string ``id`` and
         ``kind`` and a list of string ``parents``.  ``level1`` may be
-        omitted; when given it must agree with the kind.  Malformed content
-        raises ``ConfigurationError`` naming the file and line."""
-        nodes = {}
+        omitted; when given it must agree with the kind.  Malformed content,
+        a repeated id or a cycle raises ``ConfigurationError`` naming the
+        file and line (for a cycle, the line of a vertex on it)."""
+        nodes, lines = {}, {}
         with open(path) as fh:
             for lineno, line in enumerate(fh, 1):
                 if not line.strip():
@@ -111,11 +112,21 @@ class PebblingDag:
                     raise ConfigurationError(
                         f"{path}, line {lineno}: 'id' and 'kind' must be strings and "
                         f"'parents' a list of strings")
+                if vid in lines:
+                    raise ConfigurationError(
+                        f"{path}, line {lineno}: duplicate id {vid!r} (first on line {lines[vid]})")
+                lines[vid] = lineno
                 node = nodes[vid] = Node(kind, tuple(parents))
                 level1 = node.level1
                 if rec.get("level1", level1) != level1:
                     raise ConfigurationError(
                         f"{path}, line {lineno}: level1 disagrees with kind {node.kind!r}")
+        try:
+            graphlib.TopologicalSorter({v: n.parents for v, n in nodes.items()}).prepare()
+        except graphlib.CycleError as exc:
+            cycle = exc.args[1]
+            raise ConfigurationError(f"{path}, line {lines[cycle[0]]}: parents form a cycle "
+                                     f"{' -> '.join(cycle)}") from None
         return cls(nodes)
 
 
@@ -480,24 +491,24 @@ def verify_m_partition(dag: PebblingDag, m: int, parts: list[PartSpec]) -> list[
     A part containing an input vertex must include it in its dominator
     set (length-0 paths count).  A part vertex the DAG lacks is a P1
     violation, and P2 and P3 are checked on the part's other vertices.
-    Every violation is reported with a witness: the offending vertex, an
-    uncovered input-to-part path, or the part indices of a dependence
-    cycle.
+    Witnesses: up to five offending vertices (sorted) for P1; for an
+    uncovered P2 path, the BFS path from the first input in sorted order
+    that reaches the part; for P4, the part indices of a dependence
+    cycle.  A too-large P2 dominator and P3 carry ``None``.
     """
     violations: list[Violation] = []
 
-    seen: set[str] = set()
+    owner: dict[object, int] = {}
     for idx, part in enumerate(parts):
-        overlap = seen & part.vertices
+        overlap = [v for v in part.vertices if owner.setdefault(v, idx) != idx]
         if overlap:
             violations.append(Violation(idx, "P1", "parts overlap",
                                         sorted(overlap, key=str)[:5]))
-        seen |= part.vertices
         unknown = part.vertices.difference(dag.nodes)
         if unknown:
             violations.append(Violation(idx, "P1", "vertices not in the DAG",
                                         sorted(unknown, key=str)[:5]))
-    missing = set(dag.nodes) - seen
+    missing = dag.nodes.keys() - owner.keys()
     if missing:
         violations.append(Violation(None, "P1", "vertices not covered", sorted(missing)[:5]))
 
@@ -513,21 +524,30 @@ def verify_m_partition(dag: PebblingDag, m: int, parts: list[PartSpec]) -> list[
             violations.append(Violation(
                 idx, "P3", f"minimum set has {msize} > {m} vertices", None))
 
-    cycle = _dependence_cycle(dag, parts)
-    if cycle is not None:
-        violations.append(Violation(None, "P4", "cyclic dependence among parts", cycle))
+    preds: dict[int, set[int]] = {i: set() for i in range(len(parts))}
+    for v, node in dag.nodes.items():
+        b = owner.get(v)
+        for a in map(owner.get, node.parents):
+            if b is not None and a is not None and a != b:
+                preds[b].add(a)
+    try:
+        graphlib.TopologicalSorter(preds).prepare()
+    except graphlib.CycleError as exc:
+        violations.append(Violation(None, "P4", "cyclic dependence among parts", exc.args[1]))
     return violations
 
 
 def _uncovered_path(dag: PebblingDag, part: PartSpec):
-    """BFS from each input avoiding the dominator; a reached part vertex
-    yields a witness path."""
+    """BFS from each unblocked input in sorted order, avoiding the
+    dominator; a reached part vertex yields a witness path.  The searches
+    share ``prev``, as a vertex an earlier one reached cannot reach the part."""
     target = part.vertices - part.dominator
     blocked = part.dominator
+    prev = {}
     for src in sorted(dag.inputs):
         if src in blocked:
             continue
-        prev = {src: None}
+        prev[src] = None
         queue = deque([src])
         while queue:
             v = queue.popleft()
@@ -541,27 +561,6 @@ def _uncovered_path(dag: PebblingDag, part: PartSpec):
                 if c not in blocked and c not in prev:
                     prev[c] = v
                     queue.append(c)
-    return None
-
-
-def _dependence_cycle(dag: PebblingDag, parts: list[PartSpec]):
-    """Cycle detection on the part-dependence digraph; returns the part
-    indices of a cycle in dependence order (first index repeated last),
-    or None."""
-    owner: dict[str, int] = {}
-    for idx, part in enumerate(parts):
-        for v in part.vertices:
-            owner.setdefault(v, idx)
-    preds: dict[int, set[int]] = {i: set() for i in range(len(parts))}
-    for v, node in dag.nodes.items():
-        for p in node.parents:
-            a, b = owner.get(p), owner.get(v)
-            if a is not None and b is not None and a != b:
-                preds[b].add(a)
-    try:
-        graphlib.TopologicalSorter(preds).prepare()
-    except graphlib.CycleError as exc:
-        return exc.args[1]
     return None
 
 

@@ -193,6 +193,8 @@ MALFORMED_DAG_LINES = {
     "parents_string": {"id": "z", "kind": pebbling.INPUT, "parents": "ab"},
     "id_not_string": {"id": 5, "kind": pebbling.INPUT, "parents": []},
     "line_not_object": [1, 2],
+    "duplicate_id": {"id": "OUT[0,0]", "kind": pebbling.SCALE, "parents": []},
+    "self_loop": {"id": "z", "kind": pebbling.EXP, "parents": ["z"]},
 }
 MALFORMED_CALCULATIONS = {
     "vertex_list": [{"rule": "R1", "vertex": ["Q[0,0]"]}],

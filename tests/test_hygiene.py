@@ -1,11 +1,14 @@
 """Source hygiene: no module-level import that a module or demo never uses,
-no module-level function or class that nothing references, no module
-that reaches into another object's private attributes, and one
-enumeration-cap contract: ``errors.check_enumeration`` alone raises
-``EnumerationCapError``, and ``cli.main`` alone turns it or a
-``RegimeError`` into an exit code."""
+every demo runs to the end with nothing on stderr, no module-level
+function or class that nothing references, no module that reaches into
+another object's private attributes, and one enumeration-cap contract:
+``errors.check_enumeration`` alone raises ``EnumerationCapError``, and
+``cli.main`` alone turns it or a ``RegimeError`` into an exit code."""
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -47,6 +50,13 @@ def test_no_unused_imports_in_demos(path):
 
 def test_demos_found():
     assert DEMOS, f"no demos found under {SRC.parents[1] / 'demos'}"
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
+def test_demo_runs_cleanly(path):
+    run = subprocess.run([sys.executable, str(path)], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(SRC.parent)}, timeout=120)
+    assert (run.returncode, run.stderr) == (0, "")
 
 
 def references(tree: ast.AST) -> Counter:

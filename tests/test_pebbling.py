@@ -1,10 +1,12 @@
 """Pebble game: DAG construction, validation, schedules, partitions."""
 
+import graphlib
 import hashlib
 import json
 import math
 import random
 import re
+from collections import Counter, deque
 
 import pytest
 
@@ -518,6 +520,153 @@ def test_partition_long_path_dag_valid():
     assert P.verify_m_partition(dag, 1, parts) == []
 
 
+# The verifier as it stood before P1 and P4 shared one owner map and P2's
+# searches shared one visited map: the reference for the tests below.
+def verify_m_partition_reference(dag, m, parts):
+    violations = []
+
+    seen = set()
+    for idx, part in enumerate(parts):
+        overlap = seen & part.vertices
+        if overlap:
+            violations.append(P.Violation(idx, "P1", "parts overlap",
+                                          sorted(overlap, key=str)[:5]))
+        seen |= part.vertices
+        unknown = part.vertices.difference(dag.nodes)
+        if unknown:
+            violations.append(P.Violation(idx, "P1", "vertices not in the DAG",
+                                          sorted(unknown, key=str)[:5]))
+    missing = set(dag.nodes) - seen
+    if missing:
+        violations.append(P.Violation(None, "P1", "vertices not covered", sorted(missing)[:5]))
+
+    for idx, part in enumerate(parts):
+        if len(part.dominator) > m:
+            violations.append(P.Violation(
+                idx, "P2", f"dominator has {len(part.dominator)} > {m} vertices", None))
+        path = uncovered_path_reference(dag, part)
+        if path is not None:
+            violations.append(P.Violation(idx, "P2", "input-to-part path avoids dominator", path))
+        msize = len(P.minimum_set(dag, part.vertices.intersection(dag.nodes)))
+        if msize > m:
+            violations.append(P.Violation(
+                idx, "P3", f"minimum set has {msize} > {m} vertices", None))
+
+    cycle = dependence_cycle_reference(dag, parts)
+    if cycle is not None:
+        violations.append(P.Violation(None, "P4", "cyclic dependence among parts", cycle))
+    return violations
+
+
+def uncovered_path_reference(dag, part):
+    """One fresh BFS per unblocked input."""
+    target = part.vertices - part.dominator
+    blocked = part.dominator
+    for src in sorted(dag.inputs):
+        if src in blocked:
+            continue
+        prev = {src: None}
+        queue = deque([src])
+        while queue:
+            v = queue.popleft()
+            if v in target:
+                path = []
+                while v is not None:
+                    path.append(v)
+                    v = prev[v]
+                return path[::-1]
+            for c in dag.children[v]:
+                if c not in blocked and c not in prev:
+                    prev[c] = v
+                    queue.append(c)
+    return None
+
+
+def dependence_cycle_reference(dag, parts):
+    owner = {}
+    for idx, part in enumerate(parts):
+        for v in part.vertices:
+            owner.setdefault(v, idx)
+    preds = {i: set() for i in range(len(parts))}
+    for v, node in dag.nodes.items():
+        for p in node.parents:
+            a, b = owner.get(p), owner.get(v)
+            if a is not None and b is not None and a != b:
+                preds[b].add(a)
+    try:
+        graphlib.TopologicalSorter(preds).prepare()
+    except graphlib.CycleError as exc:
+        return exc.args[1]
+    return None
+
+
+def random_partition(dag, rng):
+    """Parts of ``dag`` with in-boundary dominators, then perturbed: parts
+    cut from creation order or scattered (cyclic splits), vertices shared
+    or dropped, stray non-string vertices, and dominator members dropped
+    (often inputs) or added."""
+    order = list(dag.nodes)
+    k = rng.randint(1, 5)
+    if rng.random() < 0.5:
+        cuts = sorted(rng.sample(range(1, len(order)), min(k - 1, len(order) - 1)))
+        groups = [order[a:b] for a, b in zip([0, *cuts], [*cuts, len(order)])]
+    else:
+        groups = [[] for _ in range(k)]
+        for v in order:
+            groups[rng.randrange(k)].append(v)
+    parts = []
+    for group in groups:
+        vertices = set(group)
+        if vertices and rng.random() < 0.2:
+            vertices -= set(rng.sample(sorted(vertices), min(rng.randint(1, 3), len(vertices))))
+        if rng.random() < 0.15:
+            vertices |= set(rng.sample(order, rng.randint(1, 4)))
+        if rng.random() < 0.1:
+            vertices |= set(rng.sample([0, 7, ("Q", 0), "ghost", 2.5], rng.randint(1, 2)))
+        dominator = {v for v in vertices if v in dag.inputs}
+        dominator |= {p for v in vertices if v in dag.nodes for p in dag.nodes[v].parents
+                      if p not in vertices}
+        if dominator and rng.random() < 0.4:
+            dominator -= set(rng.sample(sorted(dominator), rng.randint(1, min(3, len(dominator)))))
+        if rng.random() < 0.1:
+            dominator |= set(rng.sample(order, 2))
+        parts.append(P.PartSpec(vertices, dominator))
+    return parts
+
+
+def test_partition_verifier_matches_reference_on_random_partitions():
+    rng = random.Random(20261019)
+    dags = [P.build_attention_dag(n, d) for n in range(1, 5) for d in range(1, 4)]
+    fired = Counter()
+    for trial in range(2000):
+        dag = rng.choice(dags)
+        parts = random_partition(dag, rng)
+        m = rng.randint(1, 2 * dag.N * dag.d + 4)
+        got = P.verify_m_partition(dag, m, parts)
+        assert got == verify_m_partition_reference(dag, m, parts), (trial, dag.N, dag.d, m)
+        fired.update(v.rule for v in got)
+    assert set(fired) == {"P1", "P2", "P3", "P4"}, fired
+
+
+class CountingLookups(dict):
+    lookups = 0
+
+    def __getitem__(self, key):
+        self.lookups += 1
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize("n, d", [(4, 2), (8, 4)])
+def test_partition_p2_visits_each_vertex_once(n, d):
+    # every input is unblocked and none reaches OUT[0,0] past its two parents
+    dag = P.build_attention_dag(n, d)
+    dag.children = CountingLookups(dag.children)
+    part = P.PartSpec({"OUT[0,0]"}, {"AV[0,0]", "INV[0]"})
+    assert P.verify_m_partition(dag, 2, [part]) == [
+        P.Violation(None, "P1", "vertices not covered", sorted(dag.nodes)[:5])]
+    assert dag.children.lookups <= len(dag)
+
+
 def test_minimum_set():
     dag = P.build_attention_dag(2, 2)
     assert P.minimum_set(dag, frozenset(dag.nodes)) == dag.outputs
@@ -638,4 +787,19 @@ def test_jsonl_rejects_bad_id_or_parents(tmp_path, record):
     path.write_text(json.dumps({"id": "x", "kind": P.INPUT, "parents": []}) + "\n"
                     + json.dumps(record) + "\n")
     with pytest.raises(errors.ConfigurationError, match="dag.jsonl, line 2: 'id' and 'kind'"):
+        P.PebblingDag.from_jsonl(path)
+
+
+@pytest.mark.parametrize("graph, message", [
+    # the second o would silently replace the first
+    ([("a", P.INPUT, []), ("o", P.SCALE, ["a"]), ("o", P.SCALE, [])],
+     "line 3: duplicate id 'o' (first on line 2)"),
+    ([("a", P.INPUT, []), ("b", P.EXP, ["a", "c"]), ("c", P.EXP, ["b"]), ("o", P.SCALE, ["c"])],
+     "line 2: parents form a cycle b -> c -> b"),
+], ids=["duplicate_id", "cycle"])
+def test_jsonl_rejects_duplicate_id_and_cycle(tmp_path, graph, message):
+    path = tmp_path / "dag.jsonl"
+    path.write_text("".join(json.dumps({"id": v, "kind": kind, "parents": parents}) + "\n"
+                            for v, kind, parents in graph))
+    with pytest.raises(errors.ConfigurationError, match=f"dag.jsonl, {re.escape(message)}$"):
         P.PebblingDag.from_jsonl(path)
