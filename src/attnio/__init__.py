@@ -56,6 +56,7 @@ from .kernels import (
 )
 from .matrices import AttentionInstance, random_instance
 from .memory import (
+    Block,
     IoStats,
     MemoryHierarchy,
     export_trace_csv,

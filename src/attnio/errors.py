@@ -12,7 +12,8 @@ class CapacityError(RuntimeError):
 
 
 class AddressError(KeyError):
-    """Read of a memory address that was never written or initialized."""
+    """A block move outside every loaded or reserved array, a malformed
+    block, or a read of a reserved word that was never written."""
 
 
 class UsageError(RuntimeError):

@@ -17,6 +17,8 @@ Two exact kernels cover the two cache regimes:
 against.  Every kernel needs a fresh hierarchy - one that has moved no
 word and holds no memory or cache - and raises ``ConfigurationError``
 otherwise, so one hierarchy's counts always belong to exactly one run.
+Each kernel loads its inputs and reserves its outputs (``A``, ``dvec``,
+``rmax``, ``QKT``, ``O``) as named arrays, and moves ``Block``s of them.
 Kernels read the hierarchy's read and write counters, never its trace:
 completion ticks and the epoch split both come from ``reads + writes``.
 """
@@ -26,13 +28,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
 from .errors import ConfigurationError, RegimeError
 from .matrices import AttentionInstance
-from .memory import IoStats, MemoryHierarchy, split_into_epochs
+from .memory import Block, IoStats, MemoryHierarchy, split_into_epochs
 
 
 @dataclass(frozen=True)
@@ -65,17 +66,6 @@ def reference_attention(inst: AttentionInstance) -> np.ndarray:
     scores = inst.Q @ inst.K.T
     shifted = np.exp(scores - scores.max(axis=1, keepdims=True))
     return (shifted @ inst.V) / shifted.sum(axis=1, keepdims=True)
-
-
-def _addrs(name, *extents):
-    """Addresses (name, i, ...) of a block, row-major over the extents.
-
-    Kernels build the tuple of each block they move many times once per
-    run and call this directly for blocks they move once or twice.
-    """
-    # tuple() of a list allocates once; tuple() of an iterator grows by
-    # reallocation, which raised peak RSS on the stream benchmark.
-    return tuple(list(product((name,), *extents)))
 
 
 def _kernel(run):
@@ -140,24 +130,31 @@ def square_tiling_attention(
     h.load("Q", inst.Q)
     h.load("KT", inst.K.T)
     h.load("V", inst.V)
+    h.reserve("A", (n, n))
+    h.reserve("dvec", (n,))
+    h.reserve("O", (n, d))
+    if stabilize:
+        h.reserve("rmax", (n,))
+    if write_qkt:
+        h.reserve("QKT", (n, n))
     read_block, write_block = h.read_block, h.write_block
     compute, alloc, free = h.compute, h.alloc, h.free
     rows = [range(i, min(i + b, n)) for i in range(0, n, b)]
     cols = [range(l, min(l + b, d)) for l in range(0, d, b)]
-    # (addresses, shape) of every block moved more than once, built once:
-    # Q[i][l] and KT[j][l] feed the l-loop, A[i][k] and V[j][k] Phase 2.
-    q_blocks = [[(_addrs("Q", ri, rl), (len(ri), len(rl))) for rl in cols] for ri in rows]
-    kt_blocks = [[(_addrs("KT", rl, rj), (len(rl), len(rj))) for rl in cols] for rj in rows]
-    a_blocks = [[(_addrs("A", ri, rk), (len(ri), len(rk))) for rk in rows] for ri in rows]
-    v_blocks = [[(_addrs("V", rk, cj), (len(rk), len(cj))) for rk in rows] for cj in cols]
+    # Every block moved more than once, built once: Q[i][l] and KT[j][l]
+    # feed the l-loop, A[i][k] and V[j][k] Phase 2.
+    q_blocks = [[Block("Q", ri, rl) for rl in cols] for ri in rows]
+    kt_blocks = [[Block("KT", rl, rj) for rl in cols] for rj in rows]
+    a_blocks = [[Block("A", ri, rk) for rk in rows] for ri in rows]
+    v_blocks = [[Block("V", rk, cj) for rk in rows] for cj in cols]
     completions: list[tuple[int, int]] = []
 
     def score_block(i, j):
         """Raw (pre-exp) Q K^T block summed over the l-loop."""
         a = alloc((len(rows[i]), len(rows[j])))
-        for (qa, qs), (ka, ks) in zip(q_blocks[i], kt_blocks[j]):
-            qb = read_block(qa, qs)
-            kb = read_block(ka, ks)
+        for qblk, kblk in zip(q_blocks[i], kt_blocks[j]):
+            qb = read_block(qblk, qblk.shape)
+            kb = read_block(kblk, kblk.shape)
             compute("addmm", a, qb, kb, out=a)
             free(qb)
             free(kb)
@@ -168,7 +165,7 @@ def square_tiling_attention(
         Called once per block, on its first computation."""
         completions.append((h.reads + h.writes, len(ri) * len(rj)))
         if write_qkt:
-            write_block(a, _addrs("QKT", ri, rj))
+            write_block(a, Block("QKT", ri, rj))
 
     if stabilize:
         # Pre-pass: per row block, the running max over all score blocks.
@@ -181,7 +178,7 @@ def square_tiling_attention(
                 compute("maximum", mrow, t, out=mrow)
                 free(t)
                 free(a)
-            write_block(mrow, _addrs("rmax", ri))
+            write_block(mrow, Block("rmax", ri))
             free(mrow)
 
     # Phase 1: compute and store A = exp(Q K^T [- rowmax]) and row sums.
@@ -189,7 +186,7 @@ def square_tiling_attention(
         dvec = alloc((len(ri),))
         mrow = None
         if stabilize:
-            mrow = read_block(_addrs("rmax", ri), (len(ri),))
+            mrow = read_block(Block("rmax", ri), (len(ri),))
         for j, rj in enumerate(rows):
             a = score_block(i, j)
             if stabilize:
@@ -197,29 +194,29 @@ def square_tiling_attention(
             else:
                 complete(a, ri, rj)
             compute("exp", a, out=a)
-            write_block(a, a_blocks[i][j][0])
+            write_block(a, a_blocks[i][j])
             t = compute("rowsum", a)
             compute("add", dvec, t, out=dvec)
             free(t)
             free(a)
-        write_block(dvec, _addrs("dvec", ri))
+        write_block(dvec, Block("dvec", ri))
         free(dvec)
         if mrow is not None:
             free(mrow)
 
     # Phase 2: O block = sum_k diag(d)^{-1} A[i,k] V[k,j].
     for i, ri in enumerate(rows):
-        dvec = read_block(_addrs("dvec", ri), (len(ri),))
+        dvec = read_block(Block("dvec", ri), (len(ri),))
         compute("inv", dvec, out=dvec)
         for cj, v_row in zip(cols, v_blocks):
             o = alloc((len(ri), len(cj)))
-            for (aa, as_), (va, vs) in zip(a_blocks[i], v_row):
-                ab = read_block(aa, as_)
-                vb = read_block(va, vs)
+            for ablk, vblk in zip(a_blocks[i], v_row):
+                ab = read_block(ablk, ablk.shape)
+                vb = read_block(vblk, vblk.shape)
                 compute("scaled_addmm", o, dvec, ab, vb, out=o)
                 free(ab)
                 free(vb)
-            write_block(o, _addrs("O", ri, cj))
+            write_block(o, Block("O", ri, cj))
             free(o)
         free(dvec)
 
@@ -269,23 +266,25 @@ def streaming_attention(h: MemoryHierarchy, inst: AttentionInstance) -> KernelRe
     h.load("Q", inst.Q)
     h.load("K", inst.K)
     h.load("V", inst.V)
+    h.reserve("O", (n, d))
     read_block, write_block = h.read_block, h.write_block
     compute, alloc, free = h.compute, h.alloc, h.free
     cols = range(d)
     row_shape = (d,)
-    # Each K and V row is read once per row block: build its addresses once.
-    kv_rows = [(_addrs("K", (j,), cols), _addrs("V", (j,), cols)) for j in range(n)]
+    # Each K and V row is read once per row block: build its block once.
+    kv_rows = [(Block("K", range(j, j + 1), cols), Block("V", range(j, j + 1), cols))
+               for j in range(n)]
     completions: list[tuple[int, int]] = []
 
     for i0 in range(0, n, r_max):
         rows = range(i0, min(i0 + r_max, n))
         r = len(rows)
-        q = read_block(_addrs("Q", rows, cols), (r, d))
+        q = read_block(Block("Q", rows, cols), (r, d))
         o = alloc((r, d))
         lsum = alloc((r,))
         mrun = alloc((r,), fill=-math.inf)
-        for k_addrs, v_addrs in kv_rows:
-            krow = read_block(k_addrs, row_shape)
+        for kblk, vblk in kv_rows:
+            krow = read_block(kblk, row_shape)
             s = compute("matmul", q, krow)
             free(krow)
             mnew = compute("maximum", mrun, s)
@@ -297,14 +296,14 @@ def streaming_attention(h: MemoryHierarchy, inst: AttentionInstance) -> KernelRe
             compute("mul_add", lsum, alpha, s, out=lsum)
             compute("rowscale", o, alpha, out=o)
             free(alpha)
-            vrow = read_block(v_addrs, row_shape)
+            vrow = read_block(vblk, row_shape)
             compute("add_outer", o, s, vrow, out=o)
             free(vrow)
             free(s)
             completions.append((h.reads + h.writes, r))
         compute("inv", lsum, out=lsum)
         compute("rowscale", o, lsum, out=o)
-        write_block(o, _addrs("O", rows, cols))
+        write_block(o, Block("O", rows, cols))
         for slot in (q, o, lsum, mrun):
             free(slot)
 

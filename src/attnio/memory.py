@@ -2,10 +2,17 @@
 
 All arithmetic happens inside a bounded cache of ``capacity`` word slots.
 An unbounded slow memory holds everything else, and every word moved
-between the two levels is recorded, so any kernel running on the
-simulator gets exact read/write counts for free.  The hierarchy keeps
-one (kind, addresses, values) record per block move, and its ``trace``
-reads that record as one (kind, address, value) row per word.
+between the two levels is counted, so any kernel running on the
+simulator gets exact read/write counts for free.
+
+Slow memory is one C-ordered float64 array per name: ``load`` places an
+input array there, ``reserve`` declares an output array, and both are
+free.  A ``Block`` names a row-major rectangle of one array; it is the
+address form of ``read_block`` and ``write_block``, and each block moves
+with one slice.  The hierarchy keeps one (kind, block, value bytes)
+record per move, and its ``trace`` reads that record as one (kind,
+address, value) row per word, with addresses (name, i, j, ...); no
+per-word tuple or float exists until the trace is read.
 
 One matrix entry is one word is one I/O unit, and every word is a 64-bit
 float.  There is no eviction policy: kernels manage their slots
@@ -95,28 +102,87 @@ _OPS: dict[str, tuple[Callable, int]] = {
 }
 
 
+class Block(Sequence):
+    """A row-major rectangle of the array ``name``: one ``range`` per
+    axis, none for a shape-() array.
+
+    As a sequence it is the block's word addresses (name, i, j, ...) in
+    row-major order, built only when iterated or indexed.  Each range
+    must have step 1 and 0 <= start <= stop; anything else raises
+    ``AddressError``.  Whether the block lies inside its array is
+    checked when it moves.
+    """
+
+    __slots__ = ("name", "ranges", "shape", "size", "index")
+
+    def __init__(self, name: str, *ranges: range):
+        index, shape = [], []
+        for r in ranges:
+            if type(r) is not range or r.step != 1 or not 0 <= r.start <= r.stop:
+                raise AddressError(f"block axes must be ranges of step 1 from 0 up, got {r!r}")
+            index.append(slice(r.start, r.stop))
+            shape.append(r.stop - r.start)
+        self.name = name
+        self.ranges = ranges
+        self.shape = shape = tuple(shape)
+        self.size = math.prod(shape)
+        # A shape-() array is indexed by ``...``, which keeps a 0-d view
+        # where ``()`` would give a numpy scalar.
+        self.index = tuple(index) or ...
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __iter__(self):
+        return product((self.name,), *self.ranges)
+
+    def __getitem__(self, k: int) -> tuple:
+        k = operator.index(k)
+        if k < 0:
+            k += self.size
+        if not 0 <= k < self.size:
+            raise IndexError("block index out of range")
+        idx = []
+        for r in reversed(self.ranges):
+            k, offset = divmod(k, len(r))
+            idx.append(r.start + offset)
+        return (self.name, *reversed(idx))
+
+    def __repr__(self) -> str:
+        return f"Block({', '.join(map(repr, (self.name, *self.ranges)))})"
+
+
 class Trace(Sequence):
     """The I/O trace: a view of a hierarchy's block moves, read as one
     (kind, address, value) row per word.
 
     It keeps only a reference to the hierarchy's move list, so a move is
     recorded once, by one append in ``read_block`` or ``write_block``.
-    Length sums the move sizes and indexing lists the rows; kernels
-    never read the trace, only the hierarchy's counters.
+    Length sums the move sizes, and indexing walks them and expands only
+    the move that holds the row; kernels never read the trace, only the
+    hierarchy's counters.
     """
 
-    def __init__(self, moves: list[tuple[str, tuple, list[float]]]):
+    def __init__(self, moves: list[tuple[str, Block, bytes]]):
         self._moves = moves
 
     def __len__(self) -> int:
-        return sum(len(values) for _, _, values in self._moves)
+        return sum(block.size for _, block, _ in self._moves)
 
     def __iter__(self):
-        for kind, addresses, values in self._moves:
-            yield from zip(repeat(kind), addresses, values)
+        for kind, block, raw in self._moves:
+            yield from zip(repeat(kind), block, np.frombuffer(raw).tolist())
 
     def __getitem__(self, index: int) -> tuple[str, Address, float]:
-        return list(self)[index]
+        index = operator.index(index)
+        if index < 0:
+            index += len(self)
+        if index >= 0:
+            for kind, block, raw in self._moves:
+                if index < block.size:
+                    return kind, block[index], np.frombuffer(raw)[index].item()
+                index -= block.size
+        raise IndexError("trace index out of range")
 
     def __eq__(self, other):
         if not isinstance(other, (Trace, list)):
@@ -139,8 +205,13 @@ class MemoryHierarchy:
                 f"cache capacity must be >= {MIN_CAPACITY}, got {capacity}"
             )
         self.capacity = capacity
-        self.memory: dict[Address, float] = {}
-        # One (kind, addresses, values) record per block move.
+        # Slow memory: one C-ordered float64 array per name.
+        self.memory: dict[str, np.ndarray] = {}
+        # Reserved arrays not yet known to be fully written, each with
+        # the blocks written to it, as {ranges: index}.  A block read
+        # back exactly as it was written is found in O(1).
+        self._written: dict[str, dict[tuple, tuple]] = {}
+        # One (kind, block, value bytes) record per block move.
         self._moves = []
         self.trace = Trace(self._moves)
         self.reads = 0
@@ -190,56 +261,87 @@ class MemoryHierarchy:
         except KeyError:
             raise ResidencyError(f"slot {handle} is not cache-resident") from None
 
-    # -- memory initialization (no I/O) -------------------------------------
+    # -- slow memory (no I/O) -----------------------------------------------
 
-    def initialize(self, address: Address, value) -> None:
-        """Place a word directly in slow memory.  Models input residency."""
-        self.memory[address] = float(value)
+    def load(self, name: str, array) -> None:
+        """Place a C-order float64 copy of ``array``, in its own shape, in
+        slow memory under ``name``.  Models input residency."""
+        self.memory[name] = np.array(array, dtype=np.float64, order="C")
+        self._written.pop(name, None)
 
-    def load(self, name: str, matrix: np.ndarray) -> None:
-        """Initialize memory with a named matrix, one address per entry."""
-        matrix = np.atleast_2d(np.asarray(matrix))
-        rows, cols = matrix.shape
-        self.memory.update(zip(product((name,), range(rows), range(cols)),
-                               map(float, matrix.ravel().tolist())))
+    def reserve(self, name: str, shape: tuple) -> None:
+        """Declare an output array of ``shape`` under ``name``.  Its words
+        can be written, and read once written."""
+        self.memory[name] = np.zeros(shape, dtype=np.float64)
+        self._written[name] = {}
+
+    def _view(self, block: Block, written_only: bool = True) -> np.ndarray:
+        """The slice of slow memory ``block`` covers, or ``AddressError``
+        if its name is unknown, it leaves its array, or (with
+        ``written_only``) it holds a word of a reserved array that was
+        never written."""
+        name = block.name
+        try:
+            view = self.memory[name][block.index]
+        except (KeyError, IndexError):
+            view = None
+        if view is None or view.shape != block.shape:
+            array = self.memory.get(name)
+            shape = None if array is None else array.shape
+            bad = next((a for a in block if shape is None or len(a) != len(shape) + 1
+                        or not all(map(operator.lt, a[1:], shape))), block)
+            raise AddressError(f"address {bad!r} lies in no loaded or reserved array")
+        if written_only:
+            written = self._written.get(name)
+            if written is not None and block.ranges not in written:
+                self._check_written(block, written)
+        return view
+
+    def _check_written(self, block: Block, written: dict) -> None:
+        """Exact per-word check that a reserved array's words in ``block``
+        were all written; forgets the array's blocks once all are."""
+        mask = np.zeros(self.memory[block.name].shape, dtype=bool)
+        for index in written.values():
+            mask[index] = True
+        if mask.all():
+            del self._written[block.name]
+            return
+        covered = mask[block.index].ravel()
+        if not covered.all():
+            bad = block[int(np.argmin(covered))]
+            raise AddressError(f"address {bad!r} was never written")
 
     # -- I/O -----------------------------------------------------------------
 
-    def read_block(self, addresses: Sequence[Address], shape: tuple = None) -> int:
-        """Copy a group of words into a single slot holding an array.
+    def read_block(self, block: Block, shape: tuple = None) -> int:
+        """Copy a block's words into a single slot holding an array.
 
         Counts one Read event per word.  ``shape`` defaults to a flat
         vector; a () shape yields a scalar slot.
         """
-        addresses = tuple(addresses)
-        try:
-            values = list(map(self.memory.__getitem__, addresses))
-        except KeyError as exc:
-            raise AddressError(f"address {exc.args[0]!r} was never initialized") from None
-        arr = np.array(values, dtype=np.float64)
-        if shape is not None:
-            arr = arr.reshape(shape)
-        n = len(values)
+        arr = self._view(block).copy().reshape(-1 if shape is None else shape)
+        n = arr.size
         self._claim(n)
-        self._moves.append((READ, addresses, values))
+        self._moves.append((READ, block, arr.tobytes()))
         self.reads += n
         handle = self._next_handle
         self._next_handle = handle + 1
         self._slots[handle] = arr
         return handle
 
-    def write_block(self, handle: int, addresses: Sequence[Address]) -> None:
+    def write_block(self, handle: int, block: Block) -> None:
         """Copy a slot's words to memory, one Write event per word."""
         arr = self._resident(handle)
-        addresses = tuple(addresses)
-        if len(addresses) != arr.size:
+        if block.size != arr.size:
             raise UsageError(
-                f"slot holds {arr.size} words but {len(addresses)} addresses given"
+                f"slot holds {arr.size} words but {block.size} addresses given"
             )
-        values = arr.ravel().tolist()
-        self.memory.update(zip(addresses, values))
-        self._moves.append((WRITE, addresses, values))
-        self.writes += len(values)
+        self._view(block, written_only=False)[...] = arr.reshape(block.shape)
+        self._moves.append((WRITE, block, arr.tobytes()))
+        self.writes += arr.size
+        written = self._written.get(block.name)
+        if written is not None:
+            written[block.ranges] = block.index
 
     def free(self, handle: int) -> None:
         """Vacate a slot.  No I/O is counted."""
@@ -315,13 +417,9 @@ class MemoryHierarchy:
         return self._resident(handle).copy()
 
     def fetch_matrix(self, name: str, shape: tuple[int, int]) -> np.ndarray:
-        """Gather a named matrix out of slow memory (no I/O accounting)."""
-        memory = self.memory
-        try:
-            values = [memory[a] for a in product((name,), range(shape[0]), range(shape[1]))]
-        except KeyError as exc:
-            raise AddressError(f"address {exc.args[0]!r} was never written") from None
-        return np.array(values, dtype=np.float64).reshape(shape)
+        """Copy the ``shape`` corner of a named array out of slow memory
+        (no I/O accounting)."""
+        return self._view(Block(name, *map(range, shape))).copy()
 
     @property
     def io(self) -> IoStats:

@@ -93,8 +93,9 @@ class PebblingDag:
         """Read one node per line: an object with a string ``id`` and
         ``kind`` and a list of string ``parents``.  ``level1`` may be
         omitted; when given it must agree with the kind.  Malformed content,
-        a repeated id or a cycle raises ``ConfigurationError`` naming the
-        file and line (for a cycle, the line of a vertex on it)."""
+        a repeated id, an unknown parent or a cycle raises
+        ``ConfigurationError`` naming the file and line (for a cycle, the
+        line of a vertex on it)."""
         nodes, lines = {}, {}
         with open(path) as fh:
             for lineno, line in enumerate(fh, 1):
@@ -121,6 +122,12 @@ class PebblingDag:
                 if rec.get("level1", level1) != level1:
                     raise ConfigurationError(
                         f"{path}, line {lineno}: level1 disagrees with kind {node.kind!r}")
+        for vid, node in nodes.items():
+            unknown = next((p for p in node.parents if p not in nodes), None)
+            if unknown is not None:
+                raise ConfigurationError(
+                    f"{path}, line {lines[vid]}: node {vid!r} references unknown parent "
+                    f"{unknown!r}")
         try:
             graphlib.TopologicalSorter({v: n.parents for v, n in nodes.items()}).prepare()
         except graphlib.CycleError as exc:

@@ -195,6 +195,7 @@ MALFORMED_DAG_LINES = {
     "line_not_object": [1, 2],
     "duplicate_id": {"id": "OUT[0,0]", "kind": pebbling.SCALE, "parents": []},
     "self_loop": {"id": "z", "kind": pebbling.EXP, "parents": ["z"]},
+    "unknown_parent": {"id": "z", "kind": pebbling.EXP, "parents": ["Q[0,0]", "zz"]},
 }
 MALFORMED_CALCULATIONS = {
     "vertex_list": [{"rule": "R1", "vertex": ["Q[0,0]"]}],

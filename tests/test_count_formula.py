@@ -1,0 +1,89 @@
+"""Closed-form read and write counts of both kernels, as an oracle
+independent of the simulator.
+
+Every kernel count depends on N, d and M alone.  Tiling has block side
+b = floor(sqrt(M/4)), R = ceil(N/b) row blocks and C = ceil(d/b)
+column blocks; s and w are 1 when ``stabilize`` or ``write_qkt`` is set:
+
+    reads  = 2RNd(1+s) + sN + N + C N^2 + RNd
+    writes = N^2 + N + Nd + sN + w N^2
+
+Each score-block pass reads all of Q and K^T once per row block
+(2RNd), the pre-pass repeats it (s), rmax and dvec are read back once
+(sN + N), and Phase 2 reads A once per column block (C N^2) and V once
+per row block (RNd).  Streaming with R resident rows reads Q once and
+K and V once per row block, and writes O once:
+
+    reads  = Nd + 2Nd ceil(N/R)
+    writes = Nd
+"""
+
+import math
+from itertools import product
+
+import pytest
+
+from attnio import errors
+from attnio.kernels import (
+    square_tiling_attention,
+    streaming_attention,
+    streaming_block_rows,
+    streaming_fits,
+)
+from attnio.matrices import random_instance
+from attnio.memory import MIN_CAPACITY, MemoryHierarchy
+
+
+def tiling_counts(n, d, m, stabilize=False, write_qkt=False):
+    b = math.isqrt(m // 4)
+    r, c = -(-n // b), -(-d // b)
+    s, w = int(stabilize), int(write_qkt)
+    reads = 2 * r * n * d * (1 + s) + s * n + n + c * n * n + r * n * d
+    writes = n * n + n + n * d + s * n + w * n * n
+    return reads, writes
+
+
+def streaming_counts(n, d, m):
+    r = streaming_block_rows(m, n, d)
+    return n * d + 2 * n * d * -(-n // r), n * d
+
+
+MODES = {
+    "tiling": (lambda h, inst: square_tiling_attention(h, inst),
+               lambda n, d, m: tiling_counts(n, d, m)),
+    "stabilize": (lambda h, inst: square_tiling_attention(h, inst, stabilize=True),
+                  lambda n, d, m: tiling_counts(n, d, m, stabilize=True)),
+    "write_qkt": (lambda h, inst: square_tiling_attention(h, inst, write_qkt=True),
+                  lambda n, d, m: tiling_counts(n, d, m, write_qkt=True)),
+    "streaming": (lambda h, inst: streaming_attention(h, inst), streaming_counts),
+}
+NS = (1, 3, 5, 16, 24, 33)
+DS = (1, 2, 3, 4, 8)
+MS = (4, 16, 20, 36, 64, 100, 256)
+
+
+def grid_points():
+    for n, d in product(NS, DS):
+        for m in sorted(set(MS) | {8 * d, d * d}):
+            if m >= MIN_CAPACITY:
+                yield n, d, m
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_kernel_counts_match_the_closed_form(mode):
+    run, formula = MODES[mode]
+    checked = 0
+    for n, d, m in grid_points():
+        if mode == "streaming" and not streaming_fits(m, d):
+            continue
+        h = MemoryHierarchy(m)
+        try:
+            run(h, random_instance(n, d, n * d + m))
+        except errors.RegimeError:
+            # only the stabilized pre-pass refuses a cache, below 3B^2 + 2B
+            b = math.isqrt(m // 4)
+            assert mode == "stabilize" and 3 * b * b + 2 * b > m
+            continue
+        assert (h.reads, h.writes) == formula(n, d, m), (mode, n, d, m)
+        checked += 1
+    assert checked >= 150

@@ -1,5 +1,6 @@
 """Attention kernels: oracle equivalence, exact I/O counts, regimes."""
 
+import hashlib
 import math
 import warnings
 from itertools import product
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from attnio import errors, experiments
+from attnio.cli import main
 from attnio.kernels import (
     dispatch_attention,
     matmul_via_attention,
@@ -18,7 +20,7 @@ from attnio.kernels import (
     streaming_fits,
 )
 from attnio.matrices import AttentionInstance, random_instance
-from attnio.memory import MemoryHierarchy, replay_trace
+from attnio.memory import MemoryHierarchy, export_trace_csv, replay_trace
 
 
 def rel_error(a, b):
@@ -226,7 +228,7 @@ def test_trace_replays_to_memory_and_output():
         result = kernel(h)
         assert all(type(v) is float for _, _, v in h.trace)
         written = {a for kind, a, _ in h.trace if kind == "W"}
-        assert replay_trace(h.trace) == {a: h.memory[a] for a in written}
+        assert replay_trace(h.trace) == {a: h.memory[a[0]][a[1:]].item() for a in written}
         assert np.array_equal(h.fetch_matrix("O", (inst.N, inst.d)), result.output)
 
 
@@ -242,7 +244,7 @@ def test_kernels_reject_used_hierarchy():
     with pytest.raises(errors.ConfigurationError):
         matmul_via_attention(h, inst.Q, inst.K)
     preloaded = MemoryHierarchy(64)
-    preloaded.initialize(("x",), 1.0)
+    preloaded.load("x", 1.0)
     with pytest.raises(errors.ConfigurationError):
         streaming_attention(preloaded, inst)
     holding = MemoryHierarchy(64)
@@ -363,3 +365,71 @@ def test_random_instance_rejects_what_numpy_cannot_draw():
         with pytest.raises(errors.ConfigurationError, match="magnitude"):
             random_instance(4, 2, 0, magnitude)
     assert np.abs(random_instance(4, 2, 0, 1e200).Q).max() <= 1e200
+
+
+# sha256 of export_trace_csv bytes, recorded before slow memory became
+# one array per name.  (3, 8, 16) and (5, 2, 16) clip their last blocks.
+TRACE_DIGESTS = {
+    ("tiling", 12, 4, 64): "5dfc3213e61ec80a51d7df6803a8e619e56035204b06c06441089bc1c048e458",
+    ("stabilize", 12, 4, 64): "c298eab5c9448c758f713149b531d23d9cf83e8b9b66a42f14c27e53908a945d",
+    ("write_qkt", 12, 4, 64): "bfbcf8b73ef01e81bd82a5e6758e7aae15500afef88bf3cafb0f2893d3b34b88",
+    ("streaming", 12, 4, 64): "84f248547da16189bb9ecc0eb949f71fd451a999d2cd663d867e78ffdeff7f5e",
+    ("matmul", 12, 4, 64): "bfbcf8b73ef01e81bd82a5e6758e7aae15500afef88bf3cafb0f2893d3b34b88",
+    ("tiling", 3, 8, 16): "bb0b0b053421949bd9f47c3862b22d19129b8332a0c9202cb907692c0b535616",
+    ("stabilize", 3, 8, 16): "42934064073b3d477621ebbdc96590e7c6638bd40e0cfce494e895ce74629bd2",
+    ("write_qkt", 3, 8, 16): "d8d49c03bfe215ce88e29d08989e87b8dfad23a2772b9125b2bf7257b2fa3b01",
+    ("matmul", 3, 8, 16): "d8d49c03bfe215ce88e29d08989e87b8dfad23a2772b9125b2bf7257b2fa3b01",
+    ("tiling", 5, 2, 16): "b021a06aa02c1b6102f32020d1f722834fcdfa86ab8ea1cc5747d55929af2d21",
+    ("stabilize", 5, 2, 16): "59027e6eb41bea87dc1978ca1870a70610cc6029a05700028d7cc991e6f578a3",
+    ("write_qkt", 5, 2, 16): "da3f74dac82dd593ab7f79cd97d3fd951b26a6e7397bfc74cdcf680b4580a12e",
+    ("streaming", 5, 2, 16): "b32a6276863779bb7b719abb5da6e2d88e0c7c0c45b916ee5935196cde5c1544",
+    ("matmul", 5, 2, 16): "da3f74dac82dd593ab7f79cd97d3fd951b26a6e7397bfc74cdcf680b4580a12e",
+}
+TRACE_RUNS = {
+    "tiling": lambda h, inst: square_tiling_attention(h, inst),
+    "stabilize": lambda h, inst: square_tiling_attention(h, inst, stabilize=True),
+    "write_qkt": lambda h, inst: square_tiling_attention(h, inst, write_qkt=True),
+    "streaming": lambda h, inst: streaming_attention(h, inst),
+    "matmul": lambda h, inst: matmul_via_attention(h, inst.Q, inst.K),
+}
+
+
+@pytest.mark.parametrize("mode, n, d, m", list(TRACE_DIGESTS))
+def test_trace_csv_bytes_pinned(tmp_path, mode, n, d, m):
+    h = MemoryHierarchy(m)
+    TRACE_RUNS[mode](h, random_instance(n, d, 0))
+    path = tmp_path / "trace.csv"
+    export_trace_csv(h.trace, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == TRACE_DIGESTS[mode, n, d, m]
+
+
+def test_cli_trace_file_bytes_pinned(tmp_path, capsys):
+    path = tmp_path / "trace.csv"
+    assert main(["attn", "run", "--N", "6", "--d", "2", "--M", "16", "--trace", str(path)]) == 0
+    assert "algorithm=streaming" in capsys.readouterr().out
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "deadfcd8325733fc4e2bda4afce53f2820ef9809153ed7eb67c048e19e8423dd")
+
+
+class _SlotCheckingHierarchy(MemoryHierarchy):
+    """Records the memory layout of every slot ``read_block`` fills."""
+
+    def __init__(self, capacity):
+        super().__init__(capacity)
+        self.layouts = []
+
+    def read_block(self, block, shape=None):
+        handle = super().read_block(block, shape)
+        self.layouts.append((block.name, self._slots[handle].flags.c_contiguous))
+        return handle
+
+
+@pytest.mark.parametrize("n, d, m", [(3, 8, 16), (5, 2, 16), (12, 4, 64)])
+def test_read_block_fills_c_contiguous_slots(n, d, m):
+    # K^T is an F-ordered view of K; a slot sliced from it without a
+    # C-order copy feeds matmul a different layout and can move output bits
+    h = _SlotCheckingHierarchy(m)
+    square_tiling_attention(h, random_instance(n, d, 0))
+    assert h.memory["KT"].flags.c_contiguous
+    assert {name for name, _ in h.layouts} == {"Q", "KT", "V", "A", "dvec"}
+    assert all(c_order for _, c_order in h.layouts)

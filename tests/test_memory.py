@@ -7,6 +7,7 @@ from attnio import errors
 from attnio.memory import (
     _OPS,
     SCAN_FLOOR,
+    Block,
     MemoryHierarchy,
     export_trace_csv,
     format_address,
@@ -17,10 +18,11 @@ from attnio.memory import (
 
 def test_read_write_counting():
     h = MemoryHierarchy(8)
-    h.initialize(("x", 0), 3.0)
-    s = h.read_block([("x", 0)], ())
+    h.load("x", [3.0])
+    h.reserve("y", (1,))
+    s = h.read_block(Block("x", range(1)), ())
     assert h.reads == 1 and h.writes == 0
-    h.write_block(s, [("y", 0)])
+    h.write_block(s, Block("y", range(1)))
     assert h.writes == 1
     assert h.io.total == 2
     assert [e[0] for e in h.trace] == ["R", "W"]
@@ -30,7 +32,7 @@ def test_load_and_block_io():
     h = MemoryHierarchy(16)
     h.load("A", np.arange(6.0).reshape(2, 3))
     assert h.reads == 0  # initialization is free
-    s = h.read_block([("A", i, j) for i in range(2) for j in range(3)], (2, 3))
+    s = h.read_block(Block("A", range(2), range(3)), (2, 3))
     assert h.reads == 6
     assert np.array_equal(h.value(s), np.arange(6.0).reshape(2, 3))
 
@@ -38,25 +40,25 @@ def test_load_and_block_io():
 def test_capacity_enforced_no_eviction():
     h = MemoryHierarchy(4)
     h.load("A", np.zeros((1, 4)))
-    h.read_block([("A", 0, j) for j in range(4)], (4,))
+    h.read_block(Block("A", range(1), range(4)), (4,))
     with pytest.raises(errors.CapacityError):
-        h.read_block([("A", 0, 0)], ())
+        h.read_block(Block("A", range(1), range(1)), ())
 
 
 def test_free_releases_capacity():
     h = MemoryHierarchy(4)
     h.load("A", np.zeros((1, 4)))
-    s = h.read_block([("A", 0, j) for j in range(4)], (4,))
+    s = h.read_block(Block("A", range(1), range(4)), (4,))
     h.free(s)
     assert h.words_used == 0
-    h.read_block([("A", 0, 0)], ())  # fits again
+    h.read_block(Block("A", range(1), range(1)), ())  # fits again
     with pytest.raises(errors.UsageError):
         h.free(s)
 
 
 SLOT_FAULTS = {
     "free": lambda h, live, gone: h.free(gone),
-    "write_block": lambda h, live, gone: h.write_block(gone, [("C", 0), ("C", 1)]),
+    "write_block": lambda h, live, gone: h.write_block(gone, Block("C", range(2))),
     "value": lambda h, live, gone: h.value(gone),
     "compute_operand": lambda h, live, gone: h.compute("neg", gone),
     "compute_out": lambda h, live, gone: h.compute("neg", live, out=gone),
@@ -68,26 +70,31 @@ def test_slot_fault_raises_residency_error_and_changes_nothing(fault):
     assert issubclass(errors.ResidencyError, errors.UsageError)
     h = MemoryHierarchy(8)
     h.load("A", np.ones((1, 2)))
-    live = h.read_block([("A", 0, 0), ("A", 0, 1)], (2,))
-    h.write_block(live, [("B", 0), ("B", 1)])
+    h.reserve("B", (2,))
+    live = h.read_block(Block("A", range(1), range(2)), (2,))
+    h.write_block(live, Block("B", range(2)))
     gone = h.alloc((2,))
     h.free(gone)
-    before = (h.reads, h.writes, list(h.trace), h.words_used, dict(h.memory))
+
+    def memory():
+        return {name: array.tolist() for name, array in h.memory.items()}
+
+    before = (h.reads, h.writes, list(h.trace), h.words_used, memory())
     with pytest.raises(errors.ResidencyError, match=f"slot {gone} is not cache-resident"):
         SLOT_FAULTS[fault](h, live, gone)
-    assert (h.reads, h.writes, list(h.trace), h.words_used, h.memory) == before
+    assert (h.reads, h.writes, list(h.trace), h.words_used, memory()) == before
 
 
 def test_uninitialized_address_rejected():
     h = MemoryHierarchy(4)
     with pytest.raises(errors.AddressError):
-        h.read_block([("nope", 0)], ())
+        h.read_block(Block("nope", range(1)), ())
 
 
 def test_compute_no_io_and_fused_ops():
     h = MemoryHierarchy(32)
     h.load("A", np.ones((2, 2)))
-    a = h.read_block([("A", i, j) for i in range(2) for j in range(2)], (2, 2))
+    a = h.read_block(Block("A", range(2), range(2)), (2, 2))
     acc = h.alloc((2, 2))
     h.compute("addmm", acc, a, a, out=acc)
     assert h.io.total == 4  # computes are free
@@ -101,8 +108,8 @@ def test_minimum_capacity():
 
 def test_overflow_flag():
     h = MemoryHierarchy(8)
-    h.initialize(("x",), 1e308)
-    s = h.read_block([("x",)], ())
+    h.load("x", 1e308)
+    s = h.read_block(Block("x"), ())
     assert not h.overflow
     with pytest.warns(RuntimeWarning, match="overflow"):
         h.compute("exp", s)
@@ -177,7 +184,7 @@ def test_refused_compute_leaves_overflow_unset(m, use_out, error):
     # exp(1e308) is +inf, but no slot ever holds it
     h = MemoryHierarchy(m)
     h.load("x", np.full((1, 2), 1e308))
-    s = h.read_block([("x", 0, 0), ("x", 0, 1)], (2,))
+    s = h.read_block(Block("x", range(1), range(2)), (2,))
     t = h.alloc((3,) if use_out else (2,))
     before = (h.reads, h.writes, list(h.trace), h.words_used)
     with pytest.raises(error), pytest.warns(RuntimeWarning, match="overflow"):
@@ -249,10 +256,10 @@ def test_compute_on_empty_slot():
 def test_read_block_missing_address_leaves_no_trace():
     h = MemoryHierarchy(8)
     h.load("A", np.ones((1, 3)))
-    h.read_block([("A", 0, 0)], ())
+    h.read_block(Block("A", range(1), range(1)), ())
     before = (list(h.trace), h.reads, h.words_used)
     with pytest.raises(errors.AddressError, match=r"\('A', 0, 3\)"):
-        h.read_block([("A", 0, 1), ("A", 0, 3), ("A", 0, 2)], (3,))
+        h.read_block(Block("A", range(1), range(1, 4)), (3,))
     assert (h.trace, h.reads, h.words_used) == before
 
 
@@ -260,7 +267,7 @@ def test_read_block_bad_shape_leaves_no_claim():
     h = MemoryHierarchy(8)
     h.load("A", np.ones((1, 3)))
     with pytest.raises(ValueError):
-        h.read_block([("A", 0, 0), ("A", 0, 1), ("A", 0, 2)], (2, 2))
+        h.read_block(Block("A", range(1), range(3)), (2, 2))
     assert (h.words_used, h.reads, len(h.trace)) == (0, 0, 0)
 
 
@@ -276,13 +283,16 @@ def test_alloc_negative_shape_claims_nothing():
 def test_trace_stored_per_move_reads_per_word():
     h = MemoryHierarchy(16)
     h.load("A", np.arange(6.0).reshape(2, 3))
-    h.initialize(("z",), np.float32(1.5))
-    h.initialize(("i",), 2)
-    a = h.read_block([("A", i, j) for i in range(2) for j in range(3)], (2, 3))
-    h.write_block(a, [("B", k) for k in range(6)])
-    s = h.read_block([("A", 1, 2)], ())
-    h.write_block(s, [("y",)])
-    h.read_block((("B", 4), ("z",), ("i",)), (3,))
+    h.load("z", np.float32(1.5))
+    h.load("i", 2)
+    h.reserve("B", (6,))
+    h.reserve("y", ())
+    a = h.read_block(Block("A", range(2), range(3)), (2, 3))
+    h.write_block(a, Block("B", range(6)))
+    s = h.read_block(Block("A", range(1, 2), range(2, 3)), ())
+    h.write_block(s, Block("y"))
+    for block in (Block("B", range(4, 5)), Block("z"), Block("i")):
+        h.read_block(block, ())
     expected = ([("R", ("A", i, j), 3.0 * i + j) for i in range(2) for j in range(3)]
                 + [("W", ("B", k), float(k)) for k in range(6)]
                 + [("R", ("A", 1, 2), 5.0), ("W", ("y",), 5.0)]
@@ -303,17 +313,18 @@ def test_trace_stored_per_move_reads_per_word():
 def test_failed_block_moves_add_no_move():
     h = MemoryHierarchy(8)
     h.load("A", np.ones((1, 3)))
-    s = h.read_block([("A", 0, 0), ("A", 0, 1)], (2,))
+    h.reserve("B", (2,))
+    s = h.read_block(Block("A", range(1), range(2)), (2,))
     before = list(h.trace)
     with pytest.raises(errors.AddressError):
-        h.read_block([("A", 0, 2), ("nope",)], (2,))
+        h.read_block(Block("A", range(1), range(2, 4)), (2,))
     with pytest.raises(ValueError):
-        h.read_block([("A", 0, 2)] * 3, (2, 2))
+        h.read_block(Block("A", range(1), range(3)), (2, 2))
     with pytest.raises(errors.UsageError):
-        h.write_block(s, [("B", 0)])
+        h.write_block(s, Block("B", range(1)))
     assert h.trace == before
     assert (h.reads, h.writes, h.words_used) == (2, 0, 2)
-    h.write_block(s, [("B", 0), ("B", 1)])
+    h.write_block(s, Block("B", range(2)))
     assert list(h.trace) == before + [("W", ("B", 0), 1.0), ("W", ("B", 1), 1.0)]
     assert h.trace[2] == ("W", ("B", 0), 1.0)
 
@@ -329,17 +340,19 @@ def test_split_into_epochs():
 
 def test_replay_trace_rebuilds_memory():
     h = MemoryHierarchy(8)
-    h.initialize(("x",), 2.0)
-    s = h.read_block([("x",)], ())
-    h.write_block(s, [("y",)])
+    h.load("x", 2.0)
+    h.reserve("y", ())
+    s = h.read_block(Block("x"), ())
+    h.write_block(s, Block("y"))
     assert replay_trace(h.trace) == {("y",): 2.0}
 
 
 def test_trace_csv(tmp_path):
     h = MemoryHierarchy(8)
-    h.initialize(("x", 1, 2), 5.0)
-    s = h.read_block([("x", 1, 2)], ())
-    h.write_block(s, [("y", 0)])
+    h.load("x", np.full((2, 3), 5.0))
+    h.reserve("y", (1,))
+    s = h.read_block(Block("x", range(1, 2), range(2, 3)), ())
+    h.write_block(s, Block("y", range(1)))
     path = tmp_path / "trace.csv"
     export_trace_csv(h.trace, path)
     lines = path.read_text().splitlines()
@@ -351,3 +364,105 @@ def test_trace_csv(tmp_path):
 def test_format_address():
     assert format_address(("Q", 3, 4)) == "Q[3,4]"
     assert format_address("plain") == "plain"
+
+
+def test_block_is_the_sequence_of_its_addresses():
+    block = Block("Q", range(1, 3), range(2, 5))
+    expected = [("Q", i, j) for i in range(1, 3) for j in range(2, 5)]
+    assert list(block) == expected and len(block) == block.size == 6
+    assert block.shape == (2, 3)
+    assert [block[k] for k in range(6)] == expected
+    assert [block[k] for k in range(-6, 0)] == expected
+    for k in (6, -7):
+        with pytest.raises(IndexError):
+            block[k]
+    assert ("Q", 2, 4) in block and ("Q", 0, 2) not in block
+    assert list(Block("dvec", range(3))) == [("dvec", 0), ("dvec", 1), ("dvec", 2)]
+    assert list(Block("z")) == [("z",)] and Block("z").shape == ()
+    assert len(Block("A", range(2), range(0))) == 0
+    assert repr(Block("A", range(2), range(1, 3))) == "Block('A', range(0, 2), range(1, 3))"
+    for bad in (range(0, 4, 2), range(-1, 2), range(3, 1), (0, 1), 3):
+        with pytest.raises(errors.AddressError):
+            Block("A", bad)
+
+
+def test_load_keeps_a_c_order_copy_in_the_arrays_own_shape():
+    h = MemoryHierarchy(16)
+    k = np.arange(6.0).reshape(2, 3)
+    h.load("KT", k.T)
+    h.load("v", [1, 2])
+    h.load("s", np.float32(1.5))
+    assert h.memory["KT"].flags.c_contiguous and h.memory["KT"].shape == (3, 2)
+    assert h.memory["v"].shape == (2,) and h.memory["s"].shape == ()
+    assert all(a.dtype == np.float64 for a in h.memory.values())
+    k[0, 0] = 99.0  # a copy: the caller's array may change afterwards
+    s = h.read_block(Block("KT", range(3), range(1)), (3,))
+    assert h.value(s).tolist() == [0.0, 1.0, 2.0] and h._slots[s].flags.c_contiguous
+    assert h.reads == 3
+
+
+def test_reserved_words_are_readable_only_once_written():
+    h = MemoryHierarchy(16)
+    h.load("A", np.arange(4.0).reshape(2, 2))
+    h.reserve("O", (2, 2))
+    assert h.reads == h.writes == 0 and not h.trace
+    top = h.read_block(Block("A", range(1), range(2)), (1, 2))
+    h.write_block(top, Block("O", range(1), range(2)))
+    before = (list(h.trace), h.reads, h.writes, h.words_used)
+    for block in (Block("O", range(2), range(2)), Block("O", range(1, 2), range(1))):
+        with pytest.raises(errors.AddressError, match=r"\('O', 1, 0\) was never written"):
+            h.read_block(block, block.shape)
+    with pytest.raises(errors.AddressError, match=r"\('O', 1, 0\) was never written"):
+        h.fetch_matrix("O", (2, 2))
+    assert (list(h.trace), h.reads, h.writes, h.words_used) == before
+    # a block read back as written, or any block inside written ones, reads
+    assert h.value(h.read_block(Block("O", range(1), range(2)), (2,))).tolist() == [0.0, 1.0]
+    assert h.value(h.read_block(Block("O", range(1), range(1, 2)), ())) == 1.0
+    h.write_block(h.read_block(Block("A", range(1, 2), range(2)), (2,)),
+                  Block("O", range(1, 2), range(2)))
+    assert np.array_equal(h.fetch_matrix("O", (2, 2)), np.arange(4.0).reshape(2, 2))
+    assert h.reads == 7 and h.writes == 4
+
+
+def test_reading_back_a_written_block_skips_the_word_check(monkeypatch):
+    h = MemoryHierarchy(16)
+    h.load("A", np.ones((2, 2)))
+    h.reserve("O", (2, 2))
+    for i in range(2):
+        block = Block("O", range(i, i + 1), range(2))
+        h.write_block(h.read_block(Block("A", range(i, i + 1), range(2)), (2,)), block)
+
+    def refuse(*args):
+        raise AssertionError("per-word check on an exact read-back")
+
+    monkeypatch.setattr(h, "_check_written", refuse)
+    for i in range(2):
+        h.read_block(Block("O", range(i, i + 1), range(2)), (2,))
+
+
+def test_moves_outside_loaded_or_reserved_arrays_change_nothing():
+    h = MemoryHierarchy(16)
+    h.load("A", np.ones((2, 3)))
+    h.reserve("O", (2,))
+    s = h.read_block(Block("A", range(1), range(2)), (2,))
+    before = (list(h.trace), h.reads, h.writes, h.words_used, h.memory["O"].tolist())
+    for block in (Block("nope", range(2)), Block("A", range(2, 3), range(2)),
+                  Block("A", range(1), range(2, 4)), Block("A", range(2)),
+                  Block("A", range(1), range(1), range(2))):
+        with pytest.raises(errors.AddressError):
+            h.read_block(block)
+    for block in (Block("B", range(2)), Block("O", range(1, 3)), Block("O", range(1), range(2))):
+        with pytest.raises(errors.AddressError):
+            h.write_block(s, block)
+    assert (list(h.trace), h.reads, h.writes, h.words_used, h.memory["O"].tolist()) == before
+
+
+def test_trace_index_expands_one_move(monkeypatch):
+    h = MemoryHierarchy(16)
+    h.load("A", np.arange(6.0).reshape(2, 3))
+    h.read_block(Block("A", range(2), range(3)))
+    h.read_block(Block("A", range(1, 2), range(1, 3)))
+    rows = list(h.trace)
+    monkeypatch.setattr(type(h.trace), "__iter__", lambda self: iter(()))
+    assert [h.trace[t] for t in range(8)] == rows
+    assert h.trace[-1] == ("R", ("A", 1, 2), 5.0) and h.trace[6] == ("R", ("A", 1, 1), 4.0)
