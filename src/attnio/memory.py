@@ -184,6 +184,17 @@ class Trace(Sequence):
                 index -= block.size
         raise IndexError("trace index out of range")
 
+    def address_labels(self):
+        """Per move, its kind and the list of its word addresses as
+        ``format_address`` writes them.  Kernels move the same blocks
+        again and again, so each distinct block is formatted once."""
+        labels = {}
+        for kind, block, _ in self._moves:
+            key = block.name, block.ranges
+            if key not in labels:
+                labels[key] = list(map(format_address, block))
+            yield kind, labels[key]
+
     def __eq__(self, other):
         if not isinstance(other, (Trace, list)):
             return NotImplemented
@@ -450,16 +461,21 @@ def replay_trace(trace: Iterable[tuple]) -> dict[Address, float]:
 
 
 def format_address(address: Address) -> str:
-    if isinstance(address, tuple) and len(address) >= 2:
+    """``name[i,j,...]`` for an address (name, i, j, ...), ``name`` for
+    the address (name,) of a shape-() array, ``str`` of anything else."""
+    if isinstance(address, tuple) and address:
         name, *idx = address
-        return f"{name}[{','.join(str(i) for i in idx)}]"
+        return f"{name}[{','.join(map(str, idx))}]" if idx else str(name)
     return str(address)
 
 
-def export_trace_csv(trace: Sequence[tuple], path) -> None:
-    """Write the trace as CSV rows (tick, kind, address).  Deterministic."""
+def export_trace_csv(trace: Trace, path) -> None:
+    """Write the trace as CSV rows (tick, kind, address), each address as
+    ``format_address`` writes it.  Deterministic."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["tick", "kind", "address"])
-        for tick, (kind, address, _value) in enumerate(trace):
-            writer.writerow([tick, kind, format_address(address)])
+        tick = 0
+        for kind, labels in trace.address_labels():
+            writer.writerows(zip(range(tick, tick + len(labels)), repeat(kind), labels))
+            tick += len(labels)

@@ -583,11 +583,18 @@ def brute_force_min_io(dag: PebblingDag, m: int,
     queue and unit-cost moves to the back, so configurations leave the
     queue in order of cost and the first goal popped is the minimum.
 
+    Blue pebbles are never removed, and the goal is any configuration
+    whose blue set holds every output.  Neither changes the minimum: no
+    rule needs a blue pebble to be absent and M bounds only the red
+    ones, so keeping a blue pebble leaves every move of a calculation
+    possible (an R2 onto a blue vertex is a skipped no-op); and from
+    such a goal, free R4 moves reach the exact terminal configuration.
+
     R3 needs every parent and the vertex itself red at once, so no
     complete calculation exists when M < max in-degree + 1; such an M is
     rejected up front with ``ConfigurationError``.  ``cap`` bounds the
-    configurations of an n-vertex graph, 4^n (one red and one blue bit
-    per vertex)."""
+    configurations of an n-vertex graph, counted as all 4^n (one red
+    and one blue bit per vertex) though the search visits far fewer."""
     need = 1 + max((len(node.parents) for node in dag.nodes.values()), default=0)
     if m < need:
         raise ConfigurationError(
@@ -611,7 +618,7 @@ def brute_force_min_io(dag: PebblingDag, m: int,
     queue = deque([(0, start)])
     while queue:
         cost, state = queue.popleft()
-        if state == goal:
+        if state & goal == goal:
             return cost
         if cost > dist[state]:
             continue
@@ -637,11 +644,6 @@ def brute_force_min_io(dag: PebblingDag, m: int,
                     queue.append((step, nxt))
                 if computable and red & parents == parents and dist.get(nxt, step) > cost:
                     dist[nxt] = cost                                 # R3
-                    queue.appendleft((cost, nxt))
-            if state & bbit:
-                nxt = state & ~bbit                                  # R4 blue
-                if dist.get(nxt, step) > cost:
-                    dist[nxt] = cost
                     queue.appendleft((cost, nxt))
         # fall through: unreachable goal would exhaust the queue
     raise RuntimeError("no complete calculation found (malformed DAG?)")

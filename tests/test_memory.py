@@ -1,5 +1,7 @@
 """Memory-hierarchy simulator: counting, capacity, overflow, epochs."""
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -361,8 +363,28 @@ def test_trace_csv(tmp_path):
     assert lines[2] == "1,W,y[0]"
 
 
+def test_trace_csv_rows_are_format_address_of_each_word(tmp_path):
+    h = MemoryHierarchy(64)
+    h.load("s", 1.0)
+    h.load("x", np.arange(24.0).reshape(2, 3, 4))
+    h.load("v", np.arange(5.0))
+    cube, row = Block("x", range(2), range(1, 3), range(4)), Block("v", range(1, 4))
+    for block in (Block("s"), cube, row, cube, Block("x", range(1, 1), range(3), range(4))):
+        h.read_block(block)
+    path = tmp_path / "trace.csv"
+    export_trace_csv(h.trace, path)
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert len(rows) == 1 + 16 + 3 + 16
+    assert rows == [[str(tick), kind, format_address(address)]
+                    for tick, (kind, address, _) in enumerate(h.trace)]
+    assert rows[0] == ["0", "R", "s"]
+
+
 def test_format_address():
     assert format_address(("Q", 3, 4)) == "Q[3,4]"
+    assert format_address(("v", 7)) == "v[7]"
+    assert format_address(("x",)) == "x"
     assert format_address("plain") == "plain"
 
 

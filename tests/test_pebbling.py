@@ -12,6 +12,7 @@ import pytest
 
 from attnio import errors
 from attnio import pebbling as P
+from attnio.errors import ConfigurationError, check_enumeration
 from attnio.kernels import streaming_attention
 from attnio.matrices import random_instance
 from attnio.memory import MemoryHierarchy
@@ -381,11 +382,12 @@ def test_brute_force_lower_bounds_schedule():
     assert P.brute_force_min_io(dag, 8) <= res.io
 
 
-def random_dag(seed):
-    """2-7 vertices v0, v1, ..., each with at most two earlier parents."""
+def random_dag(seed, sizes=(2, 7)):
+    """v0, v1, ... (2-7 vertices, or as many as ``sizes`` allows), each
+    with at most two earlier parents."""
     rng = random.Random(seed)
     nodes = {}
-    for i in range(rng.randint(2, 7)):
+    for i in range(rng.randint(*sizes)):
         parents = tuple(f"v{j}" for j in sorted(rng.sample(range(i), rng.randint(0, min(i, 2)))))
         nodes[f"v{i}"] = P.Node(P.SCALE if parents else P.INPUT, parents)
     return P.PebblingDag(nodes)
@@ -430,6 +432,99 @@ def test_brute_force_pinned_on_random_dags():
 def test_brute_force_pinned_on_attention_dag():
     dag = P.build_attention_dag(1, 1)
     assert [P.brute_force_min_io(dag, m) for m in range(3, 7)] == [4, 4, 4, 4]
+
+
+def max_in_degree(dag):
+    return max((len(node.parents) for node in dag.nodes.values()), default=0)
+
+
+def _reference_min_io(dag: P.PebblingDag, m: int,
+                      cap: int = P.CONFIGURATION_ENUMERATION_CAP) -> int:
+    """Exact Q(G, M) by a 0-1 BFS over every red x blue configuration,
+    blue deletions included, to the exact terminal configuration: the
+    reference for ``brute_force_min_io``, which searches only monotone
+    blue sets and stops at any that holds every output."""
+    need = 1 + max((len(node.parents) for node in dag.nodes.values()), default=0)
+    if m < need:
+        raise ConfigurationError(
+            f"M = {m} < max in-degree + 1 = {need}: no complete calculation exists")
+    n = len(dag.nodes)
+    check_enumeration(4 ** n, cap, "configurations")
+
+    order = sorted(dag.nodes)
+    idx = {v: i for i, v in enumerate(order)}
+    # per vertex: (red bit, blue bit, parent mask, computable by R3)
+    vertices = []
+    for i, v in enumerate(order):
+        node = dag.nodes[v]
+        parents = sum(1 << idx[p] for p in set(node.parents))
+        vertices.append((1 << i, 1 << (i + n), parents, bool(node.parents)))
+    reds = (1 << n) - 1
+    start = sum(1 << (idx[v] + n) for v in dag.inputs)
+    goal = sum(1 << (idx[v] + n) for v in dag.outputs)
+
+    dist = {start: 0}
+    queue = deque([(0, start)])
+    while queue:
+        cost, state = queue.popleft()
+        if state == goal:
+            return cost
+        if cost > dist[state]:
+            continue
+        red = state & reds
+        can_add_red = red.bit_count() < m
+        # Every queued configuration costs at most cost + 1, so a unit
+        # move only ever reaches a configuration not yet seen.
+        step = cost + 1
+        for rbit, bbit, parents, computable in vertices:
+            if red & rbit:
+                nxt = state | bbit
+                if not state & bbit and nxt not in dist:
+                    dist[nxt] = step                                 # R2
+                    queue.append((step, nxt))
+                nxt = state & ~rbit                                  # R4 red
+                if dist.get(nxt, step) > cost:
+                    dist[nxt] = cost
+                    queue.appendleft((cost, nxt))
+            elif can_add_red:
+                nxt = state | rbit
+                if state & bbit and nxt not in dist:
+                    dist[nxt] = step                                 # R1
+                    queue.append((step, nxt))
+                if computable and red & parents == parents and dist.get(nxt, step) > cost:
+                    dist[nxt] = cost                                 # R3
+                    queue.appendleft((cost, nxt))
+            if state & bbit:
+                nxt = state & ~bbit                                  # R4 blue
+                if dist.get(nxt, step) > cost:
+                    dist[nxt] = cost
+                    queue.appendleft((cost, nxt))
+        # fall through: unreachable goal would exhaust the queue
+    raise RuntimeError("no complete calculation found (malformed DAG?)")
+
+
+def test_brute_force_matches_reference_search():
+    for seed in range(300):
+        dag = random_dag(seed)
+        for m in (max_in_degree(dag) + 1, max_in_degree(dag) + 2):
+            assert P.brute_force_min_io(dag, m) == _reference_min_io(dag, m), (seed, m)
+
+
+# random_dag(seed, (9, 11)) -> minimum I/O at M = max in-degree + 1 and + 2,
+# recorded with _reference_min_io
+LARGE_BRUTE_FORCE_PINS = {
+    0: (7, 7), 1: (6, 6), 2: (6, 5), 3: (3, 3), 4: (6, 6), 5: (8, 8), 6: (7, 7),
+    7: (6, 6), 8: (5, 4), 9: (8, 5), 10: (6, 6), 11: (8, 8), 12: (4, 4), 13: (6, 5),
+    14: (5, 5), 15: (3, 3), 16: (6, 6), 17: (7, 7), 18: (7, 7), 19: (6, 6),
+}
+
+
+def test_brute_force_pinned_on_larger_random_dags():
+    for seed, pins in LARGE_BRUTE_FORCE_PINS.items():
+        dag = random_dag(seed, (9, 11))
+        assert 9 <= len(dag.nodes) <= 11
+        got = tuple(P.brute_force_min_io(dag, max_in_degree(dag) + k) for k in (1, 2))
+        assert got == pins, seed
 
 
 # -- M-partitions ---------------------------------------------------------------
