@@ -156,8 +156,7 @@ def square_tiling_attention(
             qb = read_block(qblk, qblk.shape)
             kb = read_block(kblk, kblk.shape)
             compute("addmm", a, qb, kb, out=a)
-            free(qb)
-            free(kb)
+            free(qb, kb)
         return a
 
     def complete(a, ri, rj):
@@ -174,9 +173,7 @@ def square_tiling_attention(
             for j, rj in enumerate(rows):
                 a = score_block(i, j)
                 complete(a, ri, rj)
-                t = compute("rowmax", a)
-                compute("maximum", mrow, t, out=mrow)
-                free(t)
+                compute("max_rowmax", mrow, a, out=mrow)
                 free(a)
             write_block(mrow, Block("rmax", ri))
             free(mrow)
@@ -195,9 +192,7 @@ def square_tiling_attention(
                 complete(a, ri, rj)
             compute("exp", a, out=a)
             write_block(a, a_blocks[i][j])
-            t = compute("rowsum", a)
-            compute("add", dvec, t, out=dvec)
-            free(t)
+            compute("add_rowsum", dvec, a, out=dvec)
             free(a)
         write_block(dvec, Block("dvec", ri))
         free(dvec)
@@ -214,8 +209,7 @@ def square_tiling_attention(
                 ab = read_block(ablk, ablk.shape)
                 vb = read_block(vblk, vblk.shape)
                 compute("scaled_addmm", o, dvec, ab, vb, out=o)
-                free(ab)
-                free(vb)
+                free(ab, vb)
             write_block(o, Block("O", ri, cj))
             free(o)
         free(dvec)
@@ -298,14 +292,12 @@ def streaming_attention(h: MemoryHierarchy, inst: AttentionInstance) -> KernelRe
             free(alpha)
             vrow = read_block(vblk, row_shape)
             compute("add_outer", o, s, vrow, out=o)
-            free(vrow)
-            free(s)
+            free(vrow, s)
             completions.append((h.reads + h.writes, r))
         compute("inv", lsum, out=lsum)
         compute("rowscale", o, lsum, out=o)
         write_block(o, Block("O", rows, cols))
-        for slot in (q, o, lsum, mrun):
-            free(slot)
+        free(q, o, lsum, mrun)
 
     return _finish(h, h.fetch_matrix("O", (n, d)), "streaming", completions)
 

@@ -26,10 +26,17 @@ most M ticks each, the epochs of the lower-bound simulation argument.
 kernels do that once per run.  Either way the hierarchy's ``overflow``
 flag records any NaN or +inf result stored in a slot; a result refused
 by the capacity or ``out`` check is never seen.  The check is deferred:
-results are scanned with one reduction per max(``capacity``, 1024)
-words of them, and whatever is still pending is scanned when
-``overflow`` is read, so every read is exact.  That relies on no slot
-array ever being mutated after ``compute`` returns.
+results are scanned with one reduction once per 256 stored non-empty
+results, and whatever is still pending is scanned when ``overflow`` is
+read, so every read is exact.  That relies on no slot array ever being
+mutated after ``compute`` returns.
+
+Row reductions come fused with the step that consumes them:
+``add_rowsum`` (acc + row sums) and ``max_rowmax`` (the elementwise
+maximum of acc and the row maxima) take the place of separate
+``rowsum`` and ``rowmax`` ops, so no row vector is stored between the
+two steps.  ``free`` takes any number of handles and vacates them in
+order.  ``peak_words`` is the highest ``words_used`` so far.
 """
 
 from __future__ import annotations
@@ -60,10 +67,12 @@ WRITE = "W"
 # Algorithm-level kernels need a cache of at least 4 words (block size 1).
 MIN_CAPACITY = 4
 
-# Fewest pending result words that trigger an overflow scan.  A scan
-# costs a concatenate and a max whatever its size, so at small
-# capacities one per cache-full would run after every few results.
-SCAN_FLOOR = 1024
+# Stored non-empty results per overflow scan.  A scan costs a
+# concatenate and a max whatever its size, so counting results rather
+# than their words keeps ``compute`` to one append and one compare.
+# Until their scan, up to this many results stay alive even once their
+# slots are freed or replaced: at most SCAN_RESULTS * capacity words.
+SCAN_RESULTS = 256
 
 
 @dataclass(frozen=True)
@@ -77,9 +86,13 @@ class IoStats:
 
 
 # Elementwise and fused cache primitives, each with its operand count.
-# Fused ops (exp_sub, mul_add, addmm, add_outer, scaled_addmm) apply
-# their steps in one call and in the same order as the separate ops,
-# so results are bit-identical and need no extra cache words.
+# Fused ops (exp_sub, mul_add, addmm, add_outer, scaled_addmm,
+# add_rowsum, max_rowmax) apply their steps in one call and in the same
+# order as the separate ops, so results are bit-identical and need no
+# extra cache words.  ``overflow`` sees only the fused result: an
+# intermediate +inf that a negative scale in scaled_addmm turns into
+# -inf goes unflagged (the kernels' scale is a reciprocal row sum, never
+# negative).
 _OPS: dict[str, tuple[Callable, int]] = {
     "add": (np.add, 2),
     "sub": (np.subtract, 2),
@@ -90,8 +103,6 @@ _OPS: dict[str, tuple[Callable, int]] = {
     "inv": (np.reciprocal, 1),
     "maximum": (np.maximum, 2),
     "matmul": (np.matmul, 2),
-    "rowsum": (lambda a: np.sum(a, axis=-1), 1),
-    "rowmax": (lambda a: np.max(a, axis=-1), 1),
     "rowscale": (lambda a, w: a * w[..., None], 2),
     "subrow": (lambda a, w: a - w[..., None], 2),
     "exp_sub": (lambda a, b: np.exp(a - b), 2),
@@ -99,6 +110,8 @@ _OPS: dict[str, tuple[Callable, int]] = {
     "addmm": (lambda acc, a, b: acc + a @ b, 3),
     "add_outer": (lambda acc, u, v: acc + u[:, None] * v[None, :], 3),
     "scaled_addmm": (lambda acc, w, a, b: acc + w[:, None] * (a @ b), 4),
+    "add_rowsum": (lambda acc, a: acc + np.add.reduce(a, axis=-1), 2),
+    "max_rowmax": (lambda acc, a: np.maximum(acc, np.maximum.reduce(a, axis=-1)), 2),
 }
 
 
@@ -228,15 +241,14 @@ class MemoryHierarchy:
         self.reads = 0
         self.writes = 0
         self._overflow = False
-        # Results not yet scanned for NaN or +inf, and their word count.
-        # Invariant: no slot array is mutated after ``compute`` returns
-        # (``out=`` replaces the slot's array, reads and allocs make
-        # fresh ones), so scanning a result late sees what it held.
+        # Results not yet scanned for NaN or +inf.  Invariant: no slot
+        # array is mutated after ``compute`` returns (``out=`` replaces
+        # the slot's array, reads and allocs make fresh ones), so
+        # scanning a result late sees what it held.
         self._pending: list[np.ndarray] = []
-        self._pending_words = 0
-        self._scan_words = max(capacity, SCAN_FLOOR)
         self._slots: dict[int, np.ndarray] = {}
         self._used = 0
+        self._peak = 0
         self._next_handle = 0
 
     # -- occupancy ---------------------------------------------------------
@@ -244,6 +256,11 @@ class MemoryHierarchy:
     @property
     def words_used(self) -> int:
         return self._used
+
+    @property
+    def peak_words(self) -> int:
+        """The highest ``words_used`` so far."""
+        return self._peak
 
     @property
     def overflow(self) -> bool:
@@ -257,14 +274,16 @@ class MemoryHierarchy:
         if not (np.concatenate(self._pending, axis=None).max() < np.inf):
             self._overflow = True
         self._pending.clear()
-        self._pending_words = 0
 
     def _claim(self, n: int) -> None:
-        if self._used + n > self.capacity:
+        used = self._used + n
+        if used > self.capacity:
             raise CapacityError(
                 f"cache full: {self._used} used + {n} requested > {self.capacity}"
             )
-        self._used += n
+        self._used = used
+        if used > self._peak:
+            self._peak = used
 
     def _resident(self, handle: int) -> np.ndarray:
         try:
@@ -330,7 +349,21 @@ class MemoryHierarchy:
         Counts one Read event per word.  ``shape`` defaults to a flat
         vector; a () shape yields a scalar slot.
         """
-        arr = self._view(block).copy().reshape(-1 if shape is None else shape)
+        name = block.name
+        try:
+            view = self.memory[name][block.index]
+        except (KeyError, IndexError):
+            view = None
+        if view is None or view.shape != block.shape:
+            self._view(block)  # raises the AddressError that names the address
+        written = self._written.get(name)
+        if written is not None and block.ranges not in written:
+            self._check_written(block, written)
+        # A C-order copy; a reshape to any other shape fails before the claim.
+        if shape == block.shape:
+            arr = view.copy()
+        else:
+            arr = view.copy().reshape(-1 if shape is None else shape)
         n = arr.size
         self._claim(n)
         self._moves.append((READ, block, arr.tobytes()))
@@ -354,12 +387,16 @@ class MemoryHierarchy:
         if written is not None:
             written[block.ranges] = block.index
 
-    def free(self, handle: int) -> None:
-        """Vacate a slot.  No I/O is counted."""
-        arr = self._slots.pop(handle, None)
-        if arr is None:
-            raise ResidencyError(f"slot {handle} is not cache-resident")
-        self._used -= arr.size
+    def free(self, *handles: int) -> None:
+        """Vacate slots, in order.  No I/O is counted.  A handle that is
+        not resident raises ``ResidencyError``; those before it stay
+        vacated."""
+        slots = self._slots
+        for handle in handles:
+            arr = slots.pop(handle, None)
+            if arr is None:
+                raise ResidencyError(f"slot {handle} is not cache-resident")
+            self._used -= arr.size
 
     # -- computation ---------------------------------------------------------
 
@@ -392,18 +429,31 @@ class MemoryHierarchy:
         if len(operands) != arity:
             raise UsageError(f"op {op!r} takes {arity} operands, got {len(operands)}")
         slots = self._slots
+        # Operands by arity: unpacking 1-3 handles straight into the call
+        # is cheaper than a generic map over them.
         try:
-            arrays = tuple(map(slots.__getitem__, operands))
-        except KeyError as exc:
-            raise ResidencyError(f"slot {exc.args[0]} is not cache-resident") from None
+            if arity == 2:
+                a, b = operands
+                result = fn(slots[a], slots[b])
+            elif arity == 3:
+                a, b, c = operands
+                result = fn(slots[a], slots[b], slots[c])
+            elif arity == 1:
+                result = fn(slots[operands[0]])
+            else:
+                result = fn(*[slots[x] for x in operands])
+        except KeyError:
+            # Operands are looked up left to right before the op runs.
+            missing = next((x for x in operands if x not in slots), None)
+            if missing is None:
+                raise
+            raise ResidencyError(f"slot {missing} is not cache-resident") from None
         # Slots hold float64 arrays, so every op yields float64; only a
         # numpy scalar (any op with a shape-() result) needs wrapping.
-        result = fn(*arrays)
         if type(result) is not np.ndarray:
             result = np.asarray(result, dtype=np.float64)
-        size = result.size
         if out is None:
-            self._claim(size)
+            self._claim(result.size)
             out = self._next_handle
             self._next_handle = out + 1
         else:
@@ -411,15 +461,15 @@ class MemoryHierarchy:
                 target = slots[out]
             except KeyError:
                 raise ResidencyError(f"slot {out} is not cache-resident") from None
-            if target.size != size:
-                raise UsageError("out slot size mismatch")
             if result.shape != target.shape:
+                if result.size != target.size:
+                    raise UsageError("out slot size mismatch")
                 result = result.reshape(target.shape)
         slots[out] = result
-        if size:
-            self._pending.append(result)
-            self._pending_words += size
-            if self._pending_words >= self._scan_words:
+        if result.size:
+            pending = self._pending
+            pending.append(result)
+            if len(pending) >= SCAN_RESULTS:
                 self._scan_pending()
         return out
 

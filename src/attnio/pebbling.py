@@ -61,9 +61,11 @@ class PebblingDag:
         children: dict[str, list[str]] = {v: [] for v in self.nodes}
         for v, node in self.nodes.items():
             for p in node.parents:
-                if p not in self.nodes:
-                    raise ConfigurationError(f"node {v!r} references unknown parent {p!r}")
-                children[p].append(v)
+                try:
+                    children[p].append(v)
+                except KeyError:
+                    raise ConfigurationError(
+                        f"node {v!r} references unknown parent {p!r}") from None
         self.children = children
         self.inputs = frozenset(v for v, n in self.nodes.items() if not n.parents)
         self.outputs = frozenset(v for v in self.nodes if not children[v])

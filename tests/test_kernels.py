@@ -171,6 +171,26 @@ def test_tiling_peak_matches_cache_model():
         assert h.peak == (1 + stabilize) * bn + bn * bn + 2 * bn * bd, (n, d, m, stabilize)
 
 
+def test_peak_words_matches_peak_hierarchy():
+    # the hierarchy's own peak over the grids of the two peak tests above;
+    # every kernel also frees all it holds
+    def check(h):
+        assert h.peak_words == h.peak <= h.capacity and h.words_used == 0
+
+    for n, d, m in product((5, 16, 33), (1, 2, 4, 8), (16, 64, 100, 256, 512)):
+        if streaming_fits(m, d):
+            h = PeakHierarchy(m)
+            streaming_attention(h, random_instance(n, d, n + d))
+            check(h)
+    for n, d, m, stabilize in product((1, 3, 5, 17), (1, 2, 4, 8, 16),
+                                      (4, 8, 16, 32, 64, 128, 256, 1024), (False, True)):
+        b = math.isqrt(m // 4)
+        if not (stabilize and 3 * b * b + 2 * b > m):
+            h = PeakHierarchy(m)
+            square_tiling_attention(h, random_instance(n, d, n + d), stabilize=stabilize)
+            check(h)
+
+
 def test_streaming_io_halves_with_cache():
     inst = random_instance(32, 4, 9)
     io1 = streaming_attention(MemoryHierarchy(64), inst).io.total
@@ -401,6 +421,66 @@ def test_trace_csv_bytes_pinned(tmp_path, mode, n, d, m):
     path = tmp_path / "trace.csv"
     export_trace_csv(h.trace, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == TRACE_DIGESTS[mode, n, d, m]
+
+
+# (N, d, M) points of the value golden: B = 1 to 11, clipped last blocks,
+# streaming regime errors (M < 8d), stabilize's M < 3B^2 + 2B, and
+# dispatch on both sides of M = d^2.
+VALUE_POINTS = [
+    (1, 1, 4), (4, 2, 4), (5, 5, 4), (6, 1, 8), (7, 3, 9), (3, 8, 16), (5, 2, 16),
+    (8, 2, 16), (16, 2, 32), (6, 3, 36), (16, 4, 36), (11, 6, 48), (9, 4, 64),
+    (12, 4, 64), (12, 8, 64), (10, 2, 100), (17, 3, 128), (13, 4, 200), (8, 8, 256),
+    (20, 4, 512),
+]
+VALUE_RUNS = {**TRACE_RUNS, "dispatch": lambda h, inst: dispatch_attention(h, inst)}
+
+
+def value_digest(mode, magnitude):
+    """sha256 over each point's moves (kind, block, value bytes), output
+    bytes, counts, epochs, completions and overflow; a regime error
+    counts as its name."""
+    digest = hashlib.sha256()
+    for seed, (n, d, m) in enumerate(VALUE_POINTS):
+        h = MemoryHierarchy(m)
+        try:
+            result = VALUE_RUNS[mode](h, random_instance(n, d, seed, magnitude))
+        except errors.RegimeError:
+            digest.update(b"regime_error")
+            continue
+        for kind, block, raw in h._moves:
+            digest.update(f"{kind}{block!r}".encode())
+            digest.update(raw)
+        if isinstance(result, np.ndarray):  # matmul returns Q K^T alone
+            output, record = result, (h.io, h.overflow)
+        else:
+            output, record = result.output, (result.io, result.epochs,
+                                             result.entry_completions, result.overflow)
+        digest.update(output.tobytes())
+        digest.update(repr(record).encode())
+    return digest.hexdigest()
+
+
+# Recorded before the fused row reductions and the leaner compute, read
+# and free; magnitude 40 overflows the unstabilized tiling runs.
+VALUE_DIGESTS = {
+    ("tiling", 1.0): "42f7c9e837b6a58c039849486bbb241f57e08b198b8ccdbd87cf7a1616fb2a70",
+    ("tiling", 40.0): "c718092f6e1d508e697dd5836adfa7489f236b4e5e6d7d827b3fee897e38d9ba",
+    ("stabilize", 1.0): "7e1268efcbd85c27d46e00f135bb864fb9d5ed727803353f092b2b2309fd45c8",
+    ("stabilize", 40.0): "1d92084c08c2310af983c7d2fdc15ddf3dee6dac2c97567f2063948656307827",
+    ("write_qkt", 1.0): "66c46058857f297239d3f16168a3f2d6408c2404272685da978babac32d93a18",
+    ("write_qkt", 40.0): "ed44c66b6991c31d493d2fdaf81dd6deb550fe12181b764b0c4dd873e5998a94",
+    ("streaming", 1.0): "97ff2b550c111f3bf6148da78e945c9cce04ed472b72f37c61fec06ed03f7561",
+    ("streaming", 40.0): "b8aaea639e2cbcb24ffaad68aab64d0820eaff62ff105592f13f754de23a81da",
+    ("matmul", 1.0): "acfcfe3d6a78e8575e9f11d71d9939a06efc3da6d569615b0665fe760c8e35c6",
+    ("matmul", 40.0): "054c0dd2449bf38a1b7d7a0195dbbd3e7da5feaa353c524a07f3f530839a0a1e",
+    ("dispatch", 1.0): "383250da625c09bb0841384fcc2acacbc0113a8d7474c472f56d42d61819f1da",
+    ("dispatch", 40.0): "7a0c4dd4fc93f486305e185da50832b4bc616e62a12bf2f8efd4c14648006f4a",
+}
+
+
+@pytest.mark.parametrize("mode, magnitude", list(VALUE_DIGESTS))
+def test_kernel_values_pinned(mode, magnitude):
+    assert value_digest(mode, magnitude) == VALUE_DIGESTS[mode, magnitude]
 
 
 def test_cli_trace_file_bytes_pinned(tmp_path, capsys):

@@ -8,7 +8,7 @@ import pytest
 from attnio import errors
 from attnio.memory import (
     _OPS,
-    SCAN_FLOOR,
+    SCAN_RESULTS,
     Block,
     MemoryHierarchy,
     export_trace_csv,
@@ -56,6 +56,40 @@ def test_free_releases_capacity():
     h.read_block(Block("A", range(1), range(1)), ())  # fits again
     with pytest.raises(errors.UsageError):
         h.free(s)
+
+
+def test_free_takes_any_number_of_handles():
+    h = MemoryHierarchy(16)
+    a, b, c, d = (h.alloc((k,)) for k in (1, 2, 3, 4))
+    h.free()
+    assert h.words_used == 10
+    h.free(c, a)
+    assert h.words_used == 6 and set(h._slots) == {b, d}
+    # handles go in order: b is freed before the non-resident a is met
+    with pytest.raises(errors.ResidencyError, match=f"^slot {a} is not cache-resident$"):
+        h.free(b, a, d)
+    assert h.words_used == 4 and set(h._slots) == {d}
+    with pytest.raises(errors.ResidencyError, match=f"^slot {d} is not cache-resident$"):
+        h.free(d, d)
+    assert h.words_used == 0 and not h._slots
+
+
+def test_peak_words_is_the_highest_occupancy():
+    h = MemoryHierarchy(8)
+    assert h.peak_words == 0
+    a = h.alloc((3,))
+    b = h.compute("neg", a)
+    h.free(a)
+    assert (h.words_used, h.peak_words) == (3, 6)
+    h.load("x", np.ones(6))
+    with pytest.raises(errors.CapacityError):
+        h.read_block(Block("x", range(6)))
+    assert h.peak_words == 6  # a refused claim is no peak
+    h.free(b)
+    h.read_block(Block("x", range(6)))
+    assert (h.words_used, h.peak_words) == (6, 6)
+    h.alloc((2,))
+    assert h.peak_words == h.capacity == 8
 
 
 SLOT_FAULTS = {
@@ -165,9 +199,10 @@ def test_overflow_stays_set():
 
 
 @pytest.mark.parametrize("m", [4, 16])
-@pytest.mark.parametrize("further_words", [2, SCAN_FLOOR + 2])
+@pytest.mark.parametrize("further_words", [2, 2 * SCAN_RESULTS])
 def test_overflow_replaced_by_out_stays_flagged(m, further_words):
-    # the +inf result is gone from every slot long before a scan is due
+    # the +inf result is gone from every slot before the read; after
+    # SCAN_RESULTS further 2-word results a scan falls in between
     h = MemoryHierarchy(m)
     s = h.alloc((2,), fill=1e308)
     t = h.alloc((2,))
@@ -213,7 +248,7 @@ def test_every_op_leaves_a_float64_array_slot():
         "mul": [((3,), (3,))], "div": [((3,), (3,)), ((), ())],
         "neg": [((3,),), ((),)], "exp": [((3,),), ((),)], "inv": [((2, 3),), ((),)],
         "maximum": [((3,), (3,)), ((), ())], "matmul": [((2, 3), (3,)), ((3,), (3,))],
-        "rowsum": [((2, 3),), ((3,),)], "rowmax": [((2, 3),), ((3,),)],
+        "add_rowsum": [((2,), (2, 3)), ((), (3,))], "max_rowmax": [((2,), (2, 3)), ((), (3,))],
         "rowscale": [((2, 3), (2,))], "subrow": [((2, 3), (2,))],
         "exp_sub": [((3,), (3,)), ((), ())], "mul_add": [((2,), (2,), (2,))],
         "addmm": [((2, 2), (2, 3), (3, 2))], "add_outer": [((2, 3), (2,), (3,))],
@@ -236,6 +271,89 @@ def test_every_op_leaves_a_float64_array_slot():
                 assert got.tobytes() == expected.tobytes()
 
 
+# Each fused op: its operands' shapes, and the separate ops it fuses in
+# order.  An operand "x:col" or "x:row" is operand x as an (n, 1) or a
+# (1, n) slot, so plain broadcasting ops can stand in for x[:, None] and
+# x[None, :]; "t" is the previous step's result.
+FUSED_STEPS = {
+    "exp_sub": ({"a": (2, 3), "b": (2, 3)}, [("sub", "a", "b"), ("exp", "t")]),
+    "mul_add": ({"a": (3,), "w": (3,), "b": (3,)}, [("mul", "a", "w"), ("add", "t", "b")]),
+    "addmm": ({"acc": (2, 2), "a": (2, 9), "b": (9, 2)},
+              [("matmul", "a", "b"), ("add", "acc", "t")]),
+    "add_outer": ({"acc": (2, 3), "u": (2,), "v": (3,)},
+                  [("mul", "u:col", "v:row"), ("add", "acc", "t")]),
+    "scaled_addmm": ({"acc": (2, 2), "w": (2,), "a": (2, 9), "b": (9, 2)},
+                     [("matmul", "a", "b"), ("mul", "w:col", "t"), ("add", "acc", "t")]),
+    "add_rowsum": ({"acc": (3,), "a": (3, 17)}, [("rowsum", "a"), ("add", "acc", "t")]),
+    "max_rowmax": ({"acc": (3,), "a": (3, 17)}, [("rowmax", "a"), ("maximum", "acc", "t")]),
+}
+# The row reductions that add_rowsum and max_rowmax fuse, as the
+# separate ops they were.
+ROW_OPS = {"rowsum": (lambda a: np.sum(a, axis=-1), 1),
+           "rowmax": (lambda a: np.max(a, axis=-1), 1)}
+SPECIALS = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e308, -1e308]
+
+
+def _slots_of(h, arrays):
+    """One slot per named array, read from slow memory in its shape."""
+    slots = {}
+    for name, array in arrays.items():
+        h.load(name, array)
+        slots[name] = h.read_block(Block(name, *map(range, array.shape)), array.shape)
+    return slots
+
+
+def _run_fused(op, inputs):
+    h = MemoryHierarchy(256)
+    slots = _slots_of(h, inputs)
+    return h.value(h.compute(op, *(slots[name] for name in inputs))), h.overflow
+
+
+def _run_steps(steps, inputs):
+    h = MemoryHierarchy(256)
+    arrays = dict(inputs)
+    for name, array in inputs.items():
+        arrays[name + ":col"] = array.reshape(-1, 1)
+        arrays[name + ":row"] = array.reshape(1, -1)
+    slots = _slots_of(h, arrays)
+    for op, *operands in steps:
+        slots["t"] = h.compute(op, *(slots[name] for name in operands))
+    return h.value(slots["t"]), h.overflow
+
+
+def test_fused_ops_match_their_separate_steps(monkeypatch):
+    assert set(FUSED_STEPS) <= set(_OPS) and not set(ROW_OPS) & set(_OPS)
+    for name, entry in ROW_OPS.items():
+        monkeypatch.setitem(_OPS, name, entry)
+    rng = np.random.default_rng(19)
+    with np.errstate(all="ignore"):
+        for op, (shapes, steps) in FUSED_STEPS.items():
+            for trial in range(60):
+                # a third of the trials are all finite, so that rounding
+                # and summation order show in the result bytes
+                rate = (0.0, 0.05, 0.4)[trial % 3]
+                inputs = {}
+                for name, shape in shapes.items():
+                    values = rng.uniform(-3, 3, shape)
+                    special = rng.random(shape) < rate
+                    values[special] = rng.choice(SPECIALS, special.sum())
+                    inputs[name] = values
+                fused, fused_flag = _run_fused(op, inputs)
+                separate, separate_flag = _run_steps(steps, inputs)
+                assert fused.tobytes() == separate.tobytes(), (op, trial)
+                # overflow sees only stored results: a negative scale turns an
+                # unstored +inf into -inf, so scaled_addmm's flags agree for
+                # the kernels' scales alone, which are never negative
+                if op != "scaled_addmm" or not (inputs["w"] < 0).any():
+                    assert fused_flag == separate_flag, (op, trial)
+        hidden = {"acc": np.zeros((1, 1)), "w": np.array([-1.0]),
+                  "a": np.array([[1e308, 1e308]]), "b": np.array([[10.0], [10.0]])}
+        fused, fused_flag = _run_fused("scaled_addmm", hidden)
+        separate, separate_flag = _run_steps(FUSED_STEPS["scaled_addmm"][1], hidden)
+    assert fused.tolist() == separate.tolist() == [[-np.inf]]
+    assert separate_flag and not fused_flag
+
+
 def test_compute_checks_operand_count():
     h = MemoryHierarchy(8)
     a = h.alloc((2,), fill=1.0)
@@ -246,6 +364,17 @@ def test_compute_checks_operand_count():
             h.compute(op, *operands)
     assert h.words_used == 4 and not h.overflow
     assert h.value(a).tolist() == [1.0, 1.0] and h.value(b).tolist() == [2.0, 2.0]
+
+
+def test_compute_keeps_an_ops_own_key_error(monkeypatch):
+    # only a lookup of a non-resident operand is a ResidencyError
+    monkeypatch.setitem(_OPS, "lookup", (lambda a: {}["k"], 1))
+    h = MemoryHierarchy(8)
+    with pytest.raises(KeyError) as info:
+        h.compute("lookup", h.alloc((2,)))
+    assert info.type is KeyError and info.value.args == ("k",)
+    with pytest.raises(errors.ResidencyError, match="slot 7 is not cache-resident"):
+        h.compute("lookup", 7)
 
 
 def test_compute_on_empty_slot():

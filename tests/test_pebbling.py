@@ -120,6 +120,17 @@ def test_dag_acyclic():
     assert seen == len(dag)
 
 
+def test_dag_rejects_unknown_parent():
+    nodes = {"a": P.Node(P.INPUT, ()), "b": P.Node(P.EXP, ("a",)),
+             "c": P.Node(P.SCALE, ("b", "zz"))}
+    with pytest.raises(errors.ConfigurationError,
+                       match=r"^node 'c' references unknown parent 'zz'$") as info:
+        P.PebblingDag(nodes)
+    assert info.value.__cause__ is None and info.value.__suppress_context__
+    dag = P.PebblingDag({v: nodes[v] for v in "ab"})
+    assert dag.children == {"a": ["b"], "b": []}
+
+
 # -- validator ------------------------------------------------------------------
 
 def test_validator_minimal_calculation():
