@@ -17,6 +17,7 @@ from attnio import (
     square_tiling_attention,
     streaming_attention,
 )
+from attnio.experiments import regime_terms
 
 N, D = 64, 8
 inst = random_instance(N, D, seed=0)
@@ -32,7 +33,7 @@ for m in (16, 36, 64, 144, 256):
     err = np.linalg.norm(res.output - reference) / np.linalg.norm(reference)
     assert err < 1e-9
     print(f"{m:>6} {res.io.reads:>8} {res.io.writes:>8} {res.io.total:>8} "
-          f"{N * N * D / np.sqrt(m):>14.0f}")
+          f"{regime_terms(N, D, m)[0]:>14.0f}")
 
 print("\nstreaming kernel (running-max accumulators, QK^T never stored):")
 print(f"{'M':>6} {'reads':>8} {'writes':>8} {'total':>8} {'N^2 d^2/M':>12}")
@@ -41,7 +42,7 @@ for m in (64, 128, 256, 512, 1024):
     err = np.linalg.norm(res.output - reference) / np.linalg.norm(reference)
     assert err < 1e-9
     print(f"{m:>6} {res.io.reads:>8} {res.io.writes:>8} {res.io.total:>8} "
-          f"{N * N * D * D / m:>12.0f}")
+          f"{regime_terms(N, D, m)[1]:>12.0f}")
 
 print(f"\ncrossover: at M = d^2 = {D * D} both formulas equal N^2 = {N * N}")
 tiled = square_tiling_attention(MemoryHierarchy(D * D), inst).io.total

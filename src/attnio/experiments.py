@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from collections.abc import Sequence
 from dataclasses import astuple, dataclass, fields
 from importlib import resources
@@ -55,6 +56,11 @@ def _is_list(value) -> bool:
     return isinstance(value, Sequence) and not isinstance(value, str)
 
 
+# The least N, d and M a sweep accepts; every other integer field of a
+# record (the counts) is at least 0.
+_LEAST = {"N": 1, "d": 1, "M": MIN_CAPACITY}
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """Grid specification; the seed fully determines all inputs.
@@ -75,9 +81,8 @@ class SweepConfig:
     magnitude: float = 1.0
 
     def __post_init__(self):
-        for field, name, least in (("n_grid", "N", 1), ("d_grid", "d", 1),
-                                   ("m_grid", "M", MIN_CAPACITY)):
-            grid = getattr(self, field)
+        for field, name in (("n_grid", "N"), ("d_grid", "d"), ("m_grid", "M")):
+            grid, least = getattr(self, field), _LEAST[name]
             if not (_is_list(grid) and grid and all(_is_int(x) and x >= least for x in grid)):
                 raise ConfigurationError(
                     f"{name} must be a non-empty list of integers >= {least}, got {grid!r}")
@@ -176,9 +181,11 @@ def write_records_csv(records, path) -> None:
 
 def read_records_csv(path) -> list[SweepRecord]:
     """The records of a CSV that ``write_records_csv`` wrote.  A header
-    other than ``CSV_COLUMNS``, or a row with the wrong field count, a
-    non-integer count or a status outside ``STATUSES``, raises
-    ``ConfigurationError`` naming the file (and the line)."""
+    other than ``CSV_COLUMNS``, or a row ``run_sweep`` could not have
+    written (the wrong field count, a non-integer field, an unknown
+    algorithm, N, d or M below ``SweepConfig``'s least, a negative count
+    or a status outside ``STATUSES``), raises ``ConfigurationError``
+    naming the file (and the line)."""
     records = []
     with open(path, newline="") as fh:
         rows = csv.reader(fh)
@@ -189,8 +196,14 @@ def read_records_csv(path) -> list[SweepRecord]:
         for row in rows:
             try:
                 record = SweepRecord(*(t(v) for t, v in zip(_COLUMN_TYPES, row, strict=True)))
+                if record.algorithm not in _KERNELS:
+                    raise ValueError(f"unknown algorithm {record.algorithm!r}")
                 if record.status not in STATUSES:
                     raise ValueError(f"status {record.status!r} not in {STATUSES}")
+                for name, value in zip(CSV_COLUMNS, astuple(record)):
+                    least = _LEAST.get(name, 0)
+                    if isinstance(value, int) and value < least:
+                        raise ValueError(f"{name} = {value} is below {least}")
             except ValueError as exc:
                 raise ConfigurationError(f"{path}, line {rows.line_num}: {exc}") from None
             records.append(record)
@@ -250,24 +263,39 @@ class BoundReport:
         return [f for f in self.flags if not f.all_ok]
 
 
+def regime_terms(n: int, d: int, m: int) -> tuple[float, float]:
+    """The paper's regime terms (N^2 d / sqrt(M), N^2 d^2 / M); their
+    minimum, the first below M = d^2 and the second from it on, is the
+    paper's Theta bound.  Every bound in this module derives from them."""
+    return n * n * d / math.sqrt(m), n * n * d * d / m
+
+
 def upper_bound_formula(algorithm: str, n: int, d: int, m: int) -> float:
-    """The regime formula each kernel is held to (constant excluded)."""
+    """The regime formula each kernel is held to (constant excluded):
+    tiling's small-cache term plus N^2, streaming's large-cache term plus
+    Nd, dispatch the better of the two.  An unknown algorithm raises
+    ``ConfigurationError``."""
+    small, large = regime_terms(n, d, m)
+    tiling, streaming = small + n * n, large + n * d
     if algorithm == "tiling":
-        return n * n * d / np.sqrt(m) + n * n
+        return tiling
     if algorithm == "streaming":
-        return n * n * d * d / m + n * d
-    # dispatch inherits the better of the two regimes
-    return min(upper_bound_formula("tiling", n, d, m),
-               upper_bound_formula("streaming", n, d, m))
+        return streaming
+    if algorithm == "dispatch":
+        return min(tiling, streaming)
+    raise ConfigurationError(f"unknown algorithm {algorithm!r}")
 
 
 def check_bounds(records) -> BoundReport:
     """Flag each ok record against three inequalities; other records are
     counted as skipped.
 
-    (i) upper: I/O <= C_up * regime formula; (ii) lower-consistency:
-    I/O >= C_lo * min(N^2 d^2 / M, N^2) and I/O >= 3Nd; (iii) epoch
-    progress: B_max <= C_ep * epoch_progress_bound(2M, d).
+    (i) upper: I/O <= C_up * ``upper_bound_formula``; (ii) lower: the
+    paper's bound I/O >= C_lo * min(N^2 d / sqrt(M), N^2 d^2 / M) plus
+    I/O >= 3Nd; (iii) epoch progress: B_max <= C_ep *
+    epoch_progress_bound(2M, d).  Both I/O bounds derive from
+    ``regime_terms``; flags are plain bools.  ``read_records_csv``
+    refuses a row a sweep could not have written, so none reaches here.
     """
     cfg = load_bound_config()
     c_up = cfg["upper_constant"]
@@ -281,18 +309,17 @@ def check_bounds(records) -> BoundReport:
             skipped += 1
             continue
         upper = r.io <= c_up * upper_bound_formula(r.algorithm, r.N, r.d, r.M)
-        lower = (r.io >= c_lo * min(r.N ** 2 * r.d ** 2 / r.M, r.N ** 2)
-                 and r.io >= 3 * r.N * r.d)
+        lower = r.io >= c_lo * min(regime_terms(r.N, r.d, r.M)) and r.io >= 3 * r.N * r.d
         epoch = r.bmax <= c_ep * epoch_progress_bound(factor * r.M, r.d)
         flags.append(BoundFlags(r, upper, lower, epoch))
     return BoundReport(flags, skipped)
 
 
 def dispatch_matches_argmin(n: int, d: int, m: int) -> bool:
-    """True iff the dispatcher's choice equals the leading-term argmin
-    (ties to streaming) wherever both regimes are available."""
-    tiling_f = n * n * d / np.sqrt(m)
-    streaming_f = n * n * d * d / m
+    """True iff the dispatcher's choice (``picks_streaming``, the kernels'
+    own integer predicate) equals the argmin of ``regime_terms`` (ties to
+    streaming) wherever both regimes are available."""
+    tiling_f, streaming_f = regime_terms(n, d, m)
     picked = picks_streaming(m, d)
     if not streaming_fits(m, d):
         return not picked

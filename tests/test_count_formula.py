@@ -24,6 +24,7 @@ from itertools import product
 import pytest
 
 from attnio import errors
+from attnio import experiments as E
 from attnio.kernels import (
     square_tiling_attention,
     streaming_attention,
@@ -87,3 +88,41 @@ def test_kernel_counts_match_the_closed_form(mode):
         assert (h.reads, h.writes) == formula(n, d, m), (mode, n, d, m)
         checked += 1
     assert checked >= 150
+
+
+# Paper scale: the bound checks on the closed form, far past what the
+# simulator can run.  SLOPE_GRIDS holds the d and M grid of acceptance
+# criteria 2 (tiling) and 3 (streaming).
+PAPER_NS = (2 ** 10, 2 ** 12, 2 ** 14, 2 ** 16)
+PAPER_DS = (4, 16, 64)
+PAPER_MS = tuple(2 ** k for k in range(2, 15))  # 4 .. 16384
+SLOPE_GRIDS = {"tiling": (16, (16, 36, 64, 144, 256)),
+               "streaming": (4, (32, 64, 128, 256, 512))}
+
+
+def test_bounds_and_slopes_hold_at_paper_scale_on_the_closed_form():
+    # the formula stands in for the kernels only where it matches them
+    for mode, n, d, m in [("tiling", 16, 4, 16), ("tiling", 33, 8, 36),
+                          ("streaming", 24, 4, 32), ("streaming", 33, 8, 256)]:
+        run, formula = MODES[mode]
+        h = MemoryHierarchy(m)
+        run(h, random_instance(n, d, n * d + m))
+        assert (h.reads, h.writes) == formula(n, d, m), (mode, n, d, m)
+
+    cfg = E.load_bound_config()
+    for n, d in product(PAPER_NS, PAPER_DS):
+        for m in sorted(set(PAPER_MS) | {8 * d, d * d}):
+            lower = cfg["lower_constant"] * min(E.regime_terms(n, d, m))
+            for algorithm in ("tiling", "streaming"):
+                if algorithm == "streaming" and not streaming_fits(m, d):
+                    continue
+                io = sum(MODES[algorithm][1](n, d, m))
+                upper = cfg["upper_constant"] * E.upper_bound_formula(algorithm, n, d, m)
+                assert lower <= io <= upper, (algorithm, n, d, m)
+    for n in PAPER_NS:
+        for algorithm, (d, m_grid) in SLOPE_GRIDS.items():
+            records = [E.SweepRecord(algorithm, n, d, m, "ok", *MODES[algorithm][1](n, d, m), 1, 0)
+                       for m in m_grid]
+            slope, _ = E.fit_scaling_exponent(records, "M")
+            lo, hi = cfg[f"{algorithm}_slope_window"]
+            assert lo <= slope <= hi, (algorithm, n, slope)

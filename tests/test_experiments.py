@@ -97,7 +97,12 @@ def test_csv_round_trip(tmp_path):
     (lambda f: f[:-1], "shorter"),
     (lambda f: f + ["9"], "longer"),
     (lambda f: f[:4] + ["done"] + f[5:], "status 'done' not in"),
-], ids=["non_integer_count", "short_row", "long_row", "unknown_status"])
+    (lambda f: ["quantum"] + f[1:], "unknown algorithm 'quantum'"),
+    (lambda f: f[:1] + ["-8"] + f[2:], "N = -8 is below 1"),
+    (lambda f: f[:3] + ["0"] + f[4:], "M = 0 is below 4"),
+    (lambda f: f[:6] + ["-1"] + f[7:], "writes = -1 is below 0"),
+], ids=["non_integer_count", "short_row", "long_row", "unknown_status",
+        "unknown_algorithm", "negative_n", "zero_capacity", "negative_count"])
 def test_csv_bad_row_names_file_and_line(tmp_path, bad_row, message):
     path = tmp_path / "records.csv"
     E.write_records_csv(E.run_sweep(small_config())[:1], path)
@@ -169,6 +174,30 @@ def test_check_bounds_fails_with_nothing_checked():
         report = E.check_bounds(records)
         assert report.flags == [] and report.skipped == 1
         assert not report.ok
+
+
+def test_check_bounds_holds_records_to_the_paper_lower_bound():
+    # C_lo N^2 d / sqrt(M) = 2048 > io = 1800 >= 3Nd = 1536, and above the
+    # N^2-capped 1024 the check used to ask for below M = d^2
+    record = E.SweepRecord("tiling", 128, 4, 4, "ok", 1800, 0, 1, 0)
+    (flags,) = E.check_bounds([record]).flags
+    assert (flags.upper_ok, flags.lower_ok, flags.epoch_ok) == (True, False, True)
+    records = E.run_sweep(small_config(algorithms=("tiling", "streaming", "dispatch"),
+                                       m_grid=(16, 64, 256)))
+    for f in E.check_bounds(records).flags:
+        assert {type(f.upper_ok), type(f.lower_ok), type(f.epoch_ok)} == {bool}
+    assert type(E.dispatch_matches_argmin(16, 4, 64)) is bool
+
+
+def test_upper_bound_formula_adds_the_output_terms_to_regime_terms():
+    n, d, m = 32, 8, 16
+    small, large = E.regime_terms(n, d, m)
+    assert (small, large) == (n * n * d / 4, n * n * d * d / m)
+    assert E.upper_bound_formula("tiling", n, d, m) == small + n * n
+    assert E.upper_bound_formula("streaming", n, d, m) == large + n * d
+    assert E.upper_bound_formula("dispatch", n, d, m) == min(small + n * n, large + n * d)
+    with pytest.raises(errors.ConfigurationError, match="unknown algorithm 'quantum'"):
+        E.upper_bound_formula("quantum", n, d, m)
 
 
 def test_check_bounds_catches_wasteful_kernel():

@@ -11,11 +11,14 @@ from collections import Counter, deque
 import pytest
 
 from attnio import errors
+from attnio import experiments as E
 from attnio import pebbling as P
 from attnio.errors import ConfigurationError, check_enumeration
 from attnio.kernels import streaming_attention
 from attnio.matrices import random_instance
 from attnio.memory import MemoryHierarchy
+
+CFG = E.load_bound_config()
 
 
 def edge_dag():
@@ -295,7 +298,7 @@ def test_schedule_valid_and_bounded(n, d, mfactor):
     calc = P.blocked_pebbling_schedule(dag, m)
     res = P.validate_calculation(dag, m, calc)
     assert res.ok, res.violation
-    assert res.io <= 16 * n * n * d * d / m + 16 * n * d
+    assert res.io <= CFG["upper_constant"] * E.upper_bound_formula("streaming", n, d, m)
 
 
 def test_schedule_degenerate_size():
