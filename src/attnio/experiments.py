@@ -123,6 +123,22 @@ class SweepRecord:
     epochs: int
     bmax: int
 
+    def __post_init__(self):
+        """Refuse a record ``run_sweep`` could not have written: an unknown
+        algorithm, a status outside ``STATUSES``, a non-integer count, N, d
+        or M below ``SweepConfig``'s least, or a negative count.  Raises
+        ``ConfigurationError``, so every record source gets the one check."""
+        if not isinstance(self.algorithm, str) or self.algorithm not in _KERNELS:
+            raise ConfigurationError(f"unknown algorithm {self.algorithm!r}")
+        if self.status not in STATUSES:
+            raise ConfigurationError(f"status {self.status!r} not in {STATUSES}")
+        for name in _INT_COLUMNS:
+            value, least = getattr(self, name), _LEAST.get(name, 0)
+            if not _is_int(value):
+                raise ConfigurationError(f"{name} = {value!r} is not an integer")
+            if value < least:
+                raise ConfigurationError(f"{name} = {value} is below {least}")
+
     @property
     def io(self) -> int:
         return self.reads + self.writes
@@ -131,6 +147,7 @@ class SweepRecord:
 STATUSES = ("ok", "regime_error", "numeric_error")
 CSV_COLUMNS = [f.name for f in fields(SweepRecord)]
 _COLUMN_TYPES = [get_type_hints(SweepRecord)[name] for name in CSV_COLUMNS]
+_INT_COLUMNS = [name for name, t in zip(CSV_COLUMNS, _COLUMN_TYPES) if t is int]
 
 
 def _point_seed(base: int, alg: str, n: int, d: int, m: int) -> np.random.SeedSequence:
@@ -181,11 +198,9 @@ def write_records_csv(records, path) -> None:
 
 def read_records_csv(path) -> list[SweepRecord]:
     """The records of a CSV that ``write_records_csv`` wrote.  A header
-    other than ``CSV_COLUMNS``, or a row ``run_sweep`` could not have
-    written (the wrong field count, a non-integer field, an unknown
-    algorithm, N, d or M below ``SweepConfig``'s least, a negative count
-    or a status outside ``STATUSES``), raises ``ConfigurationError``
-    naming the file (and the line)."""
+    other than ``CSV_COLUMNS``, a row of the wrong field count or with a
+    non-integer count, or a record ``SweepRecord`` refuses, raises
+    ``ConfigurationError`` naming the file (and the line)."""
     records = []
     with open(path, newline="") as fh:
         rows = csv.reader(fh)
@@ -195,18 +210,10 @@ def read_records_csv(path) -> list[SweepRecord]:
                 f"{path}: header {header} is not the sweep columns {CSV_COLUMNS}")
         for row in rows:
             try:
-                record = SweepRecord(*(t(v) for t, v in zip(_COLUMN_TYPES, row, strict=True)))
-                if record.algorithm not in _KERNELS:
-                    raise ValueError(f"unknown algorithm {record.algorithm!r}")
-                if record.status not in STATUSES:
-                    raise ValueError(f"status {record.status!r} not in {STATUSES}")
-                for name, value in zip(CSV_COLUMNS, astuple(record)):
-                    least = _LEAST.get(name, 0)
-                    if isinstance(value, int) and value < least:
-                        raise ValueError(f"{name} = {value} is below {least}")
-            except ValueError as exc:
+                records.append(
+                    SweepRecord(*(t(v) for t, v in zip(_COLUMN_TYPES, row, strict=True))))
+            except ValueError as exc:  # ConfigurationError included
                 raise ConfigurationError(f"{path}, line {rows.line_num}: {exc}") from None
-            records.append(record)
     return records
 
 

@@ -21,6 +21,9 @@ import graphlib
 import json
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain, repeat
+from typing import NamedTuple
 
 from .errors import ConfigurationError, RegimeError, check_enumeration
 
@@ -42,8 +45,7 @@ LEVEL1_KINDS = {L1_PRODUCT, SUM_INTERNAL, QKT_ROOT}
 CONFIGURATION_ENUMERATION_CAP = 4 ** 12
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(NamedTuple):
     kind: str
     parents: tuple[str, ...]
 
@@ -53,22 +55,30 @@ class Node:
         return self.kind in LEVEL1_KINDS
 
 
+# Node((kind, parents)) in C, without NamedTuple's Python-level __new__.
+_new_node = partial(tuple.__new__, Node)
+
+
 class PebblingDag:
     """A DAG with designated inputs (no parents) and outputs (no children)."""
 
     def __init__(self, nodes: dict[str, Node]):
         self.nodes = dict(nodes)
         children: dict[str, list[str]] = {v: [] for v in self.nodes}
-        for v, node in self.nodes.items():
-            for p in node.parents:
-                try:
+        inputs = []
+        try:
+            for v, node in self.nodes.items():
+                parents = node.parents
+                if not parents:
+                    inputs.append(v)
+                for p in parents:
                     children[p].append(v)
-                except KeyError:
-                    raise ConfigurationError(
-                        f"node {v!r} references unknown parent {p!r}") from None
+        except KeyError:
+            raise ConfigurationError(
+                f"node {v!r} references unknown parent {p!r}") from None
         self.children = children
-        self.inputs = frozenset(v for v, n in self.nodes.items() if not n.parents)
-        self.outputs = frozenset(v for v in self.nodes if not children[v])
+        self.inputs = frozenset(inputs)
+        self.outputs = frozenset([v for v, c in children.items() if not c])
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -140,19 +150,39 @@ class PebblingDag:
 
 
 class AttentionDag(PebblingDag):
-    """The attention computational graph for given N, d."""
+    """The attention computational graph for given N, d.
 
-    def __init__(self, nodes, n: int, d: int):
+    Besides the nodes, the builder keeps the id lists the blocked schedule
+    walks, each holding the very string objects that key ``nodes``:
+
+    * ``input_ids``: the Q, K and V tables, each N rows of d ids;
+    * ``score_trees[i][k]``: L1[i,k,0..d-1], the S1[i,k] internals in
+      creation order, QKT[i,k], EXP[i,k];
+    * ``rowsum_trees[i]``: EXP[i,0..N-1], the SR[i] internals, RS[i], INV[i];
+    * ``output_trees[i][j]``: L2[i,0..N-1,j], the SA[i,j] internals,
+      AV[i,j], OUT[i,j].
+
+    Each list is a block of ``nodes``' creation order (the row-sum tree's
+    leaves are the score trees' last ids).
+    """
+
+    def __init__(self, nodes, n: int, d: int, input_ids, score_trees, rowsum_trees,
+                 output_trees):
         super().__init__(nodes)
         self.N = n
         self.d = d
+        self.input_ids = input_ids
+        self.score_trees = score_trees
+        self.rowsum_trees = rowsum_trees
+        self.output_trees = output_trees
 
 
 def _tree_shape(leaves: int) -> list[tuple[int, int]]:
     """Creation-order (left, right) operands of the balanced binary sum
     tree over ``leaves`` leaves.  Operand t < ``leaves`` is leaf t; operand
     ``leaves`` + c is the c-th internal node created, so the last one
-    (or the only leaf) is the top."""
+    (or the only leaf) is the top.  Each node is created right after its
+    right operand's subtree."""
     shape: list[tuple[int, int]] = []
 
     def build(lo: int, hi: int) -> int:
@@ -167,14 +197,23 @@ def _tree_shape(leaves: int) -> list[tuple[int, int]]:
     return shape
 
 
+def _add_nodes(nodes: dict[str, Node], ids, kind: str, parents) -> None:
+    """Add a ``kind`` node under each id, with the matching parent tuple."""
+    nodes.update(zip(ids, map(_new_node, zip(repeat(kind), parents))))
+
+
 def _sum_tree(nodes: dict[str, Node], leaves: list[str], prefix: str, kind: str,
-              shape: list[tuple[int, int]]) -> str:
+              shape: list[tuple[int, int]], *roots: tuple[str, str]) -> list[str]:
     """Add ``kind`` nodes ``prefix#0``, ``prefix#1``, ... over ``leaves``
-    in the order of ``shape``; returns the id of the top."""
-    ids = leaves + [f"{prefix}#{c}" for c in range(len(shape))]
-    for vid, (left, right) in zip(ids[len(leaves):], shape):
-        nodes[vid] = Node(kind, (ids[left], ids[right]))
-    return ids[-1]
+    in the order of ``shape``, then each (id, kind) of ``roots`` as a
+    one-parent chain above the top.  Returns the tree's ids: the leaves,
+    the internal nodes in creation order, then the roots."""
+    tree = leaves + [f"{prefix}#{c}" for c in range(len(shape))]
+    _add_nodes(nodes, tree[len(leaves):], kind, [(tree[l], tree[r]) for l, r in shape])
+    for vid, root_kind in roots:
+        nodes[vid] = Node(root_kind, (tree[-1],))
+        tree.append(vid)
+    return tree
 
 
 def build_attention_dag(n: int, d: int) -> AttentionDag:
@@ -189,48 +228,46 @@ def build_attention_dag(n: int, d: int) -> AttentionDag:
     """
     if n < 1 or d < 1:
         raise ConfigurationError("N and d must be >= 1")
-    nodes: dict[str, Node] = {}
-    q_ids, k_ids, v_ids = _input_ids(n, d)
-    leaf = Node(INPUT, ())
-    for table in (q_ids, k_ids, v_ids):
-        for row in table:
-            nodes.update(dict.fromkeys(row, leaf))
+    # index labels, so that each id joins strings and formats no int
+    labels = [str(x) for x in range(max(n, d))]
+    rows, dims = labels[:n], labels[:d]
+    input_ids = [[[f"{name}[{i},{l}]" for l in dims] for i in rows] for name in "QKV"]
+    q_ids, k_ids, v_ids = input_ids
+    nodes: dict[str, Node] = dict.fromkeys(chain.from_iterable(chain(*input_ids)),
+                                           Node(INPUT, ()))
     d_shape, n_shape = _tree_shape(d), _tree_shape(n)
 
-    exp_ids = [[f"EXP[{i},{j}]" for j in range(n)] for i in range(n)]
-    for i, (q_row, exp_row) in enumerate(zip(q_ids, exp_ids)):
-        for j, (k_row, exp) in enumerate(zip(k_ids, exp_row)):
-            leaves = [f"L1[{i},{j},{l}]" for l in range(d)]
-            for vid, qv, kv in zip(leaves, q_row, k_row):
-                nodes[vid] = Node(L1_PRODUCT, (qv, kv))
-            top = _sum_tree(nodes, leaves, f"S1[{i},{j}]", SUM_INTERNAL, d_shape)
-            qkt = f"QKT[{i},{j}]"
-            nodes[qkt] = Node(QKT_ROOT, (top,))
-            nodes[exp] = Node(EXP, (qkt,))
+    score_trees = []
+    for i, q_row in zip(rows, q_ids):
+        row_trees = []
+        for k, k_row in zip(rows, k_ids):
+            leaves = [f"L1[{i},{k},{l}]" for l in dims]
+            _add_nodes(nodes, leaves, L1_PRODUCT, zip(q_row, k_row))
+            row_trees.append(_sum_tree(nodes, leaves, f"S1[{i},{k}]", SUM_INTERNAL, d_shape,
+                                       (f"QKT[{i},{k}]", QKT_ROOT), (f"EXP[{i},{k}]", EXP)))
+        score_trees.append(row_trees)
 
-    inv_ids = [f"INV[{i}]" for i in range(n)]
-    for i, (exp_row, inv) in enumerate(zip(exp_ids, inv_ids)):
-        top = _sum_tree(nodes, exp_row, f"SR[{i}]", ROWSUM_INTERNAL, n_shape)
-        rs = f"RS[{i}]"
-        nodes[rs] = Node(ROWSUM_ROOT, (top,))
-        nodes[inv] = Node(INVERSE, (rs,))
+    exp_ids = [[tree[-1] for tree in row_trees] for row_trees in score_trees]
+    rowsum_trees = [_sum_tree(nodes, exp_row, f"SR[{i}]", ROWSUM_INTERNAL, n_shape,
+                              (f"RS[{i}]", ROWSUM_ROOT), (f"INV[{i}]", INVERSE))
+                    for i, exp_row in zip(rows, exp_ids)]
 
-    for i, (exp_row, inv) in enumerate(zip(exp_ids, inv_ids)):
-        for j in range(d):
-            leaves = [f"L2[{i},{k},{j}]" for k in range(n)]
-            for vid, exp, v_row in zip(leaves, exp_row, v_ids):
-                nodes[vid] = Node(L2_PRODUCT, (exp, v_row[j]))
-            top = _sum_tree(nodes, leaves, f"SA[{i},{j}]", AV_SUM_INTERNAL, n_shape)
-            av = f"AV[{i},{j}]"
-            nodes[av] = Node(AV_ROOT, (top,))
-            nodes[f"OUT[{i},{j}]"] = Node(SCALE, (av, inv))
+    v_columns = list(zip(*v_ids))
+    output_trees = []
+    for i, exp_row, rowsum in zip(rows, exp_ids, rowsum_trees):
+        row_trees = []
+        for j, v_column in zip(dims, v_columns):
+            leaves = [f"L2[{i},{k},{j}]" for k in rows]
+            _add_nodes(nodes, leaves, L2_PRODUCT, zip(exp_row, v_column))
+            tree = _sum_tree(nodes, leaves, f"SA[{i},{j}]", AV_SUM_INTERNAL, n_shape,
+                             (f"AV[{i},{j}]", AV_ROOT))
+            out = f"OUT[{i},{j}]"
+            nodes[out] = Node(SCALE, (tree[-1], rowsum[-1]))
+            tree.append(out)
+            row_trees.append(tree)
+        output_trees.append(row_trees)
 
-    return AttentionDag(nodes, n, d)
-
-
-def _input_ids(n: int, d: int) -> list[list[list[str]]]:
-    """The Q, K and V input ids, each as N rows of d."""
-    return [[[f"{name}[{i},{l}]" for l in range(d)] for i in range(n)] for name in "QKV"]
+    return AttentionDag(nodes, n, d, input_ids, score_trees, rowsum_trees, output_trees)
 
 
 def level1_vertex_count(dag: PebblingDag, part) -> int:
@@ -333,30 +370,51 @@ def validate_calculation(dag: PebblingDag, m: int, calc: list[Transition]) -> Va
 
 # -- blocked streaming schedule ------------------------------------------------
 
-class _BudgetExceeded(Exception):
-    pass
-
-
-# The three summation trees the schedule folds, each named by the kinds
-# above its leaves up to and including its top.
-_SCORE_TREE = frozenset({SUM_INTERNAL, QKT_ROOT, EXP})
-_OUTPUT_TREE = frozenset({AV_SUM_INTERNAL, AV_ROOT})
-_ROWSUM_TREE = frozenset({ROWSUM_INTERNAL, ROWSUM_ROOT, INVERSE})
-
-
-def _infer_dimensions(dag: PebblingDag) -> tuple[int, int]:
-    """Recover (N, d) from an attention DAG's node counts: N inverses
-    and Nd outputs.  Rejects any graph whose nodes differ from
+def _infer_dimensions(dag: PebblingDag) -> AttentionDag:
+    """The builder's DAG for the (N, d) that ``dag``'s node counts give:
+    N inverses and Nd outputs.  Rejects any graph whose nodes differ from
     ``build_attention_dag(N, d)``'s."""
     counts = dag.kind_counts()
     n = counts.get(INVERSE, 0)
     outputs = counts.get(SCALE, 0)
     if n < 1 or outputs < n or outputs % n:
         raise ConfigurationError("not an attention DAG: cannot infer N and d")
-    d = outputs // n
-    if dag.nodes != build_attention_dag(n, d).nodes:
+    built = build_attention_dag(n, outputs // n)
+    if dag.nodes != built.nodes:
         raise ConfigurationError("not an attention DAG: nodes differ from the builder's")
-    return n, d
+    return built
+
+
+def _tree_walk(leaves: int, roots: int, compute_leaves: bool) -> list[list[tuple[str, int]]]:
+    """Per leaf t, in order, the (rule, tree-list index) moves that follow
+    leaf t turning red in a sum tree whose list holds ``leaves`` leaves,
+    the internal nodes of ``_tree_shape(leaves)`` and a chain of ``roots``
+    one-parent nodes above the top: leaf t's own R3 when
+    ``compute_leaves``, then for each node it completes an R3 and an R4
+    per operand.  As ``_tree_shape`` creates a node right after its right
+    operand's subtree, a node is complete once the last leaf under it is
+    red, and the nodes complete in creation order; each operand is
+    released as soon as its node is computed, so a tree keeps O(log
+    leaves) partials red."""
+    operands: list[tuple[int, ...]] = _tree_shape(leaves)  # a fresh list
+    for _ in range(roots):
+        operands.append((leaves + len(operands) - 1,))
+    last = list(range(leaves))  # the last leaf under each tree-list index
+    walk = [[("R3", t)] if compute_leaves else [] for t in range(leaves)]
+    for c, ops in enumerate(operands, leaves):
+        last.append(last[ops[-1]])
+        walk[last[c]] += [("R3", c), *(("R4", o) for o in ops)]
+    return walk
+
+
+def _budgeted(moves: list[tuple[str, int]]) -> tuple[tuple, tuple, int, int]:
+    """A walk as (rules, indices, peak rise, net change) of the red count."""
+    rules, index = map(tuple, zip(*moves)) if moves else ((), ())
+    red = peak = 0
+    for rule in rules:
+        red += 1 if rule == "R3" else -1
+        peak = max(peak, red)
+    return rules, index, peak, red
 
 
 def blocked_pebbling_schedule(dag: PebblingDag, m: int) -> list[Transition]:
@@ -368,106 +426,91 @@ def blocked_pebbling_schedule(dag: PebblingDag, m: int) -> list[Transition]:
     the output and row-sum trees, keeping only O(log) partials.  The
     calculation reads and writes 2Nd + 2Nd * ceil(N / r) words.
 
+    The moves come from the id lists ``build_attention_dag`` keeps on the
+    ``AttentionDag`` (a plain ``PebblingDag`` is replaced by the builder's
+    DAG after its nodes are checked), walked by per-leaf climb tables
+    derived once from ``_tree_shape(d)`` and ``_tree_shape(N)``; every
+    transition names the builder's own id string.  The red budget is a
+    count kept through each block's streamed rows, exact because every
+    add there is of a vertex not yet red and every R4 removes a red
+    pebble; the block's closing moves hold no more red pebbles than its
+    last row-sum walk reached.
+
     r is the largest value <= min(max(floor(M / 4d), 1), N) whose peak
-    red-pebble count fits in M, found by dry-running the budget tracker.
-    Scalar pebbles keep each partial sum of every tree separately, so r
-    is often smaller than ``kernels.streaming_block_rows`` and the
-    schedule then costs more I/O than the kernel: 320 against 192 at
-    N=8 d=4 M=64, and 160 against 128 at N=8 d=2 M=32 (r = 2 against
-    the kernel's 4 and 3).  Near M = 8d at larger N not even r = 1
-    fits, and ``RegimeError`` is raised although the kernel runs.
+    red-pebble count fits in M.  Scalar pebbles keep each partial sum of
+    every tree separately, so r is often smaller than
+    ``kernels.streaming_block_rows`` and the schedule then costs more I/O
+    than the kernel: 320 against 192 at N=8 d=4 M=64, and 160 against 128
+    at N=8 d=2 M=32 (r = 2 against the kernel's 4 and 3).  Near M = 8d at
+    larger N not even r = 1 fits, and ``RegimeError`` is raised although
+    the kernel runs.
     """
-    if isinstance(dag, AttentionDag):
-        n, d = dag.N, dag.d
-    else:
-        n, d = _infer_dimensions(dag)
-    best_r = min(max(m // (4 * d), 1), n)
-    for r in range(best_r, 0, -1):
-        try:
-            return _emit_schedule(dag, n, d, m, r)
-        except _BudgetExceeded:
-            continue
+    if not isinstance(dag, AttentionDag):
+        dag = _infer_dimensions(dag)
+    n, d = dag.N, dag.d
+    score = _budgeted([move for leaf in _tree_walk(d, 2, True) for move in leaf])
+    output = [_budgeted(leaf) for leaf in _tree_walk(n, 1, True)]
+    rowsum = [_budgeted(leaf) for leaf in _tree_walk(n, 2, False)]
+    for r in range(min(max(m // (4 * d), 1), n), 0, -1):
+        moves = _emit_schedule(dag, m, r, score, output, rowsum)
+        if moves is not None:
+            return moves
     raise RegimeError(f"cache of {m} words cannot hold even a single-row block")
 
 
-def _emit_schedule(dag: PebblingDag, n: int, d: int, m: int, r: int) -> list[Transition]:
-    """The calculation with row blocks of r.  Every add is of a vertex not
-    yet red, so a red count above m after an add (or a run of adds) is
-    the first break of the budget: ``_BudgetExceeded`` is raised there."""
-    nodes, children = dag.nodes, dag.children
-    red: set[str] = set()
+def _emit_schedule(dag: AttentionDag, m: int, r: int, score, output,
+                   rowsum) -> list[Transition] | None:
+    """The calculation with row blocks of r, or None once the red count
+    would pass m.  ``score`` is the whole walk of one score tree;
+    ``output`` and ``rowsum`` hold the walk of each leaf of an output and
+    a row-sum tree (see ``_budgeted``)."""
+    q_ids, k_ids, v_ids = dag.input_ids
+    n, d = dag.N, dag.d
     moves: list[Transition] = []
-    add, discard, append = red.add, red.discard, moves.append
-    q_ids, k_ids, v_ids = _input_ids(n, d)
-
-    def read(ids):
-        red.update(ids)
-        moves.extend([("R1", v) for v in ids])
-        if len(red) > m:
-            raise _BudgetExceeded
-
-    def compute(v):
-        add(v)
-        append(("R3", v))
-        if len(red) > m:
-            raise _BudgetExceeded
-
-    def delete(ids):
-        red.difference_update(ids)
-        moves.extend([("R4", v) for v in ids])
-
-    def fold(v, kinds):
-        """Climb from the red vertex ``v`` to its child whose kind is in
-        ``kinds`` while that child's parents are all red, computing it
-        and deleting the parents' red pebbles.  Folding each leaf as it
-        turns red keeps at most O(log #leaves) partials resident per tree."""
-        while True:
-            for up in children[v]:
-                if nodes[up].kind in kinds:
-                    break
-            else:
-                return
-            parents = nodes[up].parents
-            if not red.issuperset(parents):
-                return
-            compute(up)
-            for p in parents:
-                discard(p)
-                append(("R4", p))
-            v = up
+    extend = moves.extend
+    score_rules, score_index, score_peak, score_net = score
 
     for i0 in range(0, n, r):
         rows = range(i0, min(i0 + r, n))
         for i in rows:
-            read(q_ids[i])
+            extend(zip(repeat("R1"), q_ids[i]))
+        red = d * len(rows)  # a block starts with no other red pebble
         for k, (k_row, v_row) in enumerate(zip(k_ids, v_ids)):
-            read(k_row)
+            extend(zip(repeat("R1"), k_row))
+            red += d
             for i in rows:
-                for l in range(d):
-                    leaf = f"L1[{i},{k},{l}]"
-                    compute(leaf)
-                    fold(leaf, _SCORE_TREE)
-            delete(k_row)
-            read(v_row)
+                if red + score_peak > m:
+                    return None
+                red += score_net
+                extend(zip(score_rules, map(dag.score_trees[i][k].__getitem__, score_index)))
+            extend(zip(repeat("R4"), k_row))
+            extend(zip(repeat("R1"), v_row))  # as many red as the K row just freed
+            rules, index, peak, net = output[k]
             for i in rows:
-                for j in range(d):
-                    leaf = f"L2[{i},{k},{j}]"
-                    compute(leaf)
-                    fold(leaf, _OUTPUT_TREE)
-            delete(v_row)
+                for tree in dag.output_trees[i]:
+                    if red + peak > m:
+                        return None
+                    red += net
+                    extend(zip(rules, map(tree.__getitem__, index)))
+            extend(zip(repeat("R4"), v_row))
+            red -= d
+            rules, index, peak, net = rowsum[k]
             for i in rows:
-                fold(f"EXP[{i},{k}]", _ROWSUM_TREE)
+                if red + peak > m:
+                    return None
+                red += net
+                extend(zip(rules, map(dag.rowsum_trees[i].__getitem__, index)))
 
+        # At most r(2d + 1) + 1 red pebbles from here on: no more than the
+        # last row-sum walk reached, so the block's moves all fit.
         for i in rows:
-            for j in range(d):
-                out = f"OUT[{i},{j}]"
-                compute(out)
-                append(("R2", out))
-                delete((out, f"AV[{i},{j}]"))
-            delete([f"INV[{i}]", *q_ids[i]])
+            for tree in dag.output_trees[i]:
+                av, out = tree[-2:]
+                extend((("R3", out), ("R2", out), ("R4", out), ("R4", av)))
+            extend(zip(repeat("R4"), (dag.rowsum_trees[i][-1], *q_ids[i])))
 
     # clear the initial blue pebbles so only outputs remain pebbled
-    delete(sorted(dag.inputs))
+    extend(zip(repeat("R4"), sorted(dag.inputs)))
     return moves
 
 

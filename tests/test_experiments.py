@@ -112,6 +112,23 @@ def test_csv_bad_row_names_file_and_line(tmp_path, bad_row, message):
         E.read_records_csv(path)
 
 
+@pytest.mark.parametrize("fields, message", [
+    (("tiling", 4, 2, 0, "ok", 10, 0, 1, 0), "M = 0 is below 4"),
+    (("nope", 4, 2, 16, "weird", 10, 0, 1, 0), "unknown algorithm 'nope'"),
+    (("tiling", 4, 2, 16, "weird", 10, 0, 1, 0), "status 'weird' not in"),
+    ((["tiling"], 4, 2, 16, "ok", 10, 0, 1, 0), r"unknown algorithm \['tiling'\]"),
+    (("tiling", 4, 2.0, 16, "ok", 10, 0, 1, 0), "d = 2.0 is not an integer"),
+    (("tiling", 4, 2, 16, "ok", 10, True, 1, 0), "writes = True is not an integer"),
+    (("streaming", 4, 2, 16, "ok", 10, 0, 1, -3), "bmax = -3 is below 0"),
+], ids=["zero_capacity", "unknown_algorithm_and_status", "unknown_status",
+        "unhashable_algorithm", "float_d", "bool_count", "negative_bmax"])
+def test_record_built_in_code_is_checked(fields, message):
+    # a record that never passed through a CSV gets the same checks,
+    # before check_bounds could divide by M = 0 or skip an unknown status
+    with pytest.raises(errors.ConfigurationError, match=f"^{message}"):
+        E.SweepRecord(*fields)
+
+
 def test_config_from_json(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text('{"N": [8], "d": [2], "M": [16, 32], '

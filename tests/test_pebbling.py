@@ -132,6 +132,11 @@ def test_dag_rejects_unknown_parent():
     assert info.value.__cause__ is None and info.value.__suppress_context__
     dag = P.PebblingDag({v: nodes[v] for v in "ab"})
     assert dag.children == {"a": ["b"], "b": []}
+    # the first unknown parent in node order, after parents that come later
+    nodes = {"x": P.Node(P.SCALE, ("b", "a", "zz", "yy")), "a": nodes["a"], "b": nodes["b"]}
+    with pytest.raises(errors.ConfigurationError,
+                       match=r"^node 'x' references unknown parent 'zz'$"):
+        P.PebblingDag(nodes)
 
 
 # -- validator ------------------------------------------------------------------
@@ -345,6 +350,162 @@ def test_schedule_rejects_dag_with_renamed_vertex():
     nodes["OUT[1,1]x"] = nodes.pop("OUT[1,1]")
     with pytest.raises(errors.ConfigurationError):
         P.blocked_pebbling_schedule(P.PebblingDag(nodes), 16)
+
+
+# The blocked schedule as it stood when it climbed the DAG through
+# ``children`` and the kind sets of each tree, with a red set and fresh id
+# strings: the reference for ``blocked_pebbling_schedule``, which walks the
+# builder's id lists and counts red pebbles.
+_SCORE_TREE = frozenset({P.SUM_INTERNAL, P.QKT_ROOT, P.EXP})
+_OUTPUT_TREE = frozenset({P.AV_SUM_INTERNAL, P.AV_ROOT})
+_ROWSUM_TREE = frozenset({P.ROWSUM_INTERNAL, P.ROWSUM_ROOT, P.INVERSE})
+
+
+class _BudgetExceeded(Exception):
+    pass
+
+
+def reference_schedule(dag, m):
+    n, d = dag.N, dag.d
+    best_r = min(max(m // (4 * d), 1), n)
+    for r in range(best_r, 0, -1):
+        try:
+            return _reference_emit(dag, n, d, m, r)
+        except _BudgetExceeded:
+            continue
+    raise errors.RegimeError(f"cache of {m} words cannot hold even a single-row block")
+
+
+def _reference_emit(dag, n, d, m, r):
+    nodes, children = dag.nodes, dag.children
+    red = set()
+    moves = []
+    add, discard, append = red.add, red.discard, moves.append
+    q_ids, k_ids, v_ids = ([[f"{name}[{i},{l}]" for l in range(d)] for i in range(n)]
+                           for name in "QKV")
+
+    def read(ids):
+        red.update(ids)
+        moves.extend([("R1", v) for v in ids])
+        if len(red) > m:
+            raise _BudgetExceeded
+
+    def compute(v):
+        add(v)
+        append(("R3", v))
+        if len(red) > m:
+            raise _BudgetExceeded
+
+    def delete(ids):
+        red.difference_update(ids)
+        moves.extend([("R4", v) for v in ids])
+
+    def fold(v, kinds):
+        while True:
+            for up in children[v]:
+                if nodes[up].kind in kinds:
+                    break
+            else:
+                return
+            parents = nodes[up].parents
+            if not red.issuperset(parents):
+                return
+            compute(up)
+            for p in parents:
+                discard(p)
+                append(("R4", p))
+            v = up
+
+    for i0 in range(0, n, r):
+        rows = range(i0, min(i0 + r, n))
+        for i in rows:
+            read(q_ids[i])
+        for k, (k_row, v_row) in enumerate(zip(k_ids, v_ids)):
+            read(k_row)
+            for i in rows:
+                for l in range(d):
+                    leaf = f"L1[{i},{k},{l}]"
+                    compute(leaf)
+                    fold(leaf, _SCORE_TREE)
+            delete(k_row)
+            read(v_row)
+            for i in rows:
+                for j in range(d):
+                    leaf = f"L2[{i},{k},{j}]"
+                    compute(leaf)
+                    fold(leaf, _OUTPUT_TREE)
+            delete(v_row)
+            for i in rows:
+                fold(f"EXP[{i},{k}]", _ROWSUM_TREE)
+
+        for i in rows:
+            for j in range(d):
+                out = f"OUT[{i},{j}]"
+                compute(out)
+                append(("R2", out))
+                delete((out, f"AV[{i},{j}]"))
+            delete([f"INV[{i}]", *q_ids[i]])
+
+    delete(sorted(dag.inputs))
+    return moves
+
+
+# (N, d) -> the M at which the schedule is compared with the reference
+SCHEDULE_GRID = {(n, d): range(4, 8 * d + 40, 3) for n in range(1, 13) for d in range(1, 6)}
+SCHEDULE_GRID.update({(16, 4): [32], (16, 1): [12], (24, 3): [40]})
+
+
+def test_schedule_matches_reference_emitter():
+    points = refused = 0
+    for (n, d), ms in SCHEDULE_GRID.items():
+        dag = P.build_attention_dag(n, d)
+        for m in ms:
+            points += 1
+            try:
+                want = reference_schedule(dag, m)
+            except errors.RegimeError as exc:
+                with pytest.raises(errors.RegimeError) as got:
+                    P.blocked_pebbling_schedule(dag, m)
+                assert str(got.value) == str(exc), (n, d, m)
+                refused += 1
+                continue
+            calc = P.blocked_pebbling_schedule(dag, m)
+            assert calc == want, (n, d, m)
+            # r is the number of Q rows read before the first K row
+            r = next(i for i, (_, v) in enumerate(calc) if v.startswith("K")) // d
+            res = P.validate_calculation(dag, m, calc)
+            assert res.ok, (n, d, m, res.violation)
+            assert res.io == 2 * n * d + 2 * n * d * math.ceil(n / r), (n, d, m)
+    assert points == 1227 and 0 < refused < points, refused
+
+
+@pytest.mark.parametrize("roots", [0, 2])
+def test_tree_walk_computes_each_node_once_after_its_operands(roots):
+    for leaves in range(1, 65):
+        # the roots form a chain above the top of the tree
+        internals = len(P._tree_shape(leaves))
+        operands = P._tree_shape(leaves) + [(leaves + internals + c - 1,) for c in range(roots)]
+        top = leaves + len(operands) - 1
+        red, done = set(), []
+        for t, moves in enumerate(P._tree_walk(leaves, roots, True)):
+            assert moves[0] == ("R3", t)
+            for rule, x in moves:
+                if rule == "R3":
+                    assert x not in red and x not in done
+                    assert x < leaves or red.issuperset(operands[x - leaves]), (leaves, x)
+                    red.add(x)
+                    done.append(x)
+                else:  # an operand of the node computed last
+                    assert done[-1] >= leaves and x in operands[done[-1] - leaves]
+                    red.remove(x)
+            assert (top in red) == (t == leaves - 1), (leaves, t)
+        # every vertex once, leaves in order and the rest in creation order
+        assert sorted(done) == list(range(top + 1)) and red == {top}
+        assert [x for x in done if x < leaves] == list(range(leaves))
+        assert [x for x in done if x >= leaves] == list(range(leaves, top + 1))
+        no_leaves = P._tree_walk(leaves, roots, False)
+        assert no_leaves == [[mv for mv in moves if mv != ("R3", t)]
+                             for t, moves in enumerate(P._tree_walk(leaves, roots, True))]
 
 
 # -- brute force ----------------------------------------------------------------
@@ -790,6 +951,37 @@ def test_jsonl_round_trip(tmp_path):
     back = P.PebblingDag.from_jsonl(path)
     assert back.nodes == dag.nodes
     assert back.inputs == dag.inputs and back.outputs == dag.outputs
+
+
+def test_index_matches_its_definition_and_survives_jsonl(tmp_path):
+    path = tmp_path / "dag.jsonl"
+    dags = [random_dag(seed, sizes) for seed in range(100) for sizes in ((2, 7), (9, 30))]
+    # parents listed after their children
+    dags += [P.PebblingDag(dict(reversed(dag.nodes.items()))) for dag in dags[:20]]
+    dags += [P.build_attention_dag(n, d) for n, d in ((1, 1), (2, 3), (3, 2))]
+    for dag in dags:
+        children = {v: [] for v in dag.nodes}
+        for v, node in dag.nodes.items():
+            for p in node.parents:
+                children[p].append(v)
+        assert dag.children == children
+        assert list(dag.children) == list(children)
+        assert dag.inputs == {v for v, node in dag.nodes.items() if not node.parents}
+        assert dag.outputs == {v for v in dag.nodes if not children[v]}
+        dag.to_jsonl(path)
+        assert P.PebblingDag.from_jsonl(path).nodes == dag.nodes
+
+
+def test_node_is_a_tuple_whose_level1_follows_its_kind():
+    kinds = [P.INPUT, P.L1_PRODUCT, P.SUM_INTERNAL, P.QKT_ROOT, P.EXP, P.ROWSUM_INTERNAL,
+             P.ROWSUM_ROOT, P.INVERSE, P.L2_PRODUCT, P.AV_SUM_INTERNAL, P.AV_ROOT, P.SCALE]
+    for kind in kinds:
+        node = P.Node(kind, ("a", "b"))
+        assert node == (kind, ("a", "b")) and node.parents == ("a", "b")
+        assert node.level1 == (kind in (P.L1_PRODUCT, P.SUM_INTERNAL, P.QKT_ROOT))
+    dag = P.build_attention_dag(2, 2)
+    assert all(type(node) is P.Node for node in dag.nodes.values())
+    assert P.level1_vertex_count(dag, dag.nodes) == 2 * 2 * 2 * 2
 
 
 def test_calculation_round_trip_and_inferred_dimensions(tmp_path):
