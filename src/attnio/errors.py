@@ -18,7 +18,8 @@ class AddressError(KeyError):
 
 class UsageError(RuntimeError):
     """A misused simulator primitive: an unknown op, a wrong operand
-    count, a slot-size mismatch, or a slot that is not resident."""
+    count, operand shapes the op cannot combine, a slot-size mismatch,
+    or a slot that is not resident."""
 
 
 class ResidencyError(UsageError):

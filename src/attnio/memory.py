@@ -26,10 +26,12 @@ most M ticks each, the epochs of the lower-bound simulation argument.
 kernels do that once per run.  Either way the hierarchy's ``overflow``
 flag records any NaN or +inf result stored in a slot; a result refused
 by the capacity or ``out`` check is never seen.  The check is deferred:
-results are scanned with one reduction once per 256 stored non-empty
-results, and whatever is still pending is scanned when ``overflow`` is
-read, so every read is exact.  That relies on no slot array ever being
-mutated after ``compute`` returns.
+once per 256 stored non-empty results their buffers are joined into one
+byte string and scanned with one reduction, and whatever is still
+pending is scanned when ``overflow`` is read, so every read is exact.
+That relies on no slot array ever being mutated after ``compute``
+returns, and on every slot array being C-contiguous, which reads,
+allocs and the ops on C-contiguous operands all give.
 
 Row reductions come fused with the step that consumes them:
 ``add_rowsum`` (acc + row sums) and ``max_rowmax`` (the elementwise
@@ -67,9 +69,9 @@ WRITE = "W"
 # Algorithm-level kernels need a cache of at least 4 words (block size 1).
 MIN_CAPACITY = 4
 
-# Stored non-empty results per overflow scan.  A scan costs a
-# concatenate and a max whatever its size, so counting results rather
-# than their words keeps ``compute`` to one append and one compare.
+# Stored non-empty results per overflow scan.  A scan costs a byte join
+# and a max whatever its size, so counting results rather than their
+# words keeps ``compute`` to one append and one compare.
 # Until their scan, up to this many results stay alive even once their
 # slots are freed or replaced: at most SCAN_RESULTS * capacity words.
 SCAN_RESULTS = 256
@@ -93,6 +95,22 @@ class IoStats:
 # intermediate +inf that a negative scale in scaled_addmm turns into
 # -inf goes unflagged (the kernels' scale is a reciprocal row sum, never
 # negative).
+#
+# The matrix products (matmul, addmm, scaled_addmm) take 1-D and 2-D
+# operands only, and go through ``ndarray.dot``: on those it gives the
+# bits of ``np.matmul`` at less per-call cost.  ``dot`` would scale by a
+# 0-d operand and contract a 3-D one where ``matmul`` refuses or
+# batches, so ``_dot`` refuses both.  A contraction of length 1 stays
+# with ``matmul``: there ``dot`` multiplies without the sum's +0.0 start
+# (-0.0 stays -0.0) and a zero scalar operand zeroes inf and NaN.
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    if a.ndim not in (1, 2) or b.ndim not in (1, 2):
+        raise ValueError("matrix products take 1-D or 2-D operands")
+    return np.matmul(a, b) if a.shape[-1] == 1 else a.dot(b)
+
+
 _OPS: dict[str, tuple[Callable, int]] = {
     "add": (np.add, 2),
     "sub": (np.subtract, 2),
@@ -102,14 +120,14 @@ _OPS: dict[str, tuple[Callable, int]] = {
     "exp": (np.exp, 1),
     "inv": (np.reciprocal, 1),
     "maximum": (np.maximum, 2),
-    "matmul": (np.matmul, 2),
+    "matmul": (_dot, 2),
     "rowscale": (lambda a, w: a * w[..., None], 2),
     "subrow": (lambda a, w: a - w[..., None], 2),
     "exp_sub": (lambda a, b: np.exp(a - b), 2),
     "mul_add": (lambda a, w, b: a * w + b, 3),
-    "addmm": (lambda acc, a, b: acc + a @ b, 3),
-    "add_outer": (lambda acc, u, v: acc + u[:, None] * v[None, :], 3),
-    "scaled_addmm": (lambda acc, w, a, b: acc + w[:, None] * (a @ b), 4),
+    "addmm": (lambda acc, a, b: acc + _dot(a, b), 3),
+    "add_outer": (lambda acc, u, v: acc + u[:, None] * v, 3),
+    "scaled_addmm": (lambda acc, w, a, b: acc + w[:, None] * _dot(a, b), 4),
     "add_rowsum": (lambda acc, a: acc + np.add.reduce(a, axis=-1), 2),
     "max_rowmax": (lambda acc, a: np.maximum(acc, np.maximum.reduce(a, axis=-1)), 2),
 }
@@ -244,7 +262,8 @@ class MemoryHierarchy:
         # Results not yet scanned for NaN or +inf.  Invariant: no slot
         # array is mutated after ``compute`` returns (``out=`` replaces
         # the slot's array, reads and allocs make fresh ones), so
-        # scanning a result late sees what it held.
+        # scanning a result late sees what it held; each is C-contiguous,
+        # so a scan can join their buffers.
         self._pending: list[np.ndarray] = []
         self._slots: dict[int, np.ndarray] = {}
         self._used = 0
@@ -271,7 +290,7 @@ class MemoryHierarchy:
 
     def _scan_pending(self) -> None:
         # max is NaN if any entry is, so one reduction catches NaN and +inf.
-        if not (np.concatenate(self._pending, axis=None).max() < np.inf):
+        if not (np.frombuffer(b"".join(self._pending)).max() < np.inf):
             self._overflow = True
         self._pending.clear()
 
@@ -420,7 +439,9 @@ class MemoryHierarchy:
         overwrites an existing slot of the same size (in-place
         accumulation); otherwise a fresh slot is allocated.  An unknown
         op or a wrong operand count raises ``UsageError`` before
-        anything is computed.
+        anything is computed, and so do operands whose shapes the op
+        cannot combine (numpy's ``ValueError`` is its cause); nothing is
+        stored or claimed.
         """
         try:
             fn, arity = _OPS[op]
@@ -448,6 +469,9 @@ class MemoryHierarchy:
             if missing is None:
                 raise
             raise ResidencyError(f"slot {missing} is not cache-resident") from None
+        except ValueError as exc:
+            shapes = ", ".join(str(slots[x].shape) for x in operands)
+            raise UsageError(f"op {op!r} cannot combine operands of shapes {shapes}") from exc
         # Slots hold float64 arrays, so every op yields float64; only a
         # numpy scalar (any op with a shape-() result) needs wrapping.
         if type(result) is not np.ndarray:

@@ -1,6 +1,7 @@
 """Memory-hierarchy simulator: counting, capacity, overflow, epochs."""
 
 import csv
+from itertools import product
 
 import numpy as np
 import pytest
@@ -264,11 +265,31 @@ def test_every_op_leaves_a_float64_array_slot():
             fresh = h.compute(op, *slots)
             target = h.alloc(expected.shape)
             assert h.compute(op, *slots, out=target) == target
-            for handle in (fresh, target):
+            # an out slot of another shape but the same size takes a reshape
+            flat = (expected.size,)
+            reshaped = flat if expected.shape != flat else (1, expected.size)
+            other = h.alloc(reshaped)
+            assert h.compute(op, *slots, out=other) == other
+            for handle, shape in ((fresh, expected.shape), (target, expected.shape),
+                                  (other, reshaped)):
                 got = h._slots[handle]
                 assert type(got) is np.ndarray and got.dtype == np.float64, (op, shapes)
-                assert got.shape == expected.shape
+                assert got.shape == shape
+                # the overflow scan joins slot buffers, which needs C order
+                assert got.flags.c_contiguous, (op, shapes)
                 assert got.tobytes() == expected.tobytes()
+
+
+def test_read_block_slots_of_sub_blocks_are_c_contiguous():
+    # a 2-D sub-block is a strided view of its array until read_block copies it
+    h = MemoryHierarchy(64)
+    h.load("A", np.arange(35.0).reshape(5, 7))
+    block = Block("A", range(1, 4), range(2, 6))
+    assert not h.memory["A"][block.index].flags.c_contiguous
+    for shape in (None, (3, 4), (4, 3), (12,), (2, 6)):
+        got = h._slots[h.read_block(block, shape)]
+        assert got.flags.c_contiguous, shape
+        assert got.ravel().tolist() == h.memory["A"][1:4, 2:6].ravel().tolist()
 
 
 # Each fused op: its operands' shapes, and the separate ops it fuses in
@@ -352,6 +373,143 @@ def test_fused_ops_match_their_separate_steps(monkeypatch):
         separate, separate_flag = _run_steps(FUSED_STEPS["scaled_addmm"][1], hidden)
     assert fused.tolist() == separate.tolist() == [[-np.inf]]
     assert separate_flag and not fused_flag
+
+
+# The op table and overflow scan as they were before the matrix products
+# went through ndarray.dot and the scan through a byte join: the cheaper
+# entry points must give these bits.
+REFERENCE_OPS = {
+    "add": (np.add, 2),
+    "sub": (np.subtract, 2),
+    "mul": (np.multiply, 2),
+    "div": (np.divide, 2),
+    "neg": (np.negative, 1),
+    "exp": (np.exp, 1),
+    "inv": (np.reciprocal, 1),
+    "maximum": (np.maximum, 2),
+    "matmul": (np.matmul, 2),
+    "rowscale": (lambda a, w: a * w[..., None], 2),
+    "subrow": (lambda a, w: a - w[..., None], 2),
+    "exp_sub": (lambda a, b: np.exp(a - b), 2),
+    "mul_add": (lambda a, w, b: a * w + b, 3),
+    "addmm": (lambda acc, a, b: acc + a @ b, 3),
+    "add_outer": (lambda acc, u, v: acc + u[:, None] * v[None, :], 3),
+    "scaled_addmm": (lambda acc, w, a, b: acc + w[:, None] * (a @ b), 4),
+    "add_rowsum": (lambda acc, a: acc + np.add.reduce(a, axis=-1), 2),
+    "max_rowmax": (lambda acc, a: np.maximum(acc, np.maximum.reduce(a, axis=-1)), 2),
+}
+
+
+def reference_overflow(pending):
+    return not (np.concatenate(pending, axis=None).max() < np.inf)
+
+
+# Operand shapes of each op for dimensions m, k, n: every 1-D and 2-D
+# form the op accepts.  Only the matrix products read n.
+MATRIX_OPS = {"matmul", "addmm", "scaled_addmm"}
+OP_SHAPES = {
+    **dict.fromkeys(["add", "sub", "mul", "div", "maximum", "exp_sub"],
+                    lambda m, k, n: [((m, k), (m, k)), ((k,), (k,))]),
+    **dict.fromkeys(["neg", "exp", "inv"], lambda m, k, n: [((m, k),), ((k,),)]),
+    **dict.fromkeys(["rowscale", "subrow"], lambda m, k, n: [((m, k), (m,))]),
+    "mul_add": lambda m, k, n: [((m, k),) * 3, ((k,),) * 3],
+    "matmul": lambda m, k, n: [((m, k), (k, n)), ((m, k), (k,)), ((k,), (k, n)),
+                               ((k,), (k,))],
+    "addmm": lambda m, k, n: [((m, n), (m, k), (k, n)), ((m,), (m, k), (k,))],
+    "add_outer": lambda m, k, n: [((m, k), (m,), (k,))],
+    "scaled_addmm": lambda m, k, n: [((m, n), (m,), (m, k), (k, n))],
+    **dict.fromkeys(["add_rowsum", "max_rowmax"],
+                    lambda m, k, n: [((m,), (m, k)), ((), (k,))]),
+}
+SUBNORMALS = [5e-324, -5e-324, 2.5e-310, -1e-315]
+
+
+def _same_bits(op, operands):
+    got = np.asarray(_OPS[op][0](*operands))
+    want = np.asarray(REFERENCE_OPS[op][0](*operands))
+    return (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
+def test_ops_give_the_reference_bits():
+    assert set(REFERENCE_OPS) == set(_OPS) == set(OP_SHAPES)
+    assert all(_OPS[op][1] == arity for op, (_, arity) in REFERENCE_OPS.items())
+    rng = np.random.default_rng(22)
+    dims = range(1, 18)
+    with np.errstate(all="ignore"):
+        for op, shapes_of in OP_SHAPES.items():
+            ns = dims if op in MATRIX_OPS else (1,)
+            for m, k, n in product(dims, dims, ns):
+                for shapes in shapes_of(m, k, n):
+                    for magnitude in (1.0, 1e3, 1e200):
+                        operands = [rng.uniform(-magnitude, magnitude, s) for s in shapes]
+                        assert _same_bits(op, operands), (op, shapes, magnitude)
+            # non-finite, extreme and subnormal entries at two densities
+            for trial in range(300):
+                # a third of them at dims 1 and 2, where length-1 contractions fall
+                shapes = shapes_of(*rng.integers(1, 18 if trial % 3 else 3, 3))
+                shapes = shapes[trial % len(shapes)]
+                rate = (0.05, 0.4)[trial % 2]
+                operands = []
+                for s in shapes:
+                    values = rng.uniform(-3, 3, s)
+                    special = rng.random(s) < rate
+                    values[special] = rng.choice(SPECIALS + SUBNORMALS, special.sum())
+                    operands.append(values)
+                assert _same_bits(op, operands), (op, shapes, trial)
+
+
+def test_overflow_scan_matches_the_reference_scan():
+    rng = np.random.default_rng(23)
+    flagged = 0
+    for trial in range(1200):
+        pending = []
+        for _ in range(rng.integers(1, 40)):
+            shape = tuple(rng.integers(1, 18, rng.integers(0, 3)))
+            pending.append(rng.uniform(-1, 1, shape) * 1e308)
+        # a quarter of the lists stay finite; the others get up to three
+        # NaN, +inf or -inf entries
+        count = rng.integers(0, 4) if trial % 4 else 0
+        for special in rng.choice([np.nan, np.inf, -np.inf], count):
+            values = pending[rng.integers(len(pending))].reshape(-1)
+            values[rng.integers(values.size)] = special
+        h = MemoryHierarchy(4)
+        h._pending.extend(pending)
+        expected = reference_overflow(pending)
+        assert h.overflow == expected, trial
+        flagged += expected
+    assert 300 < flagged < 1000
+
+
+def test_shape_mismatch_is_a_usage_error():
+    # one pair of operand shapes per op that the op cannot combine; unary
+    # ops take any shape
+    cases = {
+        **dict.fromkeys(["add", "sub", "mul", "div", "maximum", "exp_sub"], [(2,), (3,)]),
+        "matmul": [(2, 3), (2, 3)], "rowscale": [(2, 3), (3,)], "subrow": [(2, 3), (3,)],
+        "mul_add": [(2,), (2,), (3,)], "addmm": [(2, 2), (2, 3), (2, 2)],
+        "add_outer": [(2, 3), (3,), (3,)], "scaled_addmm": [(2, 2), (3,), (2, 2), (2, 2)],
+        "add_rowsum": [(3,), (2, 4)], "max_rowmax": [(3,), (2, 4)],
+    }
+    # dot would scale by a 0-d operand and contract a 3-D one
+    refused = [("matmul", [(), (2,)]), ("matmul", [(2, 2), ()]),
+               ("matmul", [(2, 2, 2), (2, 2)]), ("matmul", [(2,), (2, 2, 2)]),
+               ("addmm", [(2, 2), (), (2, 2)]), ("addmm", [(2, 2, 2), (2, 2, 2), (2, 2)]),
+               ("scaled_addmm", [(2, 2), (2,), (2, 2), ()]),
+               ("scaled_addmm", [(2, 2, 2), (2,), (2, 2, 2), (2, 2)])]
+    assert set(cases) == {op for op, (_, arity) in _OPS.items() if arity > 1}
+    for op, shapes in [*cases.items(), *refused]:
+        h = MemoryHierarchy(64)
+        slots = [h.alloc(shape, fill=1.0) for shape in shapes]
+        before = (h.words_used, h._next_handle, [(x, id(a)) for x, a in h._slots.items()])
+        for out in (None, slots[0]):
+            with pytest.raises(errors.UsageError) as info:
+                h.compute(op, *slots, out=out)
+            assert str(info.value) == (f"op {op!r} cannot combine operands of shapes "
+                                       + ", ".join(map(str, shapes))), (op, shapes)
+            assert isinstance(info.value.__cause__, ValueError)
+            assert (h.words_used, h._next_handle,
+                    [(x, id(a)) for x, a in h._slots.items()]) == before
+            assert not h.overflow
 
 
 def test_compute_checks_operand_count():
