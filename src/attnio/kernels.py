@@ -18,7 +18,7 @@ against.  Every kernel needs a fresh hierarchy - one that has moved no
 word and holds no memory or cache - and raises ``ConfigurationError``
 otherwise, so one hierarchy's counts always belong to exactly one run.
 Each kernel loads its inputs and reserves its outputs (``A``, ``dvec``,
-``rmax``, ``QKT``, ``O``) as named arrays, and moves ``Block``s of them.
+``QKT``, ``O``) as named arrays, and moves ``Block``s of them.
 Kernels read the hierarchy's read and write counters, never its trace:
 completion ticks and the epoch split both come from ``reads + writes``.
 """
@@ -106,26 +106,22 @@ def _finish(h: MemoryHierarchy, output, algorithm, completions) -> KernelResult:
 def square_tiling_attention(
     h: MemoryHierarchy,
     inst: AttentionInstance,
-    stabilize: bool = False,
     write_qkt: bool = False,
 ) -> KernelResult:
     """Two-phase square-tiled attention with block side B = floor(sqrt(M/4)).
 
     Phase 1 writes every B x B block of A = exp(Q K^T) and the row-sum
     vector to memory; Phase 2 reads them back and accumulates
-    D^{-1} A V block by block.  Boundary blocks are clipped.
+    D^{-1} A V block by block.  Boundary blocks are clipped.  exp is
+    applied to the raw scores, so callers bound input magnitude; a
+    score that overflows sets the result's ``overflow``.
 
-    ``stabilize`` adds a row-max pre-pass with the same I/O order (the
-    default path applies exp directly, so callers bound input
-    magnitude).  ``write_qkt`` additionally writes each raw Q K^T entry
-    to memory when it is first computed (at most N^2 extra writes);
-    this is the matmul reduction hook.
+    ``write_qkt`` additionally writes each raw Q K^T entry to memory
+    when it is computed (N^2 extra writes); this is the matmul
+    reduction hook.
     """
     n, d = inst.N, inst.d
-    m = h.capacity
-    b = math.isqrt(m // 4)
-    if stabilize and 3 * b * b + 2 * b > m:
-        raise RegimeError("stabilized pre-pass needs M >= 3B^2 + 2B")
+    b = math.isqrt(h.capacity // 4)
 
     h.load("Q", inst.Q)
     h.load("KT", inst.K.T)
@@ -133,8 +129,6 @@ def square_tiling_attention(
     h.reserve("A", (n, n))
     h.reserve("dvec", (n,))
     h.reserve("O", (n, d))
-    if stabilize:
-        h.reserve("rmax", (n,))
     if write_qkt:
         h.reserve("QKT", (n, n))
     read_block, write_block = h.read_block, h.write_block
@@ -149,55 +143,26 @@ def square_tiling_attention(
     v_blocks = [[Block("V", rk, cj) for rk in rows] for cj in cols]
     completions: list[tuple[int, int]] = []
 
-    def score_block(i, j):
-        """Raw (pre-exp) Q K^T block summed over the l-loop."""
-        a = alloc((len(rows[i]), len(rows[j])))
-        for qblk, kblk in zip(q_blocks[i], kt_blocks[j]):
-            qb = read_block(qblk, qblk.shape)
-            kb = read_block(kblk, kblk.shape)
-            compute("addmm", a, qb, kb, out=a)
-            free(qb, kb)
-        return a
-
-    def complete(a, ri, rj):
-        """Log the block's finished entries (and write them if asked).
-        Called once per block, on its first computation."""
-        completions.append((h.reads + h.writes, len(ri) * len(rj)))
-        if write_qkt:
-            write_block(a, Block("QKT", ri, rj))
-
-    if stabilize:
-        # Pre-pass: per row block, the running max over all score blocks.
-        for i, ri in enumerate(rows):
-            mrow = alloc((len(ri),), fill=-math.inf)
-            for j, rj in enumerate(rows):
-                a = score_block(i, j)
-                complete(a, ri, rj)
-                compute("max_rowmax", mrow, a, out=mrow)
-                free(a)
-            write_block(mrow, Block("rmax", ri))
-            free(mrow)
-
-    # Phase 1: compute and store A = exp(Q K^T [- rowmax]) and row sums.
+    # Phase 1: compute and store A = exp(Q K^T) and row sums.
     for i, ri in enumerate(rows):
         dvec = alloc((len(ri),))
-        mrow = None
-        if stabilize:
-            mrow = read_block(Block("rmax", ri), (len(ri),))
         for j, rj in enumerate(rows):
-            a = score_block(i, j)
-            if stabilize:
-                compute("subrow", a, mrow, out=a)
-            else:
-                complete(a, ri, rj)
+            # The raw Q K^T block, summed over the l-loop.
+            a = alloc((len(ri), len(rj)))
+            for qblk, kblk in zip(q_blocks[i], kt_blocks[j]):
+                qb = read_block(qblk, qblk.shape)
+                kb = read_block(kblk, kblk.shape)
+                compute("addmm", a, qb, kb, out=a)
+                free(qb, kb)
+            completions.append((h.reads + h.writes, len(ri) * len(rj)))
+            if write_qkt:
+                write_block(a, Block("QKT", ri, rj))
             compute("exp", a, out=a)
             write_block(a, a_blocks[i][j])
             compute("add_rowsum", dvec, a, out=dvec)
             free(a)
         write_block(dvec, Block("dvec", ri))
         free(dvec)
-        if mrow is not None:
-            free(mrow)
 
     # Phase 2: O block = sum_k diag(d)^{-1} A[i,k] V[k,j].
     for i, ri in enumerate(rows):
@@ -304,7 +269,7 @@ def streaming_attention(h: MemoryHierarchy, inst: AttentionInstance) -> KernelRe
 
 def dispatch_attention(h: MemoryHierarchy, inst: AttentionInstance) -> KernelResult:
     """Pick the regime-appropriate kernel by ``picks_streaming`` and run
-    it with its defaults (plain, unstabilized tiling)."""
+    it with its defaults."""
     if picks_streaming(h.capacity, inst.d):
         return streaming_attention(h, inst)
     return square_tiling_attention(h, inst)

@@ -33,11 +33,9 @@ That relies on no slot array ever being mutated after ``compute``
 returns, and on every slot array being C-contiguous, which reads,
 allocs and the ops on C-contiguous operands all give.
 
-Row reductions come fused with the step that consumes them:
-``add_rowsum`` (acc + row sums) and ``max_rowmax`` (the elementwise
-maximum of acc and the row maxima) take the place of separate
-``rowsum`` and ``rowmax`` ops, so no row vector is stored between the
-two steps.  ``free`` takes any number of handles and vacates them in
+The row sum comes fused with the step that consumes it: ``add_rowsum``
+(acc + row sums) takes the place of a separate ``rowsum`` op, so no row
+vector is stored between the two steps.  ``free`` takes any number of handles and vacates them in
 order.  ``peak_words`` is the highest ``words_used`` so far.
 """
 
@@ -49,7 +47,7 @@ import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import product, repeat
-from typing import Callable, Hashable, Iterable
+from typing import Callable, Hashable
 
 import numpy as np
 
@@ -87,11 +85,11 @@ class IoStats:
         return self.reads + self.writes
 
 
-# Elementwise and fused cache primitives, each with its operand count.
+# The cache primitives the kernels call, each with its operand count.
 # Fused ops (exp_sub, mul_add, addmm, add_outer, scaled_addmm,
-# add_rowsum, max_rowmax) apply their steps in one call and in the same
-# order as the separate ops, so results are bit-identical and need no
-# extra cache words.  ``overflow`` sees only the fused result: an
+# add_rowsum) apply their steps in one call and in the same order as
+# the separate ops, so results are bit-identical and need no extra
+# cache words.  ``overflow`` sees only the fused result: an
 # intermediate +inf that a negative scale in scaled_addmm turns into
 # -inf goes unflagged (the kernels' scale is a reciprocal row sum, never
 # negative).
@@ -112,24 +110,17 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 _OPS: dict[str, tuple[Callable, int]] = {
-    "add": (np.add, 2),
-    "sub": (np.subtract, 2),
-    "mul": (np.multiply, 2),
-    "div": (np.divide, 2),
-    "neg": (np.negative, 1),
     "exp": (np.exp, 1),
     "inv": (np.reciprocal, 1),
     "maximum": (np.maximum, 2),
     "matmul": (_dot, 2),
     "rowscale": (lambda a, w: a * w[..., None], 2),
-    "subrow": (lambda a, w: a - w[..., None], 2),
     "exp_sub": (lambda a, b: np.exp(a - b), 2),
     "mul_add": (lambda a, w, b: a * w + b, 3),
     "addmm": (lambda acc, a, b: acc + _dot(a, b), 3),
     "add_outer": (lambda acc, u, v: acc + u[:, None] * v, 3),
     "scaled_addmm": (lambda acc, w, a, b: acc + w[:, None] * _dot(a, b), 4),
     "add_rowsum": (lambda acc, a: acc + np.add.reduce(a, axis=-1), 2),
-    "max_rowmax": (lambda acc, a: np.maximum(acc, np.maximum.reduce(a, axis=-1)), 2),
 }
 
 
@@ -523,15 +514,6 @@ def split_into_epochs(ticks: int, m: int) -> list[range]:
     if ticks == 0:
         return [range(0, 0)]
     return [range(k, min(k + m, ticks)) for k in range(0, ticks, m)]
-
-
-def replay_trace(trace: Iterable[tuple]) -> dict[Address, float]:
-    """Apply the write events of a trace to a fresh memory image."""
-    memory: dict[Address, float] = {}
-    for kind, address, value in trace:
-        if kind == WRITE:
-            memory[address] = value
-    return memory
 
 
 def format_address(address: Address) -> str:

@@ -3,15 +3,14 @@ independent of the simulator.
 
 Every kernel count depends on N, d and M alone.  Tiling has block side
 b = floor(sqrt(M/4)), R = ceil(N/b) row blocks and C = ceil(d/b)
-column blocks; s and w are 1 when ``stabilize`` or ``write_qkt`` is set:
+column blocks; w is 1 when ``write_qkt`` is set:
 
-    reads  = 2RNd(1+s) + sN + N + C N^2 + RNd
-    writes = N^2 + N + Nd + sN + w N^2
+    reads  = 2RNd + N + C N^2 + RNd
+    writes = N^2 + N + Nd + w N^2
 
-Each score-block pass reads all of Q and K^T once per row block
-(2RNd), the pre-pass repeats it (s), rmax and dvec are read back once
-(sN + N), and Phase 2 reads A once per column block (C N^2) and V once
-per row block (RNd).  Streaming with R resident rows reads Q once and
+Phase 1 reads all of Q and K^T once per row block (2RNd), dvec is read
+back once (N), and Phase 2 reads A once per column block (C N^2) and V
+once per row block (RNd).  Streaming with R resident rows reads Q once and
 K and V once per row block, and writes O once:
 
     reads  = Nd + 2Nd ceil(N/R)
@@ -23,7 +22,6 @@ from itertools import product
 
 import pytest
 
-from attnio import errors
 from attnio import experiments as E
 from attnio.kernels import (
     square_tiling_attention,
@@ -35,12 +33,11 @@ from attnio.matrices import random_instance
 from attnio.memory import MIN_CAPACITY, MemoryHierarchy
 
 
-def tiling_counts(n, d, m, stabilize=False, write_qkt=False):
+def tiling_counts(n, d, m, write_qkt=False):
     b = math.isqrt(m // 4)
     r, c = -(-n // b), -(-d // b)
-    s, w = int(stabilize), int(write_qkt)
-    reads = 2 * r * n * d * (1 + s) + s * n + n + c * n * n + r * n * d
-    writes = n * n + n + n * d + s * n + w * n * n
+    reads = 2 * r * n * d + n + c * n * n + r * n * d
+    writes = n * n + n + n * d + int(write_qkt) * n * n
     return reads, writes
 
 
@@ -52,8 +49,6 @@ def streaming_counts(n, d, m):
 MODES = {
     "tiling": (lambda h, inst: square_tiling_attention(h, inst),
                lambda n, d, m: tiling_counts(n, d, m)),
-    "stabilize": (lambda h, inst: square_tiling_attention(h, inst, stabilize=True),
-                  lambda n, d, m: tiling_counts(n, d, m, stabilize=True)),
     "write_qkt": (lambda h, inst: square_tiling_attention(h, inst, write_qkt=True),
                   lambda n, d, m: tiling_counts(n, d, m, write_qkt=True)),
     "streaming": (lambda h, inst: streaming_attention(h, inst), streaming_counts),
@@ -78,13 +73,7 @@ def test_kernel_counts_match_the_closed_form(mode):
         if mode == "streaming" and not streaming_fits(m, d):
             continue
         h = MemoryHierarchy(m)
-        try:
-            run(h, random_instance(n, d, n * d + m))
-        except errors.RegimeError:
-            # only the stabilized pre-pass refuses a cache, below 3B^2 + 2B
-            b = math.isqrt(m // 4)
-            assert mode == "stabilize" and 3 * b * b + 2 * b > m
-            continue
+        run(h, random_instance(n, d, n * d + m))
         assert (h.reads, h.writes) == formula(n, d, m), (mode, n, d, m)
         checked += 1
     assert checked >= 150

@@ -44,7 +44,7 @@ def test_sweep_record_invariants():
 
 
 def test_sweep_overflow_is_numeric_error():
-    # exp of raw scores near 30^2 * 4 overflows the unstabilized kernel
+    # exp of raw scores near 30^2 * 4 overflows the tiling kernel
     records = E.run_sweep(small_config(algorithms=("tiling",), m_grid=(16,),
                                        magnitude=30.0))
     assert [r.status for r in records] == ["numeric_error"]

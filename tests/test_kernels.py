@@ -20,7 +20,7 @@ from attnio.kernels import (
     streaming_fits,
 )
 from attnio.matrices import AttentionInstance, random_instance
-from attnio.memory import MemoryHierarchy, export_trace_csv, replay_trace
+from attnio.memory import _OPS, MemoryHierarchy, export_trace_csv
 
 
 def rel_error(a, b):
@@ -87,28 +87,6 @@ def test_tiling_single_entry():
     assert np.allclose(res.output, [[4.5]])
 
 
-def test_tiling_stabilized_handles_large_inputs():
-    inst = random_instance(6, 2, 3, magnitude=30.0)
-    res = square_tiling_attention(MemoryHierarchy(16), inst, stabilize=True)
-    assert not res.overflow
-    assert rel_error(res.output, reference_attention(inst)) < 1e-9
-
-
-def test_tiling_stabilized_exact_counts():
-    # N=8, d=2, M=16 (B=2, 16 score blocks of 4 entries): completions are
-    # logged in the pre-pass, and write_qkt adds N^2 = 64 writes there.
-    inst = random_instance(8, 2, 0)
-    res = square_tiling_attention(MemoryHierarchy(16), inst, stabilize=True)
-    assert (res.io.reads, res.io.writes) == (400, 96)
-    assert res.entry_completions == [(t, 4) for t in (
-        8, 16, 24, 32, 42, 50, 58, 66, 76, 84, 92, 100, 110, 118, 126, 134)]
-    res = square_tiling_attention(MemoryHierarchy(16), inst, stabilize=True,
-                                  write_qkt=True)
-    assert (res.io.reads, res.io.writes) == (400, 160)
-    assert res.entry_completions == [(t, 4) for t in (
-        8, 20, 32, 44, 58, 70, 82, 94, 108, 120, 132, 144, 158, 170, 182, 194)]
-
-
 def test_streaming_matches_reference():
     inst = random_instance(8, 2, 5)
     res = streaming_attention(MemoryHierarchy(64), inst)
@@ -158,17 +136,15 @@ def test_streaming_peak_matches_cache_model():
 
 
 def test_tiling_peak_matches_cache_model():
-    # the score block, its Q and KT blocks, and the row-sum vector (plus
-    # the row-max vector when stabilized), each clipped to N and d
-    for n, d, m, stabilize in product((1, 3, 5, 17), (1, 2, 4, 8, 16),
-                                      (4, 8, 16, 32, 64, 128, 256, 1024), (False, True)):
+    # the score block, its Q and KT blocks, and the row-sum vector, each
+    # clipped to N and d
+    for n, d, m in product((1, 3, 5, 17), (1, 2, 4, 8, 16),
+                           (4, 8, 16, 32, 64, 128, 256, 1024)):
         b = math.isqrt(m // 4)
-        if stabilize and 3 * b * b + 2 * b > m:
-            continue
         h = PeakHierarchy(m)
-        square_tiling_attention(h, random_instance(n, d, n + d), stabilize=stabilize)
+        square_tiling_attention(h, random_instance(n, d, n + d))
         bn, bd = min(b, n), min(b, d)
-        assert h.peak == (1 + stabilize) * bn + bn * bn + 2 * bn * bd, (n, d, m, stabilize)
+        assert h.peak == bn + bn * bn + 2 * bn * bd, (n, d, m)
 
 
 def test_peak_words_matches_peak_hierarchy():
@@ -182,13 +158,11 @@ def test_peak_words_matches_peak_hierarchy():
             h = PeakHierarchy(m)
             streaming_attention(h, random_instance(n, d, n + d))
             check(h)
-    for n, d, m, stabilize in product((1, 3, 5, 17), (1, 2, 4, 8, 16),
-                                      (4, 8, 16, 32, 64, 128, 256, 1024), (False, True)):
-        b = math.isqrt(m // 4)
-        if not (stabilize and 3 * b * b + 2 * b > m):
-            h = PeakHierarchy(m)
-            square_tiling_attention(h, random_instance(n, d, n + d), stabilize=stabilize)
-            check(h)
+    for n, d, m in product((1, 3, 5, 17), (1, 2, 4, 8, 16),
+                           (4, 8, 16, 32, 64, 128, 256, 1024)):
+        h = PeakHierarchy(m)
+        square_tiling_attention(h, random_instance(n, d, n + d))
+        check(h)
 
 
 def test_streaming_io_halves_with_cache():
@@ -247,8 +221,8 @@ def test_trace_replays_to_memory_and_output():
     for h, kernel in runs:
         result = kernel(h)
         assert all(type(v) is float for _, _, v in h.trace)
-        written = {a for kind, a, _ in h.trace if kind == "W"}
-        assert replay_trace(h.trace) == {a: h.memory[a[0]][a[1:]].item() for a in written}
+        replayed = {a: v for kind, a, v in h.trace if kind == "W"}
+        assert replayed == {a: h.memory[a[0]][a[1:]].item() for a in replayed}
         assert np.array_equal(h.fetch_matrix("O", (inst.N, inst.d)), result.output)
 
 
@@ -294,7 +268,6 @@ def test_kernels_run_on_counters_alone(monkeypatch):
     inst = random_instance(12, 4, 3)
     runs = [
         (16, lambda h: square_tiling_attention(h, inst)),
-        (64, lambda h: square_tiling_attention(h, inst, stabilize=True)),
         (16, lambda h: square_tiling_attention(h, inst, write_qkt=True)),
         (64, lambda h: streaming_attention(h, inst)),
         (16, lambda h: dispatch_attention(h, inst)),
@@ -327,8 +300,8 @@ def test_non_finite_output_is_overflow():
 
 
 def test_kernels_silence_overflow_once_per_run():
-    # exp of raw scores near 30^2 * 4 overflows the unstabilized tiling
-    # kernel; streaming's scores themselves overflow at 1e200
+    # exp of raw scores near 30^2 * 4 overflows the tiling kernel;
+    # streaming's scores themselves overflow at 1e200
     runs = [(square_tiling_attention, 16, 30.0), (streaming_attention, 64, 1e200)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -354,8 +327,6 @@ def test_kernels_restore_numpy_error_state():
     used.alloc((1,))
     failing = [
         (errors.RegimeError, lambda: streaming_attention(MemoryHierarchy(16), inst)),
-        (errors.RegimeError,
-         lambda: square_tiling_attention(MemoryHierarchy(4), inst, stabilize=True)),
         (errors.ConfigurationError, lambda: square_tiling_attention(used, inst)),
     ]
     with np.errstate(over="raise", invalid="print", divide="warn", under="ignore"):
@@ -391,23 +362,19 @@ def test_random_instance_rejects_what_numpy_cannot_draw():
 # one array per name.  (3, 8, 16) and (5, 2, 16) clip their last blocks.
 TRACE_DIGESTS = {
     ("tiling", 12, 4, 64): "5dfc3213e61ec80a51d7df6803a8e619e56035204b06c06441089bc1c048e458",
-    ("stabilize", 12, 4, 64): "c298eab5c9448c758f713149b531d23d9cf83e8b9b66a42f14c27e53908a945d",
     ("write_qkt", 12, 4, 64): "bfbcf8b73ef01e81bd82a5e6758e7aae15500afef88bf3cafb0f2893d3b34b88",
     ("streaming", 12, 4, 64): "84f248547da16189bb9ecc0eb949f71fd451a999d2cd663d867e78ffdeff7f5e",
     ("matmul", 12, 4, 64): "bfbcf8b73ef01e81bd82a5e6758e7aae15500afef88bf3cafb0f2893d3b34b88",
     ("tiling", 3, 8, 16): "bb0b0b053421949bd9f47c3862b22d19129b8332a0c9202cb907692c0b535616",
-    ("stabilize", 3, 8, 16): "42934064073b3d477621ebbdc96590e7c6638bd40e0cfce494e895ce74629bd2",
     ("write_qkt", 3, 8, 16): "d8d49c03bfe215ce88e29d08989e87b8dfad23a2772b9125b2bf7257b2fa3b01",
     ("matmul", 3, 8, 16): "d8d49c03bfe215ce88e29d08989e87b8dfad23a2772b9125b2bf7257b2fa3b01",
     ("tiling", 5, 2, 16): "b021a06aa02c1b6102f32020d1f722834fcdfa86ab8ea1cc5747d55929af2d21",
-    ("stabilize", 5, 2, 16): "59027e6eb41bea87dc1978ca1870a70610cc6029a05700028d7cc991e6f578a3",
     ("write_qkt", 5, 2, 16): "da3f74dac82dd593ab7f79cd97d3fd951b26a6e7397bfc74cdcf680b4580a12e",
     ("streaming", 5, 2, 16): "b32a6276863779bb7b719abb5da6e2d88e0c7c0c45b916ee5935196cde5c1544",
     ("matmul", 5, 2, 16): "da3f74dac82dd593ab7f79cd97d3fd951b26a6e7397bfc74cdcf680b4580a12e",
 }
 TRACE_RUNS = {
     "tiling": lambda h, inst: square_tiling_attention(h, inst),
-    "stabilize": lambda h, inst: square_tiling_attention(h, inst, stabilize=True),
     "write_qkt": lambda h, inst: square_tiling_attention(h, inst, write_qkt=True),
     "streaming": lambda h, inst: streaming_attention(h, inst),
     "matmul": lambda h, inst: matmul_via_attention(h, inst.Q, inst.K),
@@ -424,8 +391,8 @@ def test_trace_csv_bytes_pinned(tmp_path, mode, n, d, m):
 
 
 # (N, d, M) points of the value golden: B = 1 to 11, clipped last blocks,
-# streaming regime errors (M < 8d), stabilize's M < 3B^2 + 2B, and
-# dispatch on both sides of M = d^2.
+# streaming regime errors (M < 8d), and dispatch on both sides of
+# M = d^2.
 VALUE_POINTS = [
     (1, 1, 4), (4, 2, 4), (5, 5, 4), (6, 1, 8), (7, 3, 9), (3, 8, 16), (5, 2, 16),
     (8, 2, 16), (16, 2, 32), (6, 3, 36), (16, 4, 36), (11, 6, 48), (9, 4, 64),
@@ -461,12 +428,10 @@ def value_digest(mode, magnitude):
 
 
 # Recorded before the fused row reductions and the leaner compute, read
-# and free; magnitude 40 overflows the unstabilized tiling runs.
+# and free; magnitude 40 overflows the tiling runs.
 VALUE_DIGESTS = {
     ("tiling", 1.0): "42f7c9e837b6a58c039849486bbb241f57e08b198b8ccdbd87cf7a1616fb2a70",
     ("tiling", 40.0): "c718092f6e1d508e697dd5836adfa7489f236b4e5e6d7d827b3fee897e38d9ba",
-    ("stabilize", 1.0): "7e1268efcbd85c27d46e00f135bb864fb9d5ed727803353f092b2b2309fd45c8",
-    ("stabilize", 40.0): "1d92084c08c2310af983c7d2fdc15ddf3dee6dac2c97567f2063948656307827",
     ("write_qkt", 1.0): "66c46058857f297239d3f16168a3f2d6408c2404272685da978babac32d93a18",
     ("write_qkt", 40.0): "ed44c66b6991c31d493d2fdaf81dd6deb550fe12181b764b0c4dd873e5998a94",
     ("streaming", 1.0): "97ff2b550c111f3bf6148da78e945c9cce04ed472b72f37c61fec06ed03f7561",
@@ -512,7 +477,6 @@ class _OpLoggingHierarchy(MemoryHierarchy):
 # scans shows only here.
 OP_SEQUENCE_DIGESTS = {
     "tiling": "0587690d62a1c3a03a3f7d139ea2015ad8e9decf9a8f4d96f85de1c2156f3ea0",
-    "stabilize": "673ca31f401d5924c4425efe7ce11d2064fb72f3f3eddf6a7dfffff71a4628e8",
     "write_qkt": "0587690d62a1c3a03a3f7d139ea2015ad8e9decf9a8f4d96f85de1c2156f3ea0",
     "streaming": "507fb6faffeffd740d71e4ffa61bbb8302a9f3e16533720c03bb1543487fa972",
     "matmul": "0587690d62a1c3a03a3f7d139ea2015ad8e9decf9a8f4d96f85de1c2156f3ea0",
@@ -520,19 +484,34 @@ OP_SEQUENCE_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("mode", list(OP_SEQUENCE_DIGESTS))
-def test_kernel_op_sequences_pinned(mode):
-    assert set(OP_SEQUENCE_DIGESTS) == set(VALUE_RUNS)
-    digest = hashlib.sha256()
+def _op_logs(mode):
+    """The mode's compute/alloc/free log at each of VALUE_POINTS, None
+    where it raises a regime error."""
     for seed, (n, d, m) in enumerate(VALUE_POINTS):
         h = _OpLoggingHierarchy(m)
         try:
             VALUE_RUNS[mode](h, random_instance(n, d, seed))
         except errors.RegimeError:
-            digest.update(b"regime_error")
+            yield None
             continue
-        digest.update(repr(h.log).encode())
+        yield h.log
+
+
+@pytest.mark.parametrize("mode", list(OP_SEQUENCE_DIGESTS))
+def test_kernel_op_sequences_pinned(mode):
+    assert set(OP_SEQUENCE_DIGESTS) == set(VALUE_RUNS)
+    digest = hashlib.sha256()
+    for log in _op_logs(mode):
+        digest.update(b"regime_error" if log is None else repr(log).encode())
     assert digest.hexdigest() == OP_SEQUENCE_DIGESTS[mode]
+
+
+def test_every_op_is_called_by_a_kernel():
+    # the op table holds the kernels' ops and no others; a test that
+    # needs another op injects it
+    called = {entry[1] for mode in VALUE_RUNS for log in _op_logs(mode) if log
+              for entry in log if entry[0] == "compute"}
+    assert called == set(_OPS)
 
 
 def test_cli_trace_file_bytes_pinned(tmp_path, capsys):
