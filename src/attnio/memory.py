@@ -35,8 +35,9 @@ allocs and the ops on C-contiguous operands all give.
 
 The row sum comes fused with the step that consumes it: ``add_rowsum``
 (acc + row sums) takes the place of a separate ``rowsum`` op, so no row
-vector is stored between the two steps.  ``free`` takes any number of handles and vacates them in
-order.  ``peak_words`` is the highest ``words_used`` so far.
+vector is stored between the two steps.  ``free`` takes any number of
+handles and vacates them in order.  ``peak_words`` is the highest
+``words_used`` so far.
 """
 
 from __future__ import annotations
