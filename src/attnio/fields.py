@@ -270,11 +270,9 @@ class BinaryExtField:
 
     Elements are the integers 0 .. 2^m - 1 (bit i is the coefficient of
     x^i).  ``powers`` holds alpha^0 .. alpha^(2^m - 2), built by one walk
-    that multiplies by x (shift, then reduce by the stored polynomial);
-    the dict ``log`` inverts it.  The walk is the primitivity check: it
-    must visit every nonzero element once and return to 1 after exactly
-    2^m - 1 steps.  ``mul`` and ``pow`` are index arithmetic on the two
-    tables; an operand outside 0 .. 2^m - 1 raises ``FieldError``.
+    that multiplies by x (shift, then reduce by the stored polynomial).
+    The walk is the primitivity check: it must visit every nonzero
+    element once and return to 1 after exactly 2^m - 1 steps.
     """
 
     def __init__(self, m: int):
@@ -288,30 +286,10 @@ class BinaryExtField:
         for _ in range(n):
             x = powers[-1] << 1
             powers.append(x ^ poly if x >> m else x)
-        self.log = dict(zip(powers, range(n)))
         # n distinct nonzero m-bit values are exactly 1..n
-        if powers.pop() != 1 or len(self.log) != n:
+        if powers.pop() != 1 or len(set(powers)) != n:
             raise ConfigurationError(f"stored polynomial for m={m} is not primitive")
         self.powers = tuple(powers)
-
-    def _check(self, a: int) -> None:
-        if not 0 <= a <= self.order:
-            raise FieldError(f"{a} is not an element of GF(2^{self.m})")
-
-    def mul(self, a: int, b: int) -> int:
-        self._check(a)
-        self._check(b)
-        if not (a and b):
-            return 0
-        return self.powers[(self.log[a] + self.log[b]) % self.order]
-
-    def pow(self, a: int, e: int) -> int:
-        self._check(a)
-        if not a:
-            if e < 0:
-                raise FieldError("zero has no inverse")
-            return int(e == 0)
-        return self.powers[self.log[a] * e % self.order]
 
 
 def bch_parity_check(m: int, s: int) -> FieldMatrix:

@@ -10,9 +10,9 @@ input array there, ``reserve`` declares an output array, and both are
 free.  A ``Block`` names a row-major rectangle of one array; it is the
 address form of ``read_block`` and ``write_block``, and each block moves
 with one slice.  The hierarchy keeps one (kind, block, value bytes)
-record per move, and its ``trace`` reads that record as one (kind,
-address, value) row per word, with addresses (name, i, j, ...); no
-per-word tuple or float exists until the trace is read.
+record per move, and iterating its ``trace`` yields one (kind, address,
+value) row per word, with addresses (name, i, j, ...); no per-word tuple
+or float exists until then, and the trace has no random access.
 
 One matrix entry is one word is one I/O unit, and every word is a 64-bit
 float.  There is no eviction policy: kernels manage their slots
@@ -45,10 +45,9 @@ from __future__ import annotations
 import csv
 import math
 import operator
-from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import product, repeat
-from typing import Callable, Hashable
+from itertools import compress, product, repeat
+from typing import Callable
 
 import numpy as np
 
@@ -59,8 +58,6 @@ from .errors import (
     ResidencyError,
     UsageError,
 )
-
-Address = Hashable
 
 READ = "R"
 WRITE = "W"
@@ -125,13 +122,13 @@ _OPS: dict[str, tuple[Callable, int]] = {
 }
 
 
-class Block(Sequence):
+class Block:
     """A row-major rectangle of the array ``name``: one ``range`` per
     axis, none for a shape-() array.
 
-    As a sequence it is the block's word addresses (name, i, j, ...) in
-    row-major order, built only when iterated or indexed.  Each range
-    must have step 1 and 0 <= start <= stop; anything else raises
+    Iterating it yields the block's word addresses (name, i, j, ...) in
+    row-major order, built only then; ``len`` is its word count.  Each
+    range must have step 1 and 0 <= start <= stop; anything else raises
     ``AddressError``.  Whether the block lies inside its array is
     checked when it moves.
     """
@@ -159,53 +156,27 @@ class Block(Sequence):
     def __iter__(self):
         return product((self.name,), *self.ranges)
 
-    def __getitem__(self, k: int) -> tuple:
-        k = operator.index(k)
-        if k < 0:
-            k += self.size
-        if not 0 <= k < self.size:
-            raise IndexError("block index out of range")
-        idx = []
-        for r in reversed(self.ranges):
-            k, offset = divmod(k, len(r))
-            idx.append(r.start + offset)
-        return (self.name, *reversed(idx))
-
     def __repr__(self) -> str:
         return f"Block({', '.join(map(repr, (self.name, *self.ranges)))})"
 
 
-class Trace(Sequence):
-    """The I/O trace: a view of a hierarchy's block moves, read as one
-    (kind, address, value) row per word.
+class Trace:
+    """The I/O trace: a view of a hierarchy's block moves, iterated as
+    one (kind, address, value) row per word, in move order.
 
     It keeps only a reference to the hierarchy's move list, so a move is
     recorded once, by one append in ``read_block`` or ``write_block``.
-    Length sums the move sizes, and indexing walks them and expands only
-    the move that holds the row; kernels never read the trace, only the
-    hierarchy's counters.
+    There is no random access and no length: the counters ``reads`` and
+    ``writes`` give the row count, and kernels never read the trace,
+    only those counters.
     """
 
     def __init__(self, moves: list[tuple[str, Block, bytes]]):
         self._moves = moves
 
-    def __len__(self) -> int:
-        return sum(block.size for _, block, _ in self._moves)
-
     def __iter__(self):
         for kind, block, raw in self._moves:
             yield from zip(repeat(kind), block, np.frombuffer(raw).tolist())
-
-    def __getitem__(self, index: int) -> tuple[str, Address, float]:
-        index = operator.index(index)
-        if index < 0:
-            index += len(self)
-        if index >= 0:
-            for kind, block, raw in self._moves:
-                if index < block.size:
-                    return kind, block[index], np.frombuffer(raw)[index].item()
-                index -= block.size
-        raise IndexError("trace index out of range")
 
     def address_labels(self):
         """Per move, its kind and the list of its word addresses as
@@ -217,11 +188,6 @@ class Trace(Sequence):
             if key not in labels:
                 labels[key] = list(map(format_address, block))
             yield kind, labels[key]
-
-    def __eq__(self, other):
-        if not isinstance(other, (Trace, list)):
-            return NotImplemented
-        return len(self) == len(other) and all(map(operator.eq, self, other))
 
 
 class MemoryHierarchy:
@@ -349,7 +315,7 @@ class MemoryHierarchy:
             return
         covered = mask[block.index].ravel()
         if not covered.all():
-            bad = block[int(np.argmin(covered))]
+            bad = next(compress(block, ~covered))
             raise AddressError(f"address {bad!r} was never written")
 
     # -- I/O -----------------------------------------------------------------
@@ -517,13 +483,11 @@ def split_into_epochs(ticks: int, m: int) -> list[range]:
     return [range(k, min(k + m, ticks)) for k in range(0, ticks, m)]
 
 
-def format_address(address: Address) -> str:
-    """``name[i,j,...]`` for an address (name, i, j, ...), ``name`` for
-    the address (name,) of a shape-() array, ``str`` of anything else."""
-    if isinstance(address, tuple) and address:
-        name, *idx = address
-        return f"{name}[{','.join(map(str, idx))}]" if idx else str(name)
-    return str(address)
+def format_address(address: tuple) -> str:
+    """``name[i,j,...]`` for a block's word address (name, i, j, ...),
+    ``name`` for the address (name,) of a shape-() array."""
+    name, *idx = address
+    return f"{name}[{','.join(map(str, idx))}]" if idx else str(name)
 
 
 def export_trace_csv(trace: Trace, path) -> None:

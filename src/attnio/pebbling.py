@@ -370,21 +370,6 @@ def validate_calculation(dag: PebblingDag, m: int, calc: list[Transition]) -> Va
 
 # -- blocked streaming schedule ------------------------------------------------
 
-def _infer_dimensions(dag: PebblingDag) -> AttentionDag:
-    """The builder's DAG for the (N, d) that ``dag``'s node counts give:
-    N inverses and Nd outputs.  Rejects any graph whose nodes differ from
-    ``build_attention_dag(N, d)``'s."""
-    counts = dag.kind_counts()
-    n = counts.get(INVERSE, 0)
-    outputs = counts.get(SCALE, 0)
-    if n < 1 or outputs < n or outputs % n:
-        raise ConfigurationError("not an attention DAG: cannot infer N and d")
-    built = build_attention_dag(n, outputs // n)
-    if dag.nodes != built.nodes:
-        raise ConfigurationError("not an attention DAG: nodes differ from the builder's")
-    return built
-
-
 def _tree_walk(leaves: int, roots: int, compute_leaves: bool) -> list[list[tuple[str, int]]]:
     """Per leaf t, in order, the (rule, tree-list index) moves that follow
     leaf t turning red in a sum tree whose list holds ``leaves`` leaves,
@@ -417,7 +402,7 @@ def _budgeted(moves: list[tuple[str, int]]) -> tuple[tuple, tuple, int, int]:
     return rules, index, peak, red
 
 
-def blocked_pebbling_schedule(dag: PebblingDag, m: int) -> list[Transition]:
+def blocked_pebbling_schedule(dag: AttentionDag, m: int) -> list[Transition]:
     """Complete calculation in the streaming kernel's loop order.
 
     A block of r Q-row inputs stays red; K rows and then V rows are read
@@ -426,15 +411,15 @@ def blocked_pebbling_schedule(dag: PebblingDag, m: int) -> list[Transition]:
     the output and row-sum trees, keeping only O(log) partials.  The
     calculation reads and writes 2Nd + 2Nd * ceil(N / r) words.
 
-    The moves come from the id lists ``build_attention_dag`` keeps on the
-    ``AttentionDag`` (a plain ``PebblingDag`` is replaced by the builder's
-    DAG after its nodes are checked), walked by per-leaf climb tables
-    derived once from ``_tree_shape(d)`` and ``_tree_shape(N)``; every
-    transition names the builder's own id string.  The red budget is a
-    count kept through each block's streamed rows, exact because every
-    add there is of a vertex not yet red and every R4 removes a red
-    pebble; the block's closing moves hold no more red pebbles than its
-    last row-sum walk reached.
+    ``dag`` must be an ``AttentionDag`` from ``build_attention_dag``; any
+    other graph, a ``from_jsonl`` copy of one included, raises
+    ``ConfigurationError``.  The moves come from the id lists the builder
+    keeps on it, walked by per-leaf climb tables derived once from
+    ``_tree_shape(d)`` and ``_tree_shape(N)``; every transition names the
+    builder's own id string.  The red budget is a count kept through each
+    block's streamed rows, exact because every add there is of a vertex
+    not yet red and every R4 removes a red pebble; the block's closing
+    moves hold no more red pebbles than its last row-sum walk reached.
 
     r is the largest value <= min(max(floor(M / 4d), 1), N) whose peak
     red-pebble count fits in M.  Scalar pebbles keep each partial sum of
@@ -446,7 +431,7 @@ def blocked_pebbling_schedule(dag: PebblingDag, m: int) -> list[Transition]:
     the kernel runs.
     """
     if not isinstance(dag, AttentionDag):
-        dag = _infer_dimensions(dag)
+        raise ConfigurationError("the blocked schedule needs build_attention_dag's DAG")
     n, d = dag.N, dag.d
     score = _budgeted([move for leaf in _tree_walk(d, 2, True) for move in leaf])
     output = [_budgeted(leaf) for leaf in _tree_walk(n, 1, True)]

@@ -140,9 +140,9 @@ def test_pebble_build_validate_search(tmp_path, capsys):
                    "--out", str(dag_path)) == 0
     assert "58 nodes" in capsys.readouterr().out
 
-    dag = pebbling.PebblingDag.from_jsonl(dag_path)
     calc_path = tmp_path / "calc.json"
-    pebbling.save_calculation(pebbling.blocked_pebbling_schedule(dag, 16), calc_path)
+    calc = pebbling.blocked_pebbling_schedule(pebbling.build_attention_dag(2, 2), 16)
+    pebbling.save_calculation(calc, calc_path)
     assert run_cli("pebble", "validate", "--dag", str(dag_path),
                    "--calculation", str(calc_path), "--M", "16") == 0
     assert "valid" in capsys.readouterr().out

@@ -2,7 +2,6 @@
 
 import itertools
 import math
-import random
 import warnings
 
 import numpy as np
@@ -244,7 +243,6 @@ def test_ext_field_primitivity_all_degrees():
         field = F.BinaryExtField(m)
         # alpha^0 .. alpha^(2^m - 2) are the nonzero elements, each once
         assert sorted(field.powers) == list(range(1, 1 << m))
-        assert all(field.log[x] == k for k, x in enumerate(field.powers))
 
 
 @pytest.mark.parametrize("poly", [0b11111, 0b10001], ids=["alpha_order_5", "reducible"])
@@ -280,55 +278,11 @@ def _square_and_multiply(a, e, m, poly):
 
 @pytest.mark.parametrize("m", range(2, 11))
 def test_ext_field_matches_bit_serial_reference(m):
-    field, rng = F.BinaryExtField(m), random.Random(m)
-    size, poly = 1 << m, field.poly
-    if m <= 6:
-        pairs, elements = itertools.product(range(size), repeat=2), range(size)
-    else:
-        pairs = [(rng.randrange(size), rng.randrange(size)) for _ in range(4096)]
-        elements = [0, 1, 2, size - 1] + rng.sample(range(3, size - 1), 60)
-    for a, b in pairs:
-        assert field.mul(a, b) == _bit_serial_mul(a, b, m, poly), (a, b)
-    for e in (-5, -1, 0, 1, 2, 7, field.order, field.order + 3, 10 ** 6):
-        for a in elements:
-            if a:
-                power = field.pow(a, e)
-                assert power == _square_and_multiply(a, e, m, poly), (a, e)
-                assert _bit_serial_mul(power, _square_and_multiply(a, -e, m, poly),
-                                       m, poly) == 1
-            elif e < 0:
-                with pytest.raises(errors.FieldError, match="zero has no inverse"):
-                    field.pow(0, e)
-            else:
-                assert field.pow(0, e) == int(e == 0)
-
-
-@pytest.mark.parametrize("call", [
-    lambda f: f.mul(9, 3),
-    lambda f: f.mul(3, -1),
-    lambda f: f.pow(-1, 1),
-    lambda f: f.mul(0, 8),
-    lambda f: f.pow(8, 0),
-], ids=["mul_9_3", "mul_3_neg1", "pow_neg1_1", "mul_0_8", "pow_8_0"])
-def test_ext_field_refuses_non_elements(call):
-    with pytest.raises(errors.FieldError, match=r"is not an element of GF\(2\^3\)"):
-        call(F.BinaryExtField(3))
-
-
-def test_ext_field_arithmetic_gf8():
-    f = F.BinaryExtField(3)  # x^3 + x + 1
-    # alpha^3 = alpha + 1 -> 0b011
-    assert f.pow(2, 3) == 0b011
-    assert f.mul(0b011, 0b011) == f.pow(2, 6)
-
-
-def test_ext_field_powers_of_zero():
-    f = F.BinaryExtField(3)
-    assert f.pow(0, 0) == 1
-    assert [f.pow(0, e) for e in (1, 2, 7, 8, 100)] == [0] * 5
-    with pytest.raises(errors.FieldError):
-        f.pow(0, -1)
-    assert f.pow(2, 0) == 1 and f.pow(2, -1) == f.pow(2, 6)
+    # the table bch_parity_check reads: alpha^i for every i < 2^m - 1
+    field = F.BinaryExtField(m)
+    assert len(field.powers) == field.order
+    for i, power in enumerate(field.powers):
+        assert power == _square_and_multiply(2, i, m, field.poly), i
 
 
 def test_ext_field_unknown_degree():
@@ -358,7 +312,7 @@ def test_bch_even_power_rows_redundant():
     field = F.BinaryExtField(4)
     extra = []
     for j in (2, 4):
-        powers = [field.pow(2, j * i) for i in range(15)]
+        powers = [field.powers[j * i % 15] for i in range(15)]
         for bit in range(4):
             extra.append([(p >> bit) & 1 for p in powers])
     augmented = F.FieldMatrix(np.vstack([h.data, np.array(extra)]), 2)

@@ -1,7 +1,8 @@
 """Source hygiene: no module-level import that a module or demo never uses,
 every demo runs to the end with nothing on stderr, no module-level
-function or class that nothing references, no module that reaches into
-another object's private attributes, and one enumeration-cap contract:
+function or class, and no method or property of a module-level class,
+that nothing references, no module that reaches into another object's
+private attributes, and one enumeration-cap contract:
 ``errors.check_enumeration`` alone raises ``EnumerationCapError``, and
 ``cli.main`` alone turns it or a ``RegimeError`` into an exit code."""
 
@@ -74,8 +75,21 @@ def references(tree: ast.AST) -> Counter:
     return found
 
 
+def definitions(tree: ast.Module):
+    """(label, node) for each module-level function and class, and each
+    non-dunder method or property of a module-level class."""
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            yield stmt.name, stmt
+        if isinstance(stmt, ast.ClassDef):
+            for member in stmt.body:
+                if isinstance(member, ast.FunctionDef) and not (
+                        member.name.startswith("__") and member.name.endswith("__")):
+                    yield f"{stmt.name}.{member.name}", member
+
+
 def unreferenced_definitions(sources: dict) -> list[str]:
-    """Module-level functions and classes of ``sources`` (name -> text of
+    """Definitions (see ``definitions``) of ``sources`` (name -> text of
     the modules checked) that no text in ``sources`` or in the rest of the
     users refers to outside their own definition."""
     trees = {name: ast.parse(text) for name, text in sources.items()}
@@ -88,10 +102,9 @@ def unreferenced_definitions(sources: dict) -> list[str]:
                 total += references(ast.parse(path.read_text()))
     unused = []
     for name, tree in trees.items():
-        for stmt in tree.body:
-            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
-                if total[stmt.name] == references(stmt)[stmt.name]:
-                    unused.append(f"{Path(name).name}:{stmt.name}")
+        for label, node in definitions(tree):
+            if total[node.name] == references(node)[node.name]:
+                unused.append(f"{Path(name).name}:{label}")
     return unused
 
 
@@ -99,8 +112,14 @@ def test_checker_flags_an_unreferenced_definition():
     source = ("def used():\n    pass\n\n"
               "def orphan_probe(n):\n    return orphan_probe(n - 1)\n\n"
               "KINDS = {'k': 'looked_up'}\n\n"
-              "def looked_up():\n    return used()\n")
-    assert unreferenced_definitions({"probe.py": source}) == ["probe.py:orphan_probe"]
+              "def looked_up():\n    return used()\n\n"
+              "class Holder:\n"
+              "    def __len__(self):\n        return 0\n\n"
+              "    @property\n    def shown(self):\n        return len(self)\n\n"
+              "    def dead_probe(self):\n        return self.dead_probe()\n\n"
+              "print(Holder().shown)\n")
+    assert unreferenced_definitions({"probe.py": source}) == [
+        "probe.py:orphan_probe", "probe.py:Holder.dead_probe"]
 
 
 def test_every_module_level_definition_is_referenced():

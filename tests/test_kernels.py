@@ -248,12 +248,13 @@ def test_kernels_reject_used_hierarchy():
 
 
 class _UnreadableTrace:
-    """Stands in for a hierarchy's trace and fails any read of it."""
+    """Stands in for a hierarchy's trace and fails any read of it: the
+    per-word rows, the per-move address labels, or its truth value."""
 
     def _refuse(self, *args):
         raise AssertionError("the run path read the trace")
 
-    __bool__ = __len__ = __iter__ = __getitem__ = _refuse
+    __bool__ = __iter__ = address_labels = _refuse
 
 
 class _CountersOnlyHierarchy(MemoryHierarchy):

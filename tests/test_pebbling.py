@@ -345,13 +345,6 @@ def test_schedule_costs_more_io_than_kernel(n, d, m, schedule_io, kernel_io):
     assert kernel.io.total == kernel_io
 
 
-def test_schedule_rejects_dag_with_renamed_vertex():
-    nodes = dict(P.build_attention_dag(2, 2).nodes)
-    nodes["OUT[1,1]x"] = nodes.pop("OUT[1,1]")
-    with pytest.raises(errors.ConfigurationError):
-        P.blocked_pebbling_schedule(P.PebblingDag(nodes), 16)
-
-
 # The blocked schedule as it stood when it climbed the DAG through
 # ``children`` and the kind sets of each tree, with a red set and fresh id
 # strings: the reference for ``blocked_pebbling_schedule``, which walks the
@@ -989,16 +982,25 @@ def test_calculation_round_trip_and_inferred_dimensions(tmp_path):
     path = tmp_path / "dag.jsonl"
     dag.to_jsonl(path)
     generic = P.PebblingDag.from_jsonl(path)
-    calc = P.blocked_pebbling_schedule(generic, 16)
+    calc = P.blocked_pebbling_schedule(dag, 16)
     cpath = tmp_path / "calc.json"
     P.save_calculation(calc, cpath)
     assert P.load_calculation(cpath) == calc
     assert P.validate_calculation(generic, 16, calc).ok
 
 
-def test_schedule_rejects_non_attention_dag():
-    with pytest.raises(errors.ConfigurationError):
-        P.blocked_pebbling_schedule(path3_dag(), 8)
+def test_schedule_rejects_non_attention_dag(tmp_path):
+    # only the builder's own DAG is scheduled: not an unrelated graph, not
+    # one with a renamed vertex, not even a copy of the builder's nodes
+    dag = P.build_attention_dag(2, 2)
+    renamed = dict(dag.nodes)
+    renamed["OUT[1,1]x"] = renamed.pop("OUT[1,1]")
+    path = tmp_path / "dag.jsonl"
+    dag.to_jsonl(path)
+    for graph in (path3_dag(), P.PebblingDag(renamed), P.PebblingDag(dag.nodes),
+                  P.PebblingDag.from_jsonl(path)):
+        with pytest.raises(errors.ConfigurationError, match="build_attention_dag's DAG"):
+            P.blocked_pebbling_schedule(graph, 16)
 
 
 def test_jsonl_level1_is_derived_from_kind(tmp_path):
@@ -1039,14 +1041,12 @@ def test_dag_and_schedule_bytes_pinned(tmp_path, n, d, m):
     path = tmp_path / "out"
     dag.to_jsonl(path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == dag_digest
-    # a plain PebblingDag goes through _infer_dimensions to the same schedule
-    for graph in (dag, P.PebblingDag(dag.nodes)):
-        try:
-            P.save_calculation(P.blocked_pebbling_schedule(graph, m), path)
-        except errors.RegimeError as exc:
-            assert str(exc) == calc_digest
-        else:
-            assert hashlib.sha256(path.read_bytes()).hexdigest() == calc_digest
+    try:
+        P.save_calculation(P.blocked_pebbling_schedule(dag, m), path)
+    except errors.RegimeError as exc:
+        assert str(exc) == calc_digest
+    else:
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == calc_digest
 
 
 @pytest.mark.parametrize("record, message", [
