@@ -345,6 +345,13 @@ def test_schedule_costs_more_io_than_kernel(n, d, m, schedule_io, kernel_io):
     assert kernel.io.total == kernel_io
 
 
+def test_schedule_rejects_dag_with_renamed_vertex():
+    nodes = dict(P.build_attention_dag(2, 2).nodes)
+    nodes["OUT[1,1]x"] = nodes.pop("OUT[1,1]")
+    with pytest.raises(errors.ConfigurationError):
+        P.blocked_pebbling_schedule(P.PebblingDag(nodes), 16)
+
+
 # The blocked schedule as it stood when it climbed the DAG through
 # ``children`` and the kind sets of each tree, with a red set and fresh id
 # strings: the reference for ``blocked_pebbling_schedule``, which walks the
@@ -991,14 +998,11 @@ def test_calculation_round_trip_and_inferred_dimensions(tmp_path):
 
 def test_schedule_rejects_non_attention_dag(tmp_path):
     # only the builder's own DAG is scheduled: not an unrelated graph, not
-    # one with a renamed vertex, not even a copy of the builder's nodes
+    # even a copy of the builder's nodes
     dag = P.build_attention_dag(2, 2)
-    renamed = dict(dag.nodes)
-    renamed["OUT[1,1]x"] = renamed.pop("OUT[1,1]")
     path = tmp_path / "dag.jsonl"
     dag.to_jsonl(path)
-    for graph in (path3_dag(), P.PebblingDag(renamed), P.PebblingDag(dag.nodes),
-                  P.PebblingDag.from_jsonl(path)):
+    for graph in (path3_dag(), P.PebblingDag(dag.nodes), P.PebblingDag.from_jsonl(path)):
         with pytest.raises(errors.ConfigurationError, match="build_attention_dag's DAG"):
             P.blocked_pebbling_schedule(graph, 16)
 
