@@ -57,6 +57,7 @@ from .kernels import (
 from .matrices import AttentionInstance, random_instance
 from .memory import (
     Block,
+    CountHierarchy,
     IoStats,
     MemoryHierarchy,
     export_trace_csv,

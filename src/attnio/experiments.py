@@ -34,7 +34,7 @@ from .kernels import (
     streaming_fits,
 )
 from .matrices import random_instance
-from .memory import MIN_CAPACITY, MemoryHierarchy
+from .memory import MIN_CAPACITY, CountHierarchy, MemoryHierarchy
 
 _KERNELS = {
     "tiling": square_tiling_attention,
@@ -163,13 +163,29 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
     arithmetic overflowed (NaN or +inf in the cache, or any non-finite
     value in the output) keeps its counts but gets status
     "numeric_error", so bound checks skip it.
+
+    Counts do not depend on the values, so a point runs on a
+    ``CountHierarchy`` whenever its values provably stay finite, that
+    is when d a^2 + ln N <= 700 for the magnitude a, and on a
+    ``MemoryHierarchy`` otherwise.  Proof: every entry of Q and K lies in
+    [-a, a], so every score s has |s| <= d a^2 <= 700 - ln N.  Tiling's
+    raw exps then lie in [e^-700, e^700 / N] and its row sums in
+    [e^-700, e^700]: none is 0 or +inf, as float64 reaches e^709.7 and
+    its least normal is e^-708.3.  So the reciprocal row sums are
+    finite, a block product A V stays below N (e^700 / N) a <= e^704
+    (a <= sqrt(700)), and each scaled term is a weighted mean of V
+    entries.  Streaming subtracts the running max before each exp, so
+    every exp lies in [0, 1], the row sums in [1, N] and the output
+    within N a.  No stored result is NaN or +/-inf, so ``overflow``
+    would be False and the count run records what the numeric run would.
     """
     records = []
     for alg, n, d, m in product(config.algorithms, config.n_grid, config.d_grid,
                                 config.m_grid):
         seed = _point_seed(config.seed, alg, n, d, m)
         inst = random_instance(n, d, seed, config.magnitude)
-        h = MemoryHierarchy(m)
+        a = float(config.magnitude)  # random_instance has accepted it
+        h = (CountHierarchy if d * a * a + math.log(n) <= 700 else MemoryHierarchy)(m)
         try:
             res = _KERNELS[alg](h, inst)
         except RegimeError:

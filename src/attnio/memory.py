@@ -38,6 +38,17 @@ The row sum comes fused with the step that consumes it: ``add_rowsum``
 vector is stored between the two steps.  ``free`` takes any number of
 handles and vacates them in order.  ``peak_words`` is the highest
 ``words_used`` so far.
+
+``CountHierarchy`` is the same hierarchy without values.  Its slow
+memory and slots are zero-byte (dtype ``V0``) arrays of the shapes the
+float64 ones would have, so the inherited ``read_block``,
+``write_block`` and ``free`` count, claim and raise exactly as here, and
+its ``compute`` takes each result shape from running the op once on
+zeros per (function, operand shapes).  It records no move, so it has no
+trace, its ``overflow`` stays False and ``fetch_matrix`` gives zeros.
+Counts do not depend on values, so a kernel counts the same on both;
+``experiments.run_sweep`` runs a point on it whenever the point's values
+provably stay finite.
 """
 
 from __future__ import annotations
@@ -45,6 +56,7 @@ from __future__ import annotations
 import csv
 import math
 import operator
+from collections import deque
 from dataclasses import dataclass
 from itertools import compress, product, repeat
 from typing import Callable
@@ -467,6 +479,120 @@ class MemoryHierarchy:
     @property
     def io(self) -> IoStats:
         return IoStats(self.reads, self.writes)
+
+
+# Per (op function, *operand shapes): the value-free slot of the op's
+# result shape, or the ValueError the op raises on those shapes.
+# Keyed on the function, not the op name, so an op put in ``_OPS`` under
+# a known name gets entries of its own.  It holds a few entries per
+# distinct block shape the kernels use, for the life of the process.
+_COUNT_RESULTS: dict[tuple, np.ndarray | ValueError] = {}
+
+
+def _count_result(fn: Callable, shapes: tuple) -> np.ndarray | ValueError:
+    try:
+        with np.errstate(all="ignore"):
+            result = fn(*[np.zeros(shape) for shape in shapes])
+    except ValueError as exc:
+        # A cached traceback would keep the first caller's frames alive.
+        return exc.with_traceback(None)
+    return np.empty(np.shape(result), "V0")
+
+
+class CountHierarchy(MemoryHierarchy):
+    """A hierarchy of shapes, occupancy and counters, with no values.
+
+    Slow memory and slots are zero-byte arrays (dtype ``V0``) of the
+    shapes the float64 ones would have, so the inherited ``read_block``,
+    ``write_block`` and ``free`` run unchanged: every count, the peak
+    and each address, residency, capacity and reshape error are those of
+    ``MemoryHierarchy``.  ``compute`` takes each result shape, or the
+    ``ValueError`` behind its ``UsageError``, from running the op once
+    on zeros per (function, operand shapes).  Nothing is computed, so
+    ``overflow`` stays False and ``fetch_matrix`` gives zeros; no move
+    is recorded, and reading ``trace`` raises ``UsageError``.  Counts
+    are data-independent, so a kernel run here counts exactly what it
+    counts on a ``MemoryHierarchy``.
+    """
+
+    def __init__(self, capacity: int):
+        super().__init__(capacity)
+        # read_block and write_block append each move; maxlen 0 drops it.
+        self._moves = deque(maxlen=0)
+
+    @property
+    def trace(self):
+        raise UsageError("a CountHierarchy records no trace; run on a MemoryHierarchy")
+
+    @trace.setter
+    def trace(self, _):
+        pass  # MemoryHierarchy.__init__ sets one
+
+    def load(self, name: str, array) -> None:
+        """Place ``array``'s shape, not its values, in slow memory."""
+        self.memory[name] = np.empty(np.shape(array), "V0")
+        self._written.pop(name, None)
+
+    def reserve(self, name: str, shape: tuple) -> None:
+        self.memory[name] = np.empty(shape, "V0")
+        self._written[name] = {}
+
+    def alloc(self, shape: tuple = (), fill=0) -> int:
+        arr = np.empty(shape, "V0")
+        self._claim(arr.size)
+        handle = self._next_handle
+        self._next_handle = handle + 1
+        self._slots[handle] = arr
+        return handle
+
+    def compute(self, op: str, *operands: int, out: int | None = None) -> int:
+        """``MemoryHierarchy.compute``'s checks, in its order, and its
+        claim, with the result's shape in place of its values."""
+        try:
+            fn, arity = _OPS[op]
+        except KeyError:
+            raise UsageError(f"unknown op {op!r}") from None
+        if len(operands) != arity:
+            raise UsageError(f"op {op!r} takes {arity} operands, got {len(operands)}")
+        slots = self._slots
+        # The key (fn, *operand shapes), built by arity as in the base.
+        try:
+            if arity == 2:
+                a, b = operands
+                key = fn, slots[a].shape, slots[b].shape
+            elif arity == 3:
+                a, b, c = operands
+                key = fn, slots[a].shape, slots[b].shape, slots[c].shape
+            else:
+                key = fn, *[slots[x].shape for x in operands]
+        except KeyError:
+            missing = next(x for x in operands if x not in slots)
+            raise ResidencyError(f"slot {missing} is not cache-resident") from None
+        result = _COUNT_RESULTS.get(key)
+        if result is None:
+            result = _COUNT_RESULTS[key] = _count_result(fn, key[1:])
+        if isinstance(result, ValueError):
+            shapes = ", ".join(map(str, key[1:]))
+            raise UsageError(f"op {op!r} cannot combine operands of shapes {shapes}") from result
+        if out is None:
+            self._claim(result.size)
+            out = self._next_handle
+            self._next_handle = out + 1
+            # Value-free slots are never written, so results share one array.
+            slots[out] = result
+        else:
+            try:
+                target = slots[out]
+            except KeyError:
+                raise ResidencyError(f"slot {out} is not cache-resident") from None
+            if result.size != target.size:
+                raise UsageError("out slot size mismatch")
+        return out
+
+    def fetch_matrix(self, name: str, shape: tuple[int, int]) -> np.ndarray:
+        """Zeros for the ``shape`` corner of ``name``, after
+        ``MemoryHierarchy.fetch_matrix``'s address and written checks."""
+        return np.zeros(self._view(Block(name, *map(range, shape))).shape)
 
 
 def split_into_epochs(ticks: int, m: int) -> list[range]:

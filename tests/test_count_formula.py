@@ -30,7 +30,7 @@ from attnio.kernels import (
     streaming_fits,
 )
 from attnio.matrices import random_instance
-from attnio.memory import MIN_CAPACITY, MemoryHierarchy
+from attnio.memory import MIN_CAPACITY, CountHierarchy, MemoryHierarchy
 
 
 def tiling_counts(n, d, m, write_qkt=False):
@@ -77,6 +77,16 @@ def test_kernel_counts_match_the_closed_form(mode):
         assert (h.reads, h.writes) == formula(n, d, m), (mode, n, d, m)
         checked += 1
     assert checked >= 150
+
+
+def test_count_backend_matches_the_closed_form_past_the_numeric_grid():
+    # points the numeric backend takes seconds over; counts need no values
+    for mode, n, d, m in [("streaming", 512, 8, 512), ("tiling", 256, 16, 64)]:
+        run, formula = MODES[mode]
+        h = CountHierarchy(m)
+        run(h, random_instance(n, d, n * d + m))
+        assert (h.reads, h.writes) == formula(n, d, m), (mode, n, d, m)
+        assert h.words_used == 0
 
 
 # Paper scale: the bound checks on the closed form, far past what the

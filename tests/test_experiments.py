@@ -5,12 +5,18 @@ import os
 import subprocess
 import sys
 import warnings
+from itertools import product
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from attnio import errors
 from attnio import experiments as E
+from attnio.compression import max_entries_per_epoch
+from attnio.kernels import dispatch_attention, square_tiling_attention, streaming_attention
+from attnio.matrices import AttentionInstance, random_instance
+from attnio.memory import CountHierarchy, MemoryHierarchy
 
 
 def small_config(**kw):
@@ -266,3 +272,98 @@ def test_config_from_json_takes_the_dataclass_defaults(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text('{"N": [8], "d": [2], "M": [16]}')
     assert E.SweepConfig.from_json(path) == E.SweepConfig((8,), (2,), (16,))
+
+
+# -- the count backend -----------------------------------------------------------
+
+# Every sweep grid in tests/, with its seed (the magnitude-30 grids run on
+# the numeric backend in a sweep, but their counts must agree all the
+# same), then the bench sweep grid at seeds 0 and 7.
+SWEEP_GRIDS = [
+    # this file
+    ((16,), (4,), (16, 32, 64, 128), 1), ((8, 16), (4,), (32, 64, 128), 1),
+    ((16,), (4,), (16, 64, 256), 1), ((32,), (8,), (16, 36, 64), 3),
+    ((1,), (1,), (16,), 16), ((8,), (2,), (16, 32), 9),
+    # test_acceptance criteria 5 and 12
+    ((16, 32, 64), (4, 8), (16, 64, 256), 11), ((16,), (4,), (16, 32, 64), 99),
+    # test_kernels and test_cli
+    ((4, 8), (2, 4), (16, 64), 0), ((16,), (4,), (32, 64), 5), ((4,), (1,), (16,), 4),
+    ((8,), (2,), (32,), 0),
+    # bench/workloads.py SWEEP_GRID
+    ((16, 24), (4, 8), (16, 64, 256), 0), ((16, 24), (4, 8), (16, 64, 256), 7),
+]
+BACKEND_MODES = {
+    "tiling": square_tiling_attention,
+    "streaming": streaming_attention,
+    "dispatch": dispatch_attention,
+    "write_qkt": lambda h, inst: square_tiling_attention(h, inst, write_qkt=True),
+}
+
+
+def _counts(kernel, h, inst):
+    try:
+        res = kernel(h, inst)
+    except errors.RegimeError:
+        return "regime_error"
+    return (res.io, res.epochs, res.entry_completions, h.peak_words,
+            max_entries_per_epoch(res.entry_completions, res.epochs))
+
+
+@pytest.mark.parametrize("grid", range(len(SWEEP_GRIDS)))
+def test_count_backend_gives_the_numeric_counts(grid, monkeypatch):
+    ns, ds, ms, seed = SWEEP_GRIDS[grid]
+    for n, d, m in product(ns, ds, ms):
+        inst = random_instance(n, d, (seed, n, d, m))
+        for mode, kernel in BACKEND_MODES.items():
+            assert (_counts(kernel, CountHierarchy(m), inst)
+                    == _counts(kernel, MemoryHierarchy(m), inst)), (mode, n, d, m)
+    config = E.SweepConfig(ns, ds, ms, ("tiling", "streaming", "dispatch"), seed)
+    built = []
+    monkeypatch.setattr(E, "CountHierarchy", lambda m: built.append(m) or CountHierarchy(m))
+    csv_text = E.records_to_csv(E.run_sweep(config))
+    assert len(built) == 3 * len(ns) * len(ds) * len(ms)
+    monkeypatch.setattr(E, "CountHierarchy", MemoryHierarchy)
+    assert csv_text == E.records_to_csv(E.run_sweep(config))
+
+
+def largest_count_magnitude(n, d):
+    """The largest float a with d a^2 + ln N <= 700, run_sweep's test."""
+    a = math.sqrt((700 - math.log(n)) / d)
+    while d * a * a + math.log(n) > 700:
+        a = math.nextafter(a, 0)
+    while d * (b := math.nextafter(a, math.inf)) * b + math.log(n) <= 700:
+        a = b
+    return a
+
+
+EDGE_POINTS = [(1, 1, 16), (5, 1, 4), (16, 1, 64), (16, 4, 16), (24, 8, 64),
+               (24, 8, 256), (33, 2, 36)]
+
+
+def test_count_backend_magnitude_edge_never_overflows(monkeypatch):
+    built = []
+    monkeypatch.setattr(E, "CountHierarchy", lambda m: built.append("count") or CountHierarchy(m))
+    monkeypatch.setattr(E, "MemoryHierarchy", lambda m: built.append("numeric")
+                        or MemoryHierarchy(m))
+    for n, d, m in EDGE_POINTS:
+        a = largest_count_magnitude(n, d)
+        # run_sweep takes the count backend exactly up to a
+        for magnitude, backend in ((a, "count"), (math.nextafter(a, math.inf), "numeric")):
+            built.clear()
+            E.run_sweep(E.SweepConfig((n,), (d,), (m,), ("tiling",), magnitude=magnitude))
+            assert built == [backend], (n, d, m, magnitude)
+        # so numeric runs at a never overflow, random or aligned (every
+        # score d a^2, each exp e^700 / N, each row sum e^700)
+        aligned = np.full((n, d), a)
+        for inst in (random_instance(n, d, 5, a), AttentionInstance(aligned, aligned, aligned),
+                     AttentionInstance(aligned, aligned, -aligned)):
+            for mode, kernel in BACKEND_MODES.items():
+                if mode == "streaming" and m < 8 * d:
+                    continue
+                res = kernel(MemoryHierarchy(m), inst)
+                assert not res.overflow, (mode, n, d, m)
+    # the margin is real: at d a^2 + ln N = 712 the aligned tiling run overflows
+    n, d = 16, 4
+    aligned = np.full((n, d), math.sqrt((712 - math.log(n)) / d))
+    assert square_tiling_attention(MemoryHierarchy(16),
+                                   AttentionInstance(aligned, aligned, aligned)).overflow

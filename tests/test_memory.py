@@ -11,6 +11,7 @@ from attnio.memory import (
     _OPS,
     SCAN_RESULTS,
     Block,
+    CountHierarchy,
     MemoryHierarchy,
     export_trace_csv,
     format_address,
@@ -263,19 +264,22 @@ def test_alloc_zero_fill_keeps_its_sign():
         assert (plus == 0).all() and (minus == 0).all()
 
 
+# Operand shapes per op that it can combine; reductions and ufuncs of a
+# 1-D or shape-() slot give numpy scalars.
+OP_OPERAND_SHAPES = {
+    "exp": [((3,),), ((),)], "inv": [((2, 3),), ((),)],
+    "maximum": [((3,), (3,)), ((), ())], "matmul": [((2, 3), (3,)), ((3,), (3,))],
+    "add_rowsum": [((2,), (2, 3)), ((), (3,))], "rowscale": [((2, 3), (2,))],
+    "exp_sub": [((3,), (3,)), ((), ())], "mul_add": [((2,), (2,), (2,))],
+    "addmm": [((2, 2), (2, 3), (3, 2))], "add_outer": [((2, 3), (2,), (3,))],
+    "scaled_addmm": [((2, 2), (2,), (2, 3), (3, 2))],
+}
+
+
 def test_every_op_leaves_a_float64_array_slot():
-    # operand shapes per op; reductions and ufuncs of a 1-D or shape-()
-    # slot give numpy scalars, which must land as shape-() arrays
-    cases = {
-        "exp": [((3,),), ((),)], "inv": [((2, 3),), ((),)],
-        "maximum": [((3,), (3,)), ((), ())], "matmul": [((2, 3), (3,)), ((3,), (3,))],
-        "add_rowsum": [((2,), (2, 3)), ((), (3,))], "rowscale": [((2, 3), (2,))],
-        "exp_sub": [((3,), (3,)), ((), ())], "mul_add": [((2,), (2,), (2,))],
-        "addmm": [((2, 2), (2, 3), (3, 2))], "add_outer": [((2, 3), (2,), (3,))],
-        "scaled_addmm": [((2, 2), (2,), (2, 3), (3, 2))],
-    }
-    assert set(cases) == set(_OPS)
-    for op, shape_lists in cases.items():
+    # numpy scalar results must land as shape-() arrays
+    assert set(OP_OPERAND_SHAPES) == set(_OPS)
+    for op, shape_lists in OP_OPERAND_SHAPES.items():
         fn = _OPS[op][0]
         for shapes in shape_lists:
             h = MemoryHierarchy(64)
@@ -759,3 +763,98 @@ def test_moves_outside_loaded_or_reserved_arrays_change_nothing():
         with pytest.raises(errors.AddressError):
             h.write_block(s, block)
     assert (list(h.trace), h.reads, h.writes, h.words_used, h.memory["O"].tolist()) == before
+
+
+# -- the count backend -----------------------------------------------------------
+
+# Each call fails on the hierarchy COUNT_FAULT_SETUP builds: a 12-word
+# cache holding a (2, 3) slot ``a``, a (3,) slot ``v`` and a freed
+# handle ``gone``, with A loaded as (2, 3) and O reserved as (2, 2).
+COUNT_FAULTS = {
+    "unknown_op": lambda h, a, v, gone: h.compute("nope", a),
+    "wrong_arity": lambda h, a, v, gone: h.compute("exp", a, v),
+    "unmatched_shapes": lambda h, a, v, gone: h.compute("matmul", a, a),
+    "unmatched_shapes_out": lambda h, a, v, gone: h.compute("add_rowsum", v, a, out=v),
+    "operand_not_resident": lambda h, a, v, gone: h.compute("maximum", a, gone),
+    "out_not_resident": lambda h, a, v, gone: h.compute("exp", a, out=gone),
+    "out_size_mismatch": lambda h, a, v, gone: h.compute("exp", a, out=v),
+    "compute_capacity": lambda h, a, v, gone: h.compute("exp", a),
+    "read_capacity": lambda h, a, v, gone: h.read_block(Block("A", range(2), range(3))),
+    "alloc_capacity": lambda h, a, v, gone: h.alloc((4,)),
+    "block_outside_read": lambda h, a, v, gone: h.read_block(Block("A", range(3), range(1))),
+    "block_outside_write": lambda h, a, v, gone: h.write_block(v, Block("O", range(3))),
+    "unknown_array": lambda h, a, v, gone: h.read_block(Block("B", range(1))),
+    "unwritten_read": lambda h, a, v, gone: h.read_block(Block("O", range(1), range(2))),
+    "unwritten_fetch": lambda h, a, v, gone: h.fetch_matrix("O", (2, 2)),
+    "bad_read_shape": lambda h, a, v, gone: h.read_block(Block("A", range(1), range(3)),
+                                                         (2, 2)),
+    "write_size_mismatch": lambda h, a, v, gone: h.write_block(v, Block("O", range(2))),
+    "free_not_resident": lambda h, a, v, gone: h.free(gone),
+    "negative_alloc": lambda h, a, v, gone: h.alloc((-1,)),
+}
+
+
+def count_fault_setup(h):
+    h.load("A", np.ones((2, 3)))
+    h.reserve("O", (2, 2))
+    a = h.read_block(Block("A", range(2), range(3)), (2, 3))
+    v = h.alloc((3,))
+    gone = h.alloc((2,))
+    h.free(gone)
+    return a, v, gone
+
+
+@pytest.mark.parametrize("fault", COUNT_FAULTS)
+def test_count_hierarchy_raises_what_memory_hierarchy_raises(fault):
+    raised = []
+    for cls in (MemoryHierarchy, CountHierarchy):
+        h = cls(12)
+        handles = count_fault_setup(h)
+
+        def state():
+            return (h.reads, h.writes, h.words_used, h.peak_words, h._next_handle,
+                    {x: arr.shape for x, arr in h._slots.items()})
+
+        before = state()
+        with pytest.raises(Exception) as info:
+            COUNT_FAULTS[fault](h, *handles)
+        assert state() == before, (fault, cls)
+        raised.append((info.type, str(info.value)))
+    assert raised[0] == raised[1]
+
+
+def test_count_hierarchy_shares_the_block_moves_and_keeps_no_trace():
+    # bench/tracer.py wraps MemoryHierarchy's methods; count runs go
+    # through these same functions, so its word sums cover them
+    for method in ("read_block", "write_block", "free"):
+        assert getattr(CountHierarchy, method) is getattr(MemoryHierarchy, method)
+    h = CountHierarchy(8)
+    h.load("A", np.ones((2, 2)))
+    h.reserve("O", (2, 2))
+    s = h.read_block(Block("A", range(2), range(2)), (2, 2))
+    h.write_block(s, Block("O", range(2), range(2)))
+    assert (h.reads, h.writes, h.peak_words) == (4, 4, 4)
+    assert not h._moves
+    assert h.fetch_matrix("O", (2, 2)).tolist() == [[0.0, 0.0], [0.0, 0.0]]
+    assert not h.overflow
+    with pytest.raises(errors.UsageError, match="records no trace"):
+        h.trace
+
+
+def test_count_compute_gives_each_ops_result_shape(monkeypatch):
+    assert set(OP_OPERAND_SHAPES) == set(_OPS)
+    for op, shape_lists in OP_OPERAND_SHAPES.items():
+        for shapes in shape_lists:
+            numeric, count = MemoryHierarchy(64), CountHierarchy(64)
+            for h in (numeric, count):
+                slots = [h.alloc(shape, fill=1.0) for shape in shapes]
+                fresh = h.compute(op, *slots)
+                h.compute(op, *slots, out=h.alloc(h._slots[fresh].shape))
+            assert ([a.shape for a in numeric._slots.values()]
+                    == [a.shape for a in count._slots.values()]), (op, shapes)
+            assert numeric.words_used == count.words_used
+            assert all(a.nbytes == 0 for a in count._slots.values())
+    # an op put under a known name gets its own shapes, not the cached ones
+    monkeypatch.setitem(_OPS, "exp", (lambda a: np.zeros(a.shape + (2,)), 1))
+    h = CountHierarchy(64)
+    assert h._slots[h.compute("exp", h.alloc((3,)))].shape == (3, 2)

@@ -984,7 +984,7 @@ def test_node_is_a_tuple_whose_level1_follows_its_kind():
     assert P.level1_vertex_count(dag, dag.nodes) == 2 * 2 * 2 * 2
 
 
-def test_calculation_round_trip_and_inferred_dimensions(tmp_path):
+def test_calculation_round_trip_validates_on_a_jsonl_copy(tmp_path):
     dag = P.build_attention_dag(2, 2)
     path = tmp_path / "dag.jsonl"
     dag.to_jsonl(path)
