@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import graphlib
 import json
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
-from functools import partial
-from itertools import chain, repeat
+from functools import cached_property, partial
+from itertools import chain, filterfalse, repeat
 from typing import NamedTuple
 
 from .errors import ConfigurationError, RegimeError, check_enumeration
@@ -60,41 +60,43 @@ _new_node = partial(tuple.__new__, Node)
 
 
 class PebblingDag:
-    """A DAG with designated inputs (no parents) and outputs (no children)."""
+    """A DAG with designated inputs (no parents) and outputs (no children).
+
+    The outputs are the vertices that no node names as a parent.  Each
+    vertex's children, in node order, are built on the first read of
+    ``children``: only the M-partition verifier walks them."""
 
     def __init__(self, nodes: dict[str, Node]):
-        self.nodes = dict(nodes)
-        children: dict[str, list[str]] = {v: [] for v in self.nodes}
-        inputs = []
+        self.nodes = nodes = dict(nodes)
+        parents = set(chain.from_iterable([node.parents for node in nodes.values()]))
+        if not parents <= nodes.keys():
+            self.children  # building the child lists names the first unknown parent
+        self.inputs = frozenset([v for v, node in nodes.items() if not node.parents])
+        self.outputs = frozenset(nodes.keys() - parents)
+
+    @cached_property
+    def children(self) -> dict[str, list[str]]:
+        children = {v: [] for v in self.nodes}
         try:
             for v, node in self.nodes.items():
-                parents = node.parents
-                if not parents:
-                    inputs.append(v)
-                for p in parents:
+                for p in node.parents:
                     children[p].append(v)
         except KeyError:
             raise ConfigurationError(
                 f"node {v!r} references unknown parent {p!r}") from None
-        self.children = children
-        self.inputs = frozenset(inputs)
-        self.outputs = frozenset([v for v, c in children.items() if not c])
+        return children
 
     def __len__(self) -> int:
         return len(self.nodes)
 
     def kind_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for node in self.nodes.values():
-            counts[node.kind] = counts.get(node.kind, 0) + 1
-        return counts
+        return dict(Counter(node.kind for node in self.nodes.values()))
 
     # -- JSON lines export/import: one node per line --------------------------
 
     def to_jsonl(self, path) -> None:
         with open(path, "w") as fh:
-            for v in sorted(self.nodes):
-                node = self.nodes[v]
+            for v, node in sorted(self.nodes.items()):
                 fh.write(json.dumps({
                     "id": v, "kind": node.kind,
                     "parents": list(node.parents), "level1": node.level1,
@@ -119,9 +121,8 @@ class PebblingDag:
                 except (ValueError, KeyError, TypeError) as exc:
                     raise ConfigurationError(
                         f"{path}, line {lineno}: malformed node record ({exc!r})") from None
-                if not (isinstance(vid, str) and isinstance(kind, str)
-                        and isinstance(parents, list)
-                        and all(isinstance(p, str) for p in parents)):
+                if not (isinstance(parents, list)
+                        and all(isinstance(x, str) for x in (vid, kind, *parents))):
                     raise ConfigurationError(
                         f"{path}, line {lineno}: 'id' and 'kind' must be strings and "
                         f"'parents' a list of strings")
@@ -303,69 +304,86 @@ class ValidationResult:
 def validate_calculation(dag: PebblingDag, m: int, calc: list[Transition]) -> ValidationResult:
     """Replay a calculation, checking every rule, the red budget, and the
     boundary configurations.  Returns R1+R2 counts on acceptance, or the
-    first violating transition."""
+    first violating transition.  A transition is a sequence other than a
+    string (a tuple or a list) of a rule, a vertex and, for R4, an
+    optional color; anything else, a dict or a string say, is malformed.
+
+    A move is applied when it succeeds on the red and blue sets alone
+    (only R3 reads its node), and a move that fails is then diagnosed by
+    every check in order.  Skipping the unknown-vertex check on success
+    is exact, as only DAG vertices ever hold a pebble: blue starts on the
+    inputs, R1 needs blue, R2 needs red and R3 a DAG vertex, so a vertex
+    found red or blue is known."""
     nodes, inputs = dag.nodes, dag.inputs
-    red: set[str] = set()
-    blue: set[str] = set(inputs)
+    red, blue = set(), set(inputs)
     reads = writes = 0
-
-    def fail(i, rule, msg):
-        return ValidationResult(False, reads, writes, Violation(i, rule, msg))
-
     # rules are tested in order of their frequency in a schedule
     for i, tr in enumerate(calc):
         try:
-            rule, v = tr[0], tr[1]
-        except (IndexError, TypeError):
-            return fail(i, "malformed", f"transition {tr!r} is not (rule, vertex)")
+            match tr:
+                case (rule, v):  # a schedule's own moves: matched first
+                    pass
+                case (rule, v, color, *_) if rule == "R4":
+                    {"red": red, "blue": blue}[color].remove(v)
+                    continue
+                case (rule, v, *_):
+                    pass
+                case _:
+                    return ValidationResult(False, reads, writes, Violation(
+                        i, "malformed", f"transition {tr!r} is not (rule, vertex)"))
+            if rule == "R4":
+                (red if v in red else blue).remove(v)
+                continue
+            if (rule == "R3" and v not in inputs and red.issuperset(nodes[v].parents)
+                    and (len(red) < m or v in red)):
+                red.add(v)
+                continue
+            if rule == "R1" and v in blue and (len(red) < m or v in red):
+                red.add(v)
+                reads += 1
+                continue
+            if rule == "R2" and v in red:
+                blue.add(v)
+                writes += 1
+                continue
+        except (KeyError, TypeError):  # no such pebble, node or color, or unhashable
+            pass
+
+        # the move fails: name the first check it breaks
         try:
             node = nodes.get(v)
         except TypeError:  # an unhashable vertex names no node
             node = None
         if node is None:
-            return fail(i, rule, f"unknown vertex {v!r}")
-        if rule == "R4":
-            color = tr[2] if len(tr) > 2 else "red" if v in red else "blue"
-            if color == "red":
-                if v not in red:
-                    return fail(i, rule, f"R4 red on {v!r} without a red pebble")
-                red.discard(v)
-            elif color != "blue":
-                return fail(i, rule, f"R4 with unknown color {color!r}")
-            elif v in blue:
-                blue.discard(v)
-            else:
-                return fail(i, rule, f"R4 on unpebbled vertex {v!r}")
-        elif rule == "R3":
-            if v in inputs:
-                return fail(i, rule, f"R3 on input vertex {v!r}")
-            if not red.issuperset(node.parents):
-                missing = [p for p in node.parents if p not in red]
-                return fail(i, rule, f"R3 on {v!r}: parents not red: {missing}")
-            if v not in red and len(red) >= m:
-                return fail(i, rule, f"red budget {m} exceeded")
-            red.add(v)
-        elif rule == "R1":
-            if v not in blue:
-                return fail(i, rule, f"R1 on {v!r} without a blue pebble")
-            if v not in red and len(red) >= m:
-                return fail(i, rule, f"red budget {m} exceeded")
-            red.add(v)
-            reads += 1
+            msg = f"unknown vertex {v!r}"
+        elif rule == "R4":
+            color = tr[2] if len(tr) > 2 else "blue"  # without a color, v is not red
+            msg = (f"R4 red on {v!r} without a red pebble" if color == "red"
+                   else f"R4 on unpebbled vertex {v!r}" if color == "blue"
+                   else f"R4 with unknown color {color!r}")
+        elif rule == "R3" and v in inputs:
+            msg = f"R3 on input vertex {v!r}"
+        elif rule == "R3" and not red.issuperset(node.parents):
+            # filterfalse, as a comprehension would make red a closure cell
+            msg = (f"R3 on {v!r}: parents not red: "
+                   f"{list(filterfalse(red.__contains__, node.parents))}")
+        elif rule == "R1" and v not in blue:
+            msg = f"R1 on {v!r} without a blue pebble"
         elif rule == "R2":
-            if v not in red:
-                return fail(i, rule, f"R2 on {v!r} without a red pebble")
-            blue.add(v)
-            writes += 1
+            msg = f"R2 on {v!r} without a red pebble"
+        elif rule in ("R1", "R3") and len(red) >= m:
+            msg = f"red budget {m} exceeded"
         else:
-            return fail(i, rule, f"unknown rule {rule!r}")
+            msg = f"unknown rule {rule!r}"
+        return ValidationResult(False, reads, writes, Violation(i, rule, msg))
 
     if red:
-        return fail(None, "terminal", f"red pebbles remain: {sorted(red)[:5]}")
-    if blue != dag.outputs:
-        return fail(None, "terminal",
-                    "terminal blue pebbles differ from the output set")
-    return ValidationResult(True, reads, writes)
+        msg = f"red pebbles remain: {sorted(red)[:5]}"
+    elif blue != dag.outputs:
+        msg = "terminal blue pebbles differ from the output set"
+    else:
+        return ValidationResult(True, reads, writes)
+    return ValidationResult(False, reads, writes, Violation(None, "terminal", msg))
 
 
 # -- blocked streaming schedule ------------------------------------------------
@@ -517,7 +535,7 @@ def minimum_set(dag: PebblingDag, vertices: frozenset) -> frozenset:
     """The part's vertices with no children inside the part."""
     return frozenset(
         v for v in vertices
-        if not any(c in vertices for c in dag.children[v])
+        if vertices.isdisjoint(dag.children[v])
     )
 
 

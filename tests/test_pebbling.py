@@ -203,6 +203,10 @@ def fork_dag():
      "transition ('R1',) is not (rule, vertex)"),
     (edge_dag(), [()], 0, "malformed", "transition () is not (rule, vertex)"),
     (edge_dag(), [None], 0, "malformed", "transition None is not (rule, vertex)"),
+    # save_calculation's JSON record, and a string, are not (rule, vertex)
+    (edge_dag(), [("R1", "in"), {"rule": "R3", "vertex": "out"}], 1, "malformed",
+     "transition {'rule': 'R3', 'vertex': 'out'} is not (rule, vertex)"),
+    (edge_dag(), [("R1", "in"), "R1"], 1, "malformed", "transition 'R1' is not (rule, vertex)"),
 ])
 def test_validator_first_violation_messages(dag, calc, index, rule, message):
     res = P.validate_calculation(dag, 2, calc)
@@ -290,6 +294,169 @@ def test_validator_pinned_on_corrupted_schedules(n, d, m):
         res = P.validate_calculation(dag, m, corrupt(calc, vertices, seed))
         violation = None if rule is None else P.Violation(index, rule, message)
         assert res == P.ValidationResult(violation is None, reads, writes, violation), seed
+
+
+def _reference_validate(dag, m, calc):
+    """The validator as it stood when every move met every check in turn
+    and any transition was read as tr[0], tr[1]: the reference for
+    ``validate_calculation``, which applies a move that succeeds on the
+    pebble sets alone and reads a transition only as a non-string sequence."""
+    nodes, inputs = dag.nodes, dag.inputs
+    red: set[str] = set()
+    blue: set[str] = set(inputs)
+    reads = writes = 0
+
+    def fail(i, rule, msg):
+        return P.ValidationResult(False, reads, writes, P.Violation(i, rule, msg))
+
+    # rules are tested in order of their frequency in a schedule
+    for i, tr in enumerate(calc):
+        try:
+            rule, v = tr[0], tr[1]
+        except (IndexError, TypeError):
+            return fail(i, "malformed", f"transition {tr!r} is not (rule, vertex)")
+        try:
+            node = nodes.get(v)
+        except TypeError:  # an unhashable vertex names no node
+            node = None
+        if node is None:
+            return fail(i, rule, f"unknown vertex {v!r}")
+        if rule == "R4":
+            color = tr[2] if len(tr) > 2 else "red" if v in red else "blue"
+            if color == "red":
+                if v not in red:
+                    return fail(i, rule, f"R4 red on {v!r} without a red pebble")
+                red.discard(v)
+            elif color != "blue":
+                return fail(i, rule, f"R4 with unknown color {color!r}")
+            elif v in blue:
+                blue.discard(v)
+            else:
+                return fail(i, rule, f"R4 on unpebbled vertex {v!r}")
+        elif rule == "R3":
+            if v in inputs:
+                return fail(i, rule, f"R3 on input vertex {v!r}")
+            if not red.issuperset(node.parents):
+                missing = [p for p in node.parents if p not in red]
+                return fail(i, rule, f"R3 on {v!r}: parents not red: {missing}")
+            if v not in red and len(red) >= m:
+                return fail(i, rule, f"red budget {m} exceeded")
+            red.add(v)
+        elif rule == "R1":
+            if v not in blue:
+                return fail(i, rule, f"R1 on {v!r} without a blue pebble")
+            if v not in red and len(red) >= m:
+                return fail(i, rule, f"red budget {m} exceeded")
+            red.add(v)
+            reads += 1
+        elif rule == "R2":
+            if v not in red:
+                return fail(i, rule, f"R2 on {v!r} without a red pebble")
+            blue.add(v)
+            writes += 1
+        else:
+            return fail(i, rule, f"unknown rule {rule!r}")
+
+    if red:
+        return fail(None, "terminal", f"red pebbles remain: {sorted(red)[:5]}")
+    if blue != dag.outputs:
+        return fail(None, "terminal",
+                    "terminal blue pebbles differ from the output set")
+    return P.ValidationResult(True, reads, writes)
+
+
+def expected_validation(dag, m, calc):
+    """``_reference_validate``'s result, except that a dict or a string
+    transition reached by the replay is malformed at its index."""
+    odd = next((k for k, tr in enumerate(calc) if isinstance(tr, (dict, str))), None)
+    if odd is None:
+        return _reference_validate(dag, m, calc)
+    res = _reference_validate(dag, m, calc[:odd])
+    if res.violation is not None and res.violation.index is not None:
+        return res
+    return P.ValidationResult(False, res.reads, res.writes, P.Violation(
+        odd, "malformed", f"transition {calc[odd]!r} is not (rule, vertex)"))
+
+
+# Transitions that are not a plain (rule, vertex) pair, made from one
+ODD_TRANSITIONS = [
+    lambda rule, v: [rule, v],
+    lambda rule, v: (rule, v, "extra"),
+    lambda rule, v: [rule, v, "red"],
+    lambda rule, v: (rule, v, "blue", "extra"),
+    lambda rule, v: ("R4", v, "green"),
+    lambda rule, v: ("R4", v, None),
+    lambda rule, v: ("R4", v, ["red"]),
+    lambda rule, v: (rule,),
+    lambda rule, v: (),
+    lambda rule, v: None,
+    lambda rule, v: {rule, v},
+    lambda rule, v: {"rule": rule, "vertex": v},
+    lambda rule, v: rule,
+    lambda rule, v: ("R9", v),
+    lambda rule, v: (None, v),
+    lambda rule, v: (rule, "nowhere"),
+    lambda rule, v: (rule, [v]),
+]
+
+
+def fuzz_calculation(rng, dag):
+    """Up to 30 moves, most on a vertex that is pebbled or computable,
+    each meant to succeed if every move before it did; now and then one
+    is reshaped into an ``ODD_TRANSITIONS`` form."""
+    nodes, vertices = dag.nodes, sorted(dag.nodes)
+    red, blue = set(), set(dag.inputs)
+    calc = []
+    for _ in range(rng.randrange(31)):
+        for _ in range(10):  # a few draws for one that is pebbled or computable
+            v = rng.choice(vertices)
+            parents = nodes[v].parents
+            if v in red or v in blue or parents and red.issuperset(parents):
+                break
+        if v in red:
+            rule = rng.choice(["R2", "R4", "R4", "R1" if v in blue else "R3"])
+        elif v in blue:
+            rule = "R4" if rng.random() < 0.1 else "R1"
+        else:
+            rule = "R3"
+        move = (rule, v)
+        if rule == "R4":
+            color = "red" if v in red else "blue"
+            if rng.random() < 0.2:
+                color = rng.choice(["red", "blue"])
+                move = ("R4", v, color)
+            (red if color == "red" else blue).discard(v)
+        else:
+            (blue if rule == "R2" else red).add(v)
+        calc.append(rng.choice(ODD_TRANSITIONS)(rule, v) if rng.random() < 0.05 else move)
+    return calc
+
+
+def test_validator_matches_reference_on_fuzzed_calculations():
+    dags = [edge_dag(), path3_dag(), fork_dag()]
+    dags += [random_dag(seed) for seed in range(6)]
+    dags += [P.build_attention_dag(n, d) for n, d in ((1, 1), (1, 2), (2, 1))]
+    rng = random.Random(20)
+    outcomes = Counter()
+    for case in range(20000):
+        dag = dags[case % len(dags)]
+        m = rng.randint(2, 8)
+        calc = fuzz_calculation(rng, dag)
+        res = P.validate_calculation(dag, m, calc)
+        assert res == expected_validation(dag, m, calc), (case, m, calc)
+        outcomes[res.violation.rule if res.violation else "ok"] += 1
+    # every rule, a malformed and a terminal transition, and acceptance all occur
+    assert set(outcomes) == {"ok", "malformed", "terminal", "R1", "R2", "R3", "R4",
+                             "R9", None}, outcomes
+    # valid schedules with some moves as lists and some with an ignored third item
+    for n, d, m in ((1, 1, 8), (2, 2, 16), (3, 2, 24)):
+        dag = P.build_attention_dag(n, d)
+        calc = []
+        for tr in P.blocked_pebbling_schedule(dag, m):
+            r = rng.random()
+            calc.append([*tr] if r < 0.3 else (*tr, "x") if r < 0.4 and tr[0] != "R4" else tr)
+        res = P.validate_calculation(dag, m, calc)
+        assert res.ok and res == _reference_validate(dag, m, calc)
 
 
 # -- schedule -------------------------------------------------------------------
@@ -937,6 +1104,23 @@ def test_partition_p2_visits_each_vertex_once(n, d):
     assert dag.children.lookups <= len(dag)
 
 
+def test_children_are_built_on_first_read():
+    dag = P.build_attention_dag(3, 2)
+    calc = P.blocked_pebbling_schedule(dag, 24)
+    assert P.validate_calculation(dag, 24, calc).ok
+    copy = P.PebblingDag(dag.nodes)
+    assert P.validate_calculation(copy, 24, calc).ok
+    assert "children" not in vars(dag) and "children" not in vars(copy)
+    children = {v: [] for v in dag.nodes}
+    for v, node in dag.nodes.items():
+        for p in node.parents:
+            children[p].append(v)
+    part = P.PartSpec(dag.nodes.keys(), dag.inputs)
+    assert P.verify_m_partition(dag, 24, [part]) == []
+    assert vars(dag)["children"] == children
+    assert list(dag.children) == list(children)
+
+
 def test_minimum_set():
     dag = P.build_attention_dag(2, 2)
     assert P.minimum_set(dag, frozenset(dag.nodes)) == dag.outputs
@@ -1051,6 +1235,17 @@ def test_dag_and_schedule_bytes_pinned(tmp_path, n, d, m):
         assert str(exc) == calc_digest
     else:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == calc_digest
+
+
+# (16, 1, 12) has no schedule: it raises RegimeError
+@pytest.mark.parametrize("n, d, m", [key for key in GOLDEN_DIGESTS if key != (16, 1, 12)])
+def test_validator_matches_reference_on_golden_schedules(n, d, m):
+    dag = P.build_attention_dag(n, d)
+    calc = P.blocked_pebbling_schedule(dag, m)
+    thinned = [tr for k, tr in enumerate(calc) if k % 50 != 49]  # each 50th move deleted
+    for moves, budget in ((thinned, m), (calc, m - 1), (thinned, m - 1)):
+        assert P.validate_calculation(dag, budget, moves) == _reference_validate(
+            dag, budget, moves)
 
 
 @pytest.mark.parametrize("record, message", [
