@@ -19,7 +19,7 @@ from collections.abc import Sequence
 from dataclasses import astuple, dataclass, fields
 from importlib import resources
 from itertools import product
-from numbers import Integral
+from numbers import Integral, Real
 from typing import get_type_hints
 
 import numpy as np
@@ -33,7 +33,7 @@ from .kernels import (
     streaming_attention,
     streaming_fits,
 )
-from .matrices import random_instance
+from .matrices import AttentionInstance, random_instance
 from .memory import MIN_CAPACITY, CountHierarchy, MemoryHierarchy
 
 _KERNELS = {
@@ -67,10 +67,10 @@ class SweepConfig:
 
     Every grid is a non-empty sequence of ints, N and d >= 1 and
     M >= ``memory.MIN_CAPACITY``; ``algorithms`` is a non-empty sequence
-    of kernel names; the seed is an int >= 0.  Anything else raises
-    ``ConfigurationError`` naming the field, before any point runs.  A
-    magnitude ``random_instance`` cannot draw from raises it at the
-    first point, before any kernel runs.
+    of kernel names; the seed is an int >= 0; the magnitude is a real
+    number >= 0, not a bool, whose double is a finite float (what
+    ``random_instance`` can draw from).  Anything else raises
+    ``ConfigurationError`` naming the field, before any point runs.
     """
 
     n_grid: tuple
@@ -96,6 +96,15 @@ class SweepConfig:
         object.__setattr__(self, "algorithms", tuple(self.algorithms))
         if not (_is_int(self.seed) and self.seed >= 0):
             raise ConfigurationError(f"seed must be an integer >= 0, got {self.seed!r}")
+        a = self.magnitude
+        try:
+            drawable = (isinstance(a, Real) and not isinstance(a, bool) and a >= 0
+                        and math.isfinite(2 * float(a)))
+        except OverflowError:  # an int too large for a float
+            drawable = False
+        if not drawable:
+            raise ConfigurationError(
+                f"magnitude must be a real number >= 0 with 2*magnitude finite, got {a!r}")
 
     @classmethod
     def from_json(cls, path) -> "SweepConfig":
@@ -155,6 +164,19 @@ def _point_seed(base: int, alg: str, n: int, d: int, m: int) -> np.random.SeedSe
     return np.random.SeedSequence([base, alg_id, n, d, m])
 
 
+def _runs_on_counts(n: int, d: int, magnitude: float) -> bool:
+    """Whether a point's values provably stay finite, d a^2 + ln N <= 700
+    for the magnitude a, so that it runs on a ``CountHierarchy``."""
+    return d * magnitude * magnitude + math.log(n) <= 700
+
+
+def _shape_instance(n: int, d: int) -> AttentionInstance:
+    """An N x d instance of one shared zero (a read-only broadcast view),
+    for kernels that read only its shapes."""
+    zero = np.broadcast_to(0.0, (n, d))
+    return AttentionInstance(zero, zero, zero)
+
+
 def run_sweep(config: SweepConfig) -> list[SweepRecord]:
     """One record per (algorithm, N, d, M) grid point, in grid order.
 
@@ -165,27 +187,32 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
     "numeric_error", so bound checks skip it.
 
     Counts do not depend on the values, so a point runs on a
-    ``CountHierarchy`` whenever its values provably stay finite, that
-    is when d a^2 + ln N <= 700 for the magnitude a, and on a
-    ``MemoryHierarchy`` otherwise.  Proof: every entry of Q and K lies in
-    [-a, a], so every score s has |s| <= d a^2 <= 700 - ln N.  Tiling's
-    raw exps then lie in [e^-700, e^700 / N] and its row sums in
-    [e^-700, e^700]: none is 0 or +inf, as float64 reaches e^709.7 and
-    its least normal is e^-708.3.  So the reciprocal row sums are
-    finite, a block product A V stays below N (e^700 / N) a <= e^704
-    (a <= sqrt(700)), and each scaled term is a weighted mean of V
+    ``CountHierarchy`` whenever its values provably stay finite, that is
+    when d a^2 + ln N <= 700 for the magnitude a, and on a
+    ``MemoryHierarchy`` otherwise.  A count point draws no values: its
+    kernel reads only the shapes of an all-zero instance, so the seed
+    sets only the values of numeric points, each drawn from the point's
+    own seed.  Proof that such a point's values stay finite: every entry
+    of Q and K lies in [-a, a], so every score s has |s| <= d a^2 <=
+    700 - ln N.  Tiling's raw exps then lie in [e^-700, e^700 / N] and its
+    row sums in [e^-700, e^700]: none is 0 or +inf, as float64 reaches
+    e^709.7 and its least normal is e^-708.3.  So the reciprocal row
+    sums are finite, a block product A V stays below N (e^700 / N) a <=
+    e^704 (a <= sqrt(700)), and each scaled term is a weighted mean of V
     entries.  Streaming subtracts the running max before each exp, so
     every exp lies in [0, 1], the row sums in [1, N] and the output
     within N a.  No stored result is NaN or +/-inf, so ``overflow``
     would be False and the count run records what the numeric run would.
     """
     records = []
+    a = float(config.magnitude)
     for alg, n, d, m in product(config.algorithms, config.n_grid, config.d_grid,
                                 config.m_grid):
-        seed = _point_seed(config.seed, alg, n, d, m)
-        inst = random_instance(n, d, seed, config.magnitude)
-        a = float(config.magnitude)  # random_instance has accepted it
-        h = (CountHierarchy if d * a * a + math.log(n) <= 700 else MemoryHierarchy)(m)
+        if _runs_on_counts(n, d, a):
+            h, inst = CountHierarchy(m), _shape_instance(n, d)
+        else:
+            seed = _point_seed(config.seed, alg, n, d, m)
+            h, inst = MemoryHierarchy(m), random_instance(n, d, seed, config.magnitude)
         try:
             res = _KERNELS[alg](h, inst)
         except RegimeError:

@@ -41,14 +41,19 @@ handles and vacates them in order.  ``peak_words`` is the highest
 
 ``CountHierarchy`` is the same hierarchy without values.  Its slow
 memory and slots are zero-byte (dtype ``V0``) arrays of the shapes the
-float64 ones would have, so the inherited ``read_block``,
-``write_block`` and ``free`` count, claim and raise exactly as here, and
-its ``compute`` takes each result shape from running the op once on
-zeros per (function, operand shapes).  It records no move, so it has no
-trace, its ``overflow`` stays False and ``fetch_matrix`` gives zeros.
-Counts do not depend on values, so a kernel counts the same on both;
-``experiments.run_sweep`` runs a point on it whenever the point's values
-provably stay finite.
+float64 ones would have.  ``read_block``, ``write_block`` and ``free``
+stay ``MemoryHierarchy``'s own methods, so a count run counts, claims
+and raises exactly as here, and a wrapper put on those methods (the
+bench tracer's) sees its moves too.  They run every check on a
+zero-byte array, then skip the value work: a zero-byte read copies
+nothing and puts in its slot the one zero-byte array shared by every
+read of its (block shape, slot shape), a zero-byte write stores
+nothing, and neither records a move.  Its ``compute`` takes each result
+shape from running the op once on zeros per (function, operand shapes).
+So it has no trace, its ``overflow`` stays False and ``fetch_matrix``
+gives zeros.  Counts do not depend on values, so a kernel counts the
+same on both; ``experiments.run_sweep`` runs a point on it, with no
+values drawn, whenever the point's values provably stay finite.
 """
 
 from __future__ import annotations
@@ -56,7 +61,6 @@ from __future__ import annotations
 import csv
 import math
 import operator
-from collections import deque
 from dataclasses import dataclass
 from itertools import compress, product, repeat
 from typing import Callable
@@ -336,7 +340,10 @@ class MemoryHierarchy:
         """Copy a block's words into a single slot holding an array.
 
         Counts one Read event per word.  ``shape`` defaults to a flat
-        vector; a () shape yields a scalar slot.
+        vector; a () shape yields a scalar slot.  A zero-byte block (only
+        a ``CountHierarchy`` has one) passes the same checks, is neither
+        copied nor recorded, and gets the zero-byte array its block and
+        slot shapes share.
         """
         name = block.name
         try:
@@ -348,14 +355,19 @@ class MemoryHierarchy:
         written = self._written.get(name)
         if written is not None and block.ranges not in written:
             self._check_written(block, written)
-        # A C-order copy; a reshape to any other shape fails before the claim.
-        if shape == block.shape:
-            arr = view.copy()
+        if view.itemsize:
+            # A C-order copy; a reshape to any other shape fails before the claim.
+            if shape == block.shape:
+                arr = view.copy()
+            else:
+                arr = view.copy().reshape(-1 if shape is None else shape)
+            n = arr.size
+            self._claim(n)
+            self._moves.append((READ, block, arr.tobytes()))
         else:
-            arr = view.copy().reshape(-1 if shape is None else shape)
-        n = arr.size
-        self._claim(n)
-        self._moves.append((READ, block, arr.tobytes()))
+            arr = _zero_byte_slot(block.shape, shape)
+            n = arr.size
+            self._claim(n)
         self.reads += n
         handle = self._next_handle
         self._next_handle = handle + 1
@@ -363,14 +375,17 @@ class MemoryHierarchy:
         return handle
 
     def write_block(self, handle: int, block: Block) -> None:
-        """Copy a slot's words to memory, one Write event per word."""
+        """Copy a slot's words to memory, one Write event per word.  A
+        zero-byte slot stores and records nothing."""
         arr = self._resident(handle)
         if block.size != arr.size:
             raise UsageError(
                 f"slot holds {arr.size} words but {block.size} addresses given"
             )
-        self._view(block, written_only=False)[...] = arr.reshape(block.shape)
-        self._moves.append((WRITE, block, arr.tobytes()))
+        view = self._view(block, written_only=False)
+        if arr.itemsize:
+            view[...] = arr.reshape(block.shape)
+            self._moves.append((WRITE, block, arr.tobytes()))
         self.writes += arr.size
         written = self._written.get(block.name)
         if written is not None:
@@ -481,6 +496,35 @@ class MemoryHierarchy:
         return IoStats(self.reads, self.writes)
 
 
+# Per (block shape, slot shape): the zero-byte array a value-free read
+# puts in its slot.  Value-free slots are never written, so every read of
+# one shape pair shares one array; like ``_COUNT_RESULTS`` below it holds
+# one entry per shape pair the kernels read, for the life of the process.
+# Only a shape that reshapes is kept.  Keys match by equality, so a slot
+# shape of floats equal to a kept one's ints, (4.0,) for (4,), finds its
+# entry where the float64 reshape would refuse it.
+_ZERO_BYTE_SLOTS: dict[tuple, np.ndarray] = {}
+
+
+def _zero_byte_slot(block_shape: tuple, shape) -> np.ndarray:
+    """The shared zero-byte slot array of a read of ``block_shape`` into
+    ``shape``, by ``read_block``'s reshape rule, so a shape it refuses
+    raises what it raises there."""
+    key = block_shape, shape
+    try:
+        return _ZERO_BYTE_SLOTS[key]
+    except KeyError:
+        pass
+    except TypeError:  # an unhashable shape, such as a list, is not kept
+        key = None
+    arr = np.empty(block_shape, "V0")
+    if not shape == block_shape:
+        arr = arr.reshape(-1 if shape is None else shape)
+    if key is not None:
+        _ZERO_BYTE_SLOTS[key] = arr
+    return arr
+
+
 # Per (op function, *operand shapes): the value-free slot of the op's
 # result shape, or the ValueError the op raises on those shapes.
 # Keyed on the function, not the op name, so an op put in ``_OPS`` under
@@ -503,22 +547,22 @@ class CountHierarchy(MemoryHierarchy):
     """A hierarchy of shapes, occupancy and counters, with no values.
 
     Slow memory and slots are zero-byte arrays (dtype ``V0``) of the
-    shapes the float64 ones would have, so the inherited ``read_block``,
-    ``write_block`` and ``free`` run unchanged: every count, the peak
-    and each address, residency, capacity and reshape error are those of
-    ``MemoryHierarchy``.  ``compute`` takes each result shape, or the
+    shapes the float64 ones would have.  ``read_block``, ``write_block``
+    and ``free`` are not overridden: they are ``MemoryHierarchy``'s own
+    methods, so a tracer that wraps those sees count runs too, and every
+    count, the peak and each address, residency, capacity and reshape
+    error are those of ``MemoryHierarchy``.  On zero-byte arrays they
+    skip the value work: reads of one (block shape, slot shape) share
+    one zero-byte slot array, writes store nothing, and no move is
+    recorded.  ``load`` and ``alloc`` refuse the arrays and fills the
+    numeric ones refuse.  ``compute`` takes each result shape, or the
     ``ValueError`` behind its ``UsageError``, from running the op once
     on zeros per (function, operand shapes).  Nothing is computed, so
-    ``overflow`` stays False and ``fetch_matrix`` gives zeros; no move
-    is recorded, and reading ``trace`` raises ``UsageError``.  Counts
-    are data-independent, so a kernel run here counts exactly what it
-    counts on a ``MemoryHierarchy``.
+    ``overflow`` stays False and ``fetch_matrix`` gives zeros; reading
+    ``trace`` raises ``UsageError``.  Counts are data-independent, so a
+    kernel run here counts exactly what it counts on a
+    ``MemoryHierarchy``.
     """
-
-    def __init__(self, capacity: int):
-        super().__init__(capacity)
-        # read_block and write_block append each move; maxlen 0 drops it.
-        self._moves = deque(maxlen=0)
 
     @property
     def trace(self):
@@ -529,8 +573,10 @@ class CountHierarchy(MemoryHierarchy):
         pass  # MemoryHierarchy.__init__ sets one
 
     def load(self, name: str, array) -> None:
-        """Place ``array``'s shape, not its values, in slow memory."""
-        self.memory[name] = np.empty(np.shape(array), "V0")
+        """Place ``array``'s shape, not its values, in slow memory.  An
+        ``array`` with no float64 form raises what ``MemoryHierarchy.load``
+        raises; a float64 ndarray is not copied."""
+        self.memory[name] = np.empty(np.asarray(array, dtype=np.float64).shape, "V0")
         self._written.pop(name, None)
 
     def reserve(self, name: str, shape: tuple) -> None:
@@ -538,6 +584,7 @@ class CountHierarchy(MemoryHierarchy):
         self._written[name] = {}
 
     def alloc(self, shape: tuple = (), fill=0) -> int:
+        float(fill)  # refuses the fills MemoryHierarchy.alloc refuses, before the claim
         arr = np.empty(shape, "V0")
         self._claim(arr.size)
         handle = self._next_handle

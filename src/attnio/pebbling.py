@@ -700,8 +700,10 @@ def brute_force_min_io(dag: PebblingDag, m: int,
 # -- calculation file format -------------------------------------------------------
 
 def save_calculation(calc: list[Transition], path) -> None:
+    # Only an R4's third item is a color; the validator ignores the others'.
     with open(path, "w") as fh:
-        json.dump([{"rule": t[0], "vertex": t[1], **({"color": t[2]} if len(t) > 2 else {})}
+        json.dump([{"rule": t[0], "vertex": t[1],
+                    **({"color": t[2]} if t[0] == "R4" and len(t) > 2 else {})}
                    for t in calc], fh)
 
 

@@ -386,8 +386,15 @@ def test_bad_configuration_exit_code(tmp_path, capsys):
     ({"M": [16, 2]}, "M"),
     ({"algorithms": "tiling"}, "algorithms"),
     ({"algorithms": []}, "algorithms"),
+    ({"magnitude": float("nan")}, "magnitude"),
+    ({"magnitude": "nan"}, "magnitude"),
+    ({"magnitude": 1e308}, "magnitude"),
+    ({"magnitude": float("inf")}, "magnitude"),
+    ({"magnitude": -1.0}, "magnitude"),
+    ({"magnitude": True}, "magnitude"),
 ], ids=["float_N", "string_N", "negative_seed", "M_below_min", "string_algorithms",
-        "empty_algorithms"])
+        "empty_algorithms", "nan_magnitude", "string_magnitude", "overflowing_magnitude",
+        "infinite_magnitude", "negative_magnitude", "bool_magnitude"])
 def test_attn_sweep_bad_config_exit_code(tmp_path, capsys, fields, named):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"N": [8], "d": [2], "M": [16], **fields}))
@@ -398,16 +405,9 @@ def test_attn_sweep_bad_config_exit_code(tmp_path, capsys, fields, named):
     assert not out.exists()
 
 
-def test_attn_bad_seed_or_magnitude_exit_code(tmp_path, capsys):
+def test_attn_run_bad_seed_exit_code(capsys):
     assert run_cli("attn", "run", "--N", "4", "--d", "2", "--M", "16", "--seed", "-1") == 2
-    cfg = tmp_path / "cfg.json"
-    out = tmp_path / "records.csv"
-    for magnitude in ("NaN", '"nan"', "1e308"):
-        cfg.write_text('{"N": [4], "d": [2], "M": [16], "magnitude": %s}' % magnitude)
-        assert run_cli("attn", "sweep", "--config", str(cfg), "--out", str(out)) == 2
-        assert out.read_text() == ""
-    err = capsys.readouterr().err
-    assert err.count("bad seed") == 1 and err.count("bad magnitude") == 3
+    assert capsys.readouterr().err.startswith("error: bad seed -1")
 
 
 def test_empty_csv_exit_code(tmp_path, capsys):

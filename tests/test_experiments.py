@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
@@ -147,6 +149,19 @@ def test_config_from_json(tmp_path):
 def test_config_rejects_unknown_algorithm():
     with pytest.raises(errors.ConfigurationError):
         small_config(algorithms=("quantum",))
+
+
+@pytest.mark.parametrize("magnitude", [0, 0.0, 1, 30.0, np.float64(2.5), Fraction(1, 3),
+                                       sys.float_info.max / 2])
+def test_config_accepts_a_drawable_magnitude(magnitude):
+    assert small_config(magnitude=magnitude).magnitude == magnitude
+
+
+@pytest.mark.parametrize("magnitude", [-1.0, -1, math.nan, math.inf, 1e308, 10 ** 400,
+                                       True, False, "1", None, Decimal(1), 1j])
+def test_config_refuses_a_magnitude_random_instance_cannot_draw_from(magnitude):
+    with pytest.raises(errors.ConfigurationError, match="^magnitude must be"):
+        small_config(magnitude=magnitude)
 
 
 def test_fit_exact_power_laws():
@@ -322,8 +337,63 @@ def test_count_backend_gives_the_numeric_counts(grid, monkeypatch):
     monkeypatch.setattr(E, "CountHierarchy", lambda m: built.append(m) or CountHierarchy(m))
     csv_text = E.records_to_csv(E.run_sweep(config))
     assert len(built) == 3 * len(ns) * len(ds) * len(ms)
-    monkeypatch.setattr(E, "CountHierarchy", MemoryHierarchy)
+    # every point numeric, on the values its seed draws
+    monkeypatch.setattr(E, "_runs_on_counts", lambda n, d, a: False)
     assert csv_text == E.records_to_csv(E.run_sweep(config))
+    assert len(built) == 3 * len(ns) * len(ds) * len(ms)
+
+
+def test_count_points_draw_no_values(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a count point drew values")
+
+    config = E.SweepConfig((16, 24), (4, 8), (16, 64, 256), ("tiling", "streaming", "dispatch"))
+    expected = E.records_to_csv(E.run_sweep(config))
+    monkeypatch.setattr(E, "random_instance", refuse)
+    monkeypatch.setattr(E, "_point_seed", refuse)
+    assert E.records_to_csv(E.run_sweep(config)) == expected
+
+
+# A magnitude-30 grid runs every point on the numeric backend; its values
+# decide which points overflow.
+MAGNITUDE_30_CSV = """\
+algorithm,N,d,M,status,reads,writes,epochs,bmax
+tiling,4,1,16,ok,44,24,5,8
+tiling,4,1,64,ok,32,24,1,16
+tiling,4,4,16,numeric_error,132,36,11,4
+tiling,4,4,64,numeric_error,68,36,2,16
+tiling,12,1,16,numeric_error,372,168,34,8
+tiling,12,1,64,numeric_error,264,168,7,48
+tiling,12,4,16,numeric_error,1164,204,86,4
+tiling,12,4,64,numeric_error,588,204,13,32
+streaming,4,1,16,ok,20,4,2,10
+streaming,4,1,64,ok,12,4,1,16
+streaming,4,4,16,regime_error,0,0,0,0
+streaming,4,4,64,ok,48,16,1,16
+streaming,12,1,16,ok,156,12,11,16
+streaming,12,1,64,ok,60,12,2,135
+streaming,12,4,16,regime_error,0,0,0,0
+streaming,12,4,64,ok,336,48,6,24
+dispatch,4,1,16,ok,20,4,2,10
+dispatch,4,1,64,ok,12,4,1,16
+dispatch,4,4,16,numeric_error,132,36,11,4
+dispatch,4,4,64,ok,48,16,1,16
+dispatch,12,1,16,ok,156,12,11,16
+dispatch,12,1,64,ok,60,12,2,135
+dispatch,12,4,16,numeric_error,1164,204,86,4
+dispatch,12,4,64,ok,336,48,6,24
+"""
+
+
+def test_numeric_points_draw_their_seeded_values(monkeypatch):
+    drawn = []
+    monkeypatch.setattr(E, "random_instance", lambda n, d, seed, a: drawn.append(
+        (n, d, seed.entropy, a)) or random_instance(n, d, seed, a))
+    config = E.SweepConfig((4, 12), (1, 4), (16, 64), ("tiling", "streaming", "dispatch"),
+                           seed=5, magnitude=30.0)
+    assert E.records_to_csv(E.run_sweep(config)) == MAGNITUDE_30_CSV
+    assert drawn == [(n, d, [5, sorted(E._KERNELS).index(alg), n, d, m], 30.0)
+                     for alg, n, d, m in product(config.algorithms, (4, 12), (1, 4), (16, 64))]
 
 
 def largest_count_magnitude(n, d):

@@ -791,6 +791,11 @@ COUNT_FAULTS = {
     "write_size_mismatch": lambda h, a, v, gone: h.write_block(v, Block("O", range(2))),
     "free_not_resident": lambda h, a, v, gone: h.free(gone),
     "negative_alloc": lambda h, a, v, gone: h.alloc((-1,)),
+    "alloc_string_fill": lambda h, a, v, gone: h.alloc((2,), fill="x"),
+    "alloc_none_fill": lambda h, a, v, gone: h.alloc((2,), fill=None),
+    "alloc_list_fill": lambda h, a, v, gone: h.alloc((2,), fill=[1.0]),
+    "load_string": lambda h, a, v, gone: h.load("A", "abc"),
+    "load_ragged": lambda h, a, v, gone: h.load("A", [[1.0], [1.0, 2.0]]),
 }
 
 
@@ -813,7 +818,8 @@ def test_count_hierarchy_raises_what_memory_hierarchy_raises(fault):
 
         def state():
             return (h.reads, h.writes, h.words_used, h.peak_words, h._next_handle,
-                    {x: arr.shape for x, arr in h._slots.items()})
+                    {x: arr.shape for x, arr in h._slots.items()},
+                    {name: arr.shape for name, arr in h.memory.items()})
 
         before = state()
         with pytest.raises(Exception) as info:
@@ -839,6 +845,47 @@ def test_count_hierarchy_shares_the_block_moves_and_keeps_no_trace():
     assert not h.overflow
     with pytest.raises(errors.UsageError, match="records no trace"):
         h.trace
+
+
+def test_count_reads_share_one_zero_byte_slot_per_shape_pair():
+    h = CountHierarchy(64)
+    h.load("A", np.ones((4, 4)))
+    first, second = (h.read_block(Block("A", range(i, i + 2), range(2)), (2, 2))
+                     for i in (0, 2))
+    flat = h.read_block(Block("A", range(2), range(2, 4)))
+    row = h.read_block(Block("A", range(1), range(4)), (4,))
+    assert h._slots[first] is h._slots[second]
+    assert (h._slots[flat].shape, h._slots[row].shape) == ((4,), (4,))
+    assert h._slots[flat] is not h._slots[row]  # (2, 2) and (1, 4) blocks
+    assert all(arr.nbytes == 0 for arr in h._slots.values())
+    assert (h.reads, h.words_used) == (16, 16)
+    # a list shape reshapes as on a MemoryHierarchy, and is not kept
+    listed = h.read_block(Block("A", range(2, 4), range(2, 4)), [4])
+    assert h._slots[listed].shape == (4,)
+    h.free(listed)
+    # freeing one sharer leaves the other resident; a bad shape still raises
+    h.free(first)
+    assert h.words_used == 12 and second in h._slots
+    with pytest.raises(ValueError, match="cannot reshape"):
+        h.read_block(Block("A", range(2), range(2)), (3,))
+    assert (h.reads, h.words_used) == (20, 12)
+
+
+def test_numeric_read_never_aliases_slow_memory():
+    h = MemoryHierarchy(16)
+    h.load("A", np.arange(4.0).reshape(2, 2))
+    h.reserve("O", (2, 2))
+    for shape in ((2, 2), None, (4,)):
+        s = h.read_block(Block("A", range(2), range(2)), shape)
+        t = h.alloc(h._slots[s].shape, fill=-1.0)
+        h.write_block(t, Block("A", range(2), range(2)))
+        assert h.value(s).ravel().tolist() == [0.0, 1.0, 2.0, 3.0], shape
+        h.write_block(s, Block("A", range(2), range(2)))
+        h.free(s, t)
+    o = h.read_block(Block("A", range(2), range(2)), (2, 2))
+    h.write_block(o, Block("O", range(2), range(2)))
+    h.memory["O"][...] = 7.0
+    assert h.value(o).tolist() == [[0.0, 1.0], [2.0, 3.0]]
 
 
 def test_count_compute_gives_each_ops_result_shape(monkeypatch):

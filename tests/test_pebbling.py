@@ -1180,6 +1180,20 @@ def test_calculation_round_trip_validates_on_a_jsonl_copy(tmp_path):
     assert P.validate_calculation(generic, 16, calc).ok
 
 
+def test_calculation_with_a_third_item_off_r4_round_trips(tmp_path):
+    # the validator ignores a third item on R1-R3; only an R4's is a color
+    calc = [("R1", "in", "x"), ("R3", "out"), ("R2", "out"), ("R4", "in", "red"),
+            ("R4", "out"), ("R4", "in")]
+    before = P.validate_calculation(edge_dag(), 2, calc)
+    assert (before.ok, before.reads, before.writes) == (True, 1, 1)
+    path = tmp_path / "calc.json"
+    P.save_calculation(calc, path)
+    loaded = P.load_calculation(path)
+    assert loaded == [("R1", "in"), *calc[1:]]
+    after = P.validate_calculation(edge_dag(), 2, loaded)
+    assert (after.ok, after.reads, after.writes) == (True, 1, 1)
+
+
 def test_schedule_rejects_non_attention_dag(tmp_path):
     # only the builder's own DAG is scheduled: not an unrelated graph, not
     # even a copy of the builder's nodes
