@@ -16,10 +16,11 @@ import io
 import json
 import math
 from collections.abc import Sequence
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass, fields
 from importlib import resources
 from itertools import product
 from numbers import Integral, Real
+from operator import attrgetter
 from typing import get_type_hints
 
 import numpy as np
@@ -230,7 +231,7 @@ def records_to_csv(records) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    writer.writerows(map(astuple, records))
+    writer.writerows(map(attrgetter(*CSV_COLUMNS), records))
     return buf.getvalue()
 
 

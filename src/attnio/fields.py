@@ -227,41 +227,47 @@ def all_k_subsets_independent(matrix: FieldMatrix, k: int,
 
     Returns (True, None) or (False, witness) with the first dependent
     index tuple in lexicographic order.  A depth-first walk over
-    increasing index prefixes, in lexicographic order, keeps one echelon
-    basis per prefix: (pivot column, row scaled to pivot 1) pairs, each
-    row zero in the pivot columns before it.  A new row is reduced
-    against the pairs in turn; a zero remainder means it depends on the
-    prefix, and otherwise the scaled remainder extends the basis.  The
-    first dependent prefix, completed by the next smallest indices, is
-    the lexicographically first dependent k-subset, since every subset
-    before it was reached and found independent.  ``_row_reduce`` (behind
-    ``FieldMatrix.rank``) is not used.  ``cap`` bounds the subsets
-    checked, C(rows, k).
+    increasing index prefixes, in lexicographic order, carries with each
+    prefix the rows after its last index, reduced against the prefix's
+    basis: against its first pivot (pivot column, row scaled to pivot 1),
+    then its second, and so on, which leaves each row zero in every pivot
+    column.  A zero row depends on the prefix.  Otherwise its first
+    nonzero column and its scaled form are the next pivot, and the rows
+    after it go with the extended prefix once reduced against that pivot
+    alone: each row is reduced once per pivot, not against the whole
+    basis at every prefix.  The first dependent prefix, completed by the
+    next smallest indices, is the lexicographically first dependent
+    k-subset, since every subset before it was reached and found
+    independent.  ``_row_reduce`` (behind ``FieldMatrix.rank``) is not
+    used.  ``cap`` bounds the subsets checked, C(rows, k).
     """
     if not 0 <= k <= matrix.rows:
         raise ConfigurationError(f"k={k} must be in 0..{matrix.rows} (the row count)")
     check_enumeration(math.comb(matrix.rows, k), cap, "subsets")
-    rows, q, inv = matrix.data.tolist(), matrix.q, matrix.field.inv
+    q, inv, n = matrix.q, matrix.field.inv, matrix.rows
 
-    def extend(prefix: tuple, basis: list) -> tuple | None:
+    def extend(prefix: tuple, later: list) -> tuple | None:
+        """The walk below ``prefix``; ``later`` holds the rows after its
+        last index, reduced against its basis."""
         j = len(prefix)
-        for i in range(prefix[-1] + 1 if prefix else 0, matrix.rows - k + j + 1):
-            row = rows[i]
-            for c, pivot_row in basis:
-                f = row[c]
-                if f:
-                    row = [(x - f * y) % q for x, y in zip(row, pivot_row)]
-            c = next((c for c, x in enumerate(row) if x), None)
-            if c is None:
+        start = prefix[-1] + 1 if prefix else 0
+        for i, row in enumerate(later[:n - k + j + 1 - start], start):
+            for c, x in enumerate(row):
+                if x:
+                    break
+            else:
                 return prefix + tuple(range(i, i + k - j))
             if j + 1 < k:
                 s = inv(row[c])
-                witness = extend(prefix + (i,), basis + [(c, [x * s % q for x in row])])
+                pivot = [x * s % q for x in row]
+                rest = [[(x - f * y) % q for x, y in zip(r, pivot)] if (f := r[c]) else r
+                        for r in later[i - start + 1:]]
+                witness = extend(prefix + (i,), rest)
                 if witness:
                     return witness
         return None
 
-    witness = extend((), []) if k else None
+    witness = extend((), matrix.data.tolist()) if k else None
     return (False, witness) if witness else (True, None)
 
 

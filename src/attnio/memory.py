@@ -340,7 +340,8 @@ class MemoryHierarchy:
         """Copy a block's words into a single slot holding an array.
 
         Counts one Read event per word.  ``shape`` defaults to a flat
-        vector; a () shape yields a scalar slot.  A zero-byte block (only
+        vector; a () shape yields a scalar slot, and an ndarray shape
+        reads as its ``tolist()``.  A zero-byte block (only
         a ``CountHierarchy`` has one) passes the same checks, is neither
         copied nor recorded, and gets the zero-byte array its block and
         slot shapes share.
@@ -355,19 +356,26 @@ class MemoryHierarchy:
         written = self._written.get(name)
         if written is not None and block.ranges not in written:
             self._check_written(block, written)
-        if view.itemsize:
-            # A C-order copy; a reshape to any other shape fails before the claim.
-            if shape == block.shape:
-                arr = view.copy()
+        try:
+            if view.itemsize:
+                # A C-order copy; a reshape to any other shape fails before the claim.
+                if shape == block.shape:
+                    arr = view.copy()
+                else:
+                    arr = view.copy().reshape(-1 if shape is None else shape)
+                n = arr.size
+                self._claim(n)
+                self._moves.append((READ, block, arr.tobytes()))
             else:
-                arr = view.copy().reshape(-1 if shape is None else shape)
-            n = arr.size
-            self._claim(n)
-            self._moves.append((READ, block, arr.tobytes()))
-        else:
-            arr = _zero_byte_slot(block.shape, shape)
-            n = arr.size
-            self._claim(n)
+                arr = _zero_byte_slot(block.shape, shape)
+                n = arr.size
+                self._claim(n)
+        except ValueError:
+            # An ndarray shape compares elementwise, so the comparison has
+            # no truth value: the shape is read as its ``tolist()``.
+            if not isinstance(shape, np.ndarray):
+                raise
+            return self.read_block(block, shape.tolist())
         self.reads += n
         handle = self._next_handle
         self._next_handle = handle + 1

@@ -165,11 +165,19 @@ class AttentionDag(PebblingDag):
 
     Each list is a block of ``nodes``' creation order (the row-sum tree's
     leaves are the score trees' last ids).
+
+    ``nodes`` is the builder's own dict, not a copy.  ``inputs`` are the
+    ids of ``input_ids`` and ``outputs`` the OUT ids, the last of each
+    output tree; ``PebblingDag.__init__``, which would derive both from
+    every parent reference and check each one names a node, is not run.
+    The builder only names a parent it has already added.
     """
 
     def __init__(self, nodes, n: int, d: int, input_ids, score_trees, rowsum_trees,
                  output_trees):
-        super().__init__(nodes)
+        self.nodes = nodes
+        self.inputs = frozenset(chain(*chain(*input_ids)))
+        self.outputs = frozenset([tree[-1] for row in output_trees for tree in row])
         self.N = n
         self.d = d
         self.input_ids = input_ids
@@ -184,7 +192,7 @@ def _tree_shape(leaves: int) -> list[tuple[int, int]]:
     ``leaves`` + c is the c-th internal node created, so the last one
     (or the only leaf) is the top.  Each node is created right after its
     right operand's subtree."""
-    shape: list[tuple[int, int]] = []
+    shape = []
 
     def build(lo: int, hi: int) -> int:
         if hi - lo == 1:
@@ -204,15 +212,16 @@ def _add_nodes(nodes: dict[str, Node], ids, kind: str, parents) -> None:
 
 
 def _sum_tree(nodes: dict[str, Node], leaves: list[str], prefix: str, kind: str,
-              shape: list[tuple[int, int]], *roots: tuple[str, str]) -> list[str]:
-    """Add ``kind`` nodes ``prefix#0``, ``prefix#1``, ... over ``leaves``
-    in the order of ``shape``, then each (id, kind) of ``roots`` as a
-    one-parent chain above the top.  Returns the tree's ids: the leaves,
-    the internal nodes in creation order, then the roots."""
-    tree = leaves + [f"{prefix}#{c}" for c in range(len(shape))]
+              shape: list[tuple[int, int]], labels: list[str], *roots) -> list[str]:
+    """Add ``kind`` nodes ``prefix + labels[c]`` for the c-th node of
+    ``shape`` over ``leaves``, then each (id, kind, *other parents) of
+    ``roots`` as a chain above the top, each root's first parent the node
+    below it.  Returns the tree's ids: the leaves, the internal nodes in
+    creation order, then the roots."""
+    tree = leaves + list(map(prefix.__add__, labels[:len(shape)]))
     _add_nodes(nodes, tree[len(leaves):], kind, [(tree[l], tree[r]) for l, r in shape])
-    for vid, root_kind in roots:
-        nodes[vid] = Node(root_kind, (tree[-1],))
+    for vid, root_kind, *parents in roots:
+        nodes[vid] = _new_node((root_kind, (tree[-1], *parents)))
         tree.append(vid)
     return tree
 
@@ -229,7 +238,8 @@ def build_attention_dag(n: int, d: int) -> AttentionDag:
     """
     if n < 1 or d < 1:
         raise ConfigurationError("N and d must be >= 1")
-    # index labels, so that each id joins strings and formats no int
+    # index labels, so that each id joins strings and formats no int; an
+    # internal node's id is its tree's "#"-ended prefix plus a label
     labels = [str(x) for x in range(max(n, d))]
     rows, dims = labels[:n], labels[:d]
     input_ids = [[[f"{name}[{i},{l}]" for l in dims] for i in rows] for name in "QKV"]
@@ -244,12 +254,13 @@ def build_attention_dag(n: int, d: int) -> AttentionDag:
         for k, k_row in zip(rows, k_ids):
             leaves = [f"L1[{i},{k},{l}]" for l in dims]
             _add_nodes(nodes, leaves, L1_PRODUCT, zip(q_row, k_row))
-            row_trees.append(_sum_tree(nodes, leaves, f"S1[{i},{k}]", SUM_INTERNAL, d_shape,
-                                       (f"QKT[{i},{k}]", QKT_ROOT), (f"EXP[{i},{k}]", EXP)))
+            row_trees.append(_sum_tree(nodes, leaves, f"S1[{i},{k}]#", SUM_INTERNAL, d_shape,
+                                       labels, (f"QKT[{i},{k}]", QKT_ROOT),
+                                       (f"EXP[{i},{k}]", EXP)))
         score_trees.append(row_trees)
 
     exp_ids = [[tree[-1] for tree in row_trees] for row_trees in score_trees]
-    rowsum_trees = [_sum_tree(nodes, exp_row, f"SR[{i}]", ROWSUM_INTERNAL, n_shape,
+    rowsum_trees = [_sum_tree(nodes, exp_row, f"SR[{i}]#", ROWSUM_INTERNAL, n_shape, labels,
                               (f"RS[{i}]", ROWSUM_ROOT), (f"INV[{i}]", INVERSE))
                     for i, exp_row in zip(rows, exp_ids)]
 
@@ -260,12 +271,9 @@ def build_attention_dag(n: int, d: int) -> AttentionDag:
         for j, v_column in zip(dims, v_columns):
             leaves = [f"L2[{i},{k},{j}]" for k in rows]
             _add_nodes(nodes, leaves, L2_PRODUCT, zip(exp_row, v_column))
-            tree = _sum_tree(nodes, leaves, f"SA[{i},{j}]", AV_SUM_INTERNAL, n_shape,
-                             (f"AV[{i},{j}]", AV_ROOT))
-            out = f"OUT[{i},{j}]"
-            nodes[out] = Node(SCALE, (tree[-1], rowsum[-1]))
-            tree.append(out)
-            row_trees.append(tree)
+            row_trees.append(_sum_tree(nodes, leaves, f"SA[{i},{j}]#", AV_SUM_INTERNAL, n_shape,
+                                       labels, (f"AV[{i},{j}]", AV_ROOT),
+                                       (f"OUT[{i},{j}]", SCALE, rowsum[-1])))
         output_trees.append(row_trees)
 
     return AttentionDag(nodes, n, d, input_ids, score_trees, rowsum_trees, output_trees)
@@ -399,7 +407,7 @@ def _tree_walk(leaves: int, roots: int, compute_leaves: bool) -> list[list[tuple
     red, and the nodes complete in creation order; each operand is
     released as soon as its node is computed, so a tree keeps O(log
     leaves) partials red."""
-    operands: list[tuple[int, ...]] = _tree_shape(leaves)  # a fresh list
+    operands = _tree_shape(leaves)  # a fresh list
     for _ in range(roots):
         operands.append((leaves + len(operands) - 1,))
     last = list(range(leaves))  # the last leaf under each tree-list index

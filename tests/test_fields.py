@@ -230,6 +230,49 @@ def test_subset_check_matches_brute_force_for_every_k(q):
     assert dependent >= 64
 
 
+def test_subset_check_matches_brute_force_on_vandermonde_and_k5():
+    # the bench's Vandermonde(13, 4, 29), independent, and that matrix with
+    # a late row made dependent; then k = 5 on 5 to 9 rows per field
+    v = F.vandermonde_matrix(13, 4, 29)
+    assert F.all_k_subsets_independent(v, 4) == subsets_independent_reference(v, 4) == (True, None)
+    rows = v.data.tolist()
+    rows[11] = [(2 * x + 3 * y + z) % 29 for x, y, z in zip(rows[4], rows[7], rows[9])]
+    late = F.FieldMatrix(rows, v.field)
+    assert F.all_k_subsets_independent(late, 4) == subsets_independent_reference(late, 4)
+    rng = np.random.default_rng(55)
+    for t in range(60):
+        q = (2, 3, 5, 29, 2 ** 31 - 1)[t % 5]
+        n, cols = int(rng.integers(5, 10)), int(rng.integers(5, 7))
+        data = rng.integers(0, min(q, 2 + t % 5), size=(n, cols)).tolist()
+        matrix = F.FieldMatrix(data, q)
+        got = F.all_k_subsets_independent(matrix, 5)
+        assert got == subsets_independent_reference(matrix, 5), (q, data)
+
+
+@pytest.mark.parametrize("q", [11, 29])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_subset_check_finds_a_dependency_at_each_depth(q, k):
+    # every k rows of a Vandermonde matrix are independent; row r is then
+    # set to a combination of s - 1 earlier rows (zero for s = 1), so only
+    # subsets holding r can depend.  The walk first meets a dependent row
+    # at r's place in the witness, which is depth s when r = s - 1.
+    rng = np.random.default_rng(q * 10 + k)
+    depths = set()
+    for s in range(1, k + 1):
+        for trial in range(8):
+            n = int(rng.integers(k + 1, 10))
+            rows = F.vandermonde_matrix(n, k, q).data
+            r = s - 1 if trial == 0 else int(rng.integers(s - 1, n))
+            support = rng.choice(r, size=s - 1, replace=False) if r else []
+            rows[r] = sum(int(rng.integers(1, q)) * rows[a] for a in support) % q
+            matrix = F.FieldMatrix(rows, q)
+            got = F.all_k_subsets_independent(matrix, k)
+            assert got == subsets_independent_reference(matrix, k), (q, k, s, rows)
+            assert not got[0] and r in got[1]
+            depths.add(got[1].index(r) + 1)
+    assert depths == set(range(1, k + 1))
+
+
 def test_subset_enumeration_cap():
     m = F.FieldMatrix(np.ones((40, 2), dtype=int), 5)
     with pytest.raises(errors.EnumerationCapError):

@@ -788,6 +788,8 @@ COUNT_FAULTS = {
     "unwritten_fetch": lambda h, a, v, gone: h.fetch_matrix("O", (2, 2)),
     "bad_read_shape": lambda h, a, v, gone: h.read_block(Block("A", range(1), range(3)),
                                                          (2, 2)),
+    "bad_ndarray_read_shape": lambda h, a, v, gone: h.read_block(Block("A", range(1), range(3)),
+                                                                 np.array([2, 2])),
     "write_size_mismatch": lambda h, a, v, gone: h.write_block(v, Block("O", range(2))),
     "free_not_resident": lambda h, a, v, gone: h.free(gone),
     "negative_alloc": lambda h, a, v, gone: h.alloc((-1,)),
@@ -869,6 +871,27 @@ def test_count_reads_share_one_zero_byte_slot_per_shape_pair():
     with pytest.raises(ValueError, match="cannot reshape"):
         h.read_block(Block("A", range(2), range(2)), (3,))
     assert (h.reads, h.words_used) == (20, 12)
+
+
+@pytest.mark.parametrize("shape", [np.array([4]), np.array([2, 2]), np.array([1, 4]),
+                                   np.array(4), np.array([4.0])],
+                         ids=["flat", "square", "row", "0-d", "float"])
+def test_ndarray_read_shape_reads_as_on_both_backends(shape):
+    # an ndarray compares elementwise with the block's shape tuple; it is
+    # read as its list, on either backend
+    outcomes = set()
+    for cls in (MemoryHierarchy, CountHierarchy):
+        for given in (shape, shape.tolist()):
+            h = cls(16)
+            h.load("A", np.arange(4.0).reshape(2, 2))
+            try:
+                s = h.read_block(Block("A", range(2), range(2)), given)
+                outcomes.add((h._slots[s].shape, h.reads, h.words_used))
+            except TypeError as exc:  # a float shape
+                outcomes.add((str(exc), h.reads, h.words_used))
+    assert len(outcomes) == 1
+    if shape.dtype.kind == "i":
+        assert outcomes == {(tuple(np.atleast_1d(shape)), 4, 4)}
 
 
 def test_numeric_read_never_aliases_slow_memory():

@@ -6,6 +6,7 @@ import json
 import math
 import random
 import re
+import tracemalloc
 from collections import Counter, deque
 
 import pytest
@@ -59,6 +60,28 @@ def test_builder_closed_forms(n, d):
     assert dag.kind_counts() == expected_counts(n, d)
     assert len(dag.inputs) == 3 * n * d
     assert len(dag.outputs) == n * d
+
+
+def test_builder_boundary_is_the_derived_one():
+    # the builder hands over its own dict, inputs and outputs; deriving
+    # them again, with the unknown-parent check it skips, agrees
+    for n in range(1, 7):
+        for d in range(1, 7):
+            dag = P.build_attention_dag(n, d)
+            derived = P.PebblingDag(dag.nodes)  # raises on an unknown parent
+            assert (dag.inputs, dag.outputs) == (derived.inputs, derived.outputs), (n, d)
+            assert type(dag.inputs) is type(dag.outputs) is frozenset
+
+
+def test_builder_peak_memory_is_what_the_dag_holds():
+    tracemalloc.start()
+    try:
+        dag = P.build_attention_dag(16, 4)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(dag) == 4880
+    assert peak <= 1.1 * held, (peak, held)
 
 
 def test_builder_example_2_2():
