@@ -268,6 +268,10 @@ def main(argv=None) -> int:
             OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        # numpy's message names the size and shape it could not allocate
+        print(f"error: out of memory{': ' if str(exc) else ''}{exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -39,6 +39,13 @@ vector is stored between the two steps.  ``free`` takes any number of
 handles and vacates them in order.  ``peak_words`` is the highest
 ``words_used`` so far.
 
+A block's address is checked on its first move only: each hierarchy
+keeps, per ``Block`` object, the slow-memory view that move checked, and
+later moves of that object reuse it.  That relies on two invariants: a
+``Block`` is never mutated, and slow-memory arrays change only through
+``load`` and ``reserve``, which empty the map.  Whether the words were
+written is checked on every read.
+
 ``CountHierarchy`` is the same hierarchy without values.  Its slow
 memory and slots are zero-byte (dtype ``V0``) arrays of the shapes the
 float64 ones would have.  ``read_block``, ``write_block`` and ``free``
@@ -46,14 +53,17 @@ stay ``MemoryHierarchy``'s own methods, so a count run counts, claims
 and raises exactly as here, and a wrapper put on those methods (the
 bench tracer's) sees its moves too.  They run every check on a
 zero-byte array, then skip the value work: a zero-byte read copies
-nothing and puts in its slot the one zero-byte array shared by every
-read of its (block shape, slot shape), a zero-byte write stores
-nothing, and neither records a move.  Its ``compute`` takes each result
-shape from running the op once on zeros per (function, operand shapes).
-So it has no trace, its ``overflow`` stays False and ``fetch_matrix``
-gives zeros.  Counts do not depend on values, so a kernel counts the
-same on both; ``experiments.run_sweep`` runs a point on it, with no
-values drawn, whenever the point's values provably stay finite.
+nothing, a zero-byte write stores nothing, and neither records a move.
+Zero-byte arrays are never written, so the count backend shares them
+through process-wide caches: one array per shape for slow memory and
+``alloc``, one per (block shape, slot shape) for reads, and one per
+(op, operand shapes) for ``compute``, whose result shape comes from
+running the op once on zeros.  A call those caches have seen succeed is
+one lookup; any other runs every check.  So it has no trace, its
+``overflow`` stays False and ``fetch_matrix`` gives zeros.  Counts do
+not depend on values, so a kernel counts the same on both;
+``experiments.run_sweep`` runs a point on it, with no values drawn,
+whenever the point's values provably stay finite.
 """
 
 from __future__ import annotations
@@ -227,6 +237,12 @@ class MemoryHierarchy:
         # the blocks written to it, as {ranges: index}.  A block read
         # back exactly as it was written is found in O(1).
         self._written: dict[str, dict[tuple, tuple]] = {}
+        # Per ``Block`` object, its checked slow-memory view, filled by
+        # the block's first move that passes the address check.  A
+        # ``Block`` is never mutated and slow-memory arrays change only
+        # through ``load`` and ``reserve``, which empty it, so a view
+        # found here lies inside its array.
+        self._views: dict[Block, np.ndarray] = {}
         # One (kind, block, value bytes) record per block move.
         self._moves = []
         self.trace = Trace(self._moves)
@@ -291,29 +307,40 @@ class MemoryHierarchy:
         slow memory under ``name``.  Models input residency."""
         self.memory[name] = np.array(array, dtype=np.float64, order="C")
         self._written.pop(name, None)
+        self._views.clear()
 
     def reserve(self, name: str, shape: tuple) -> None:
         """Declare an output array of ``shape`` under ``name``.  Its words
         can be written, and read once written."""
         self.memory[name] = np.zeros(shape, dtype=np.float64)
         self._written[name] = {}
+        self._views.clear()
 
     def _view(self, block: Block, written_only: bool = True) -> np.ndarray:
         """The slice of slow memory ``block`` covers, or ``AddressError``
         if its name is unknown, it leaves its array, or (with
         ``written_only``) it holds a word of a reserved array that was
-        never written."""
+        never written.  The slice and its address check run once per
+        block object; later moves take the view from ``_views``.  A
+        zero-byte view is the shared zero-byte array of its shape."""
         name = block.name
-        try:
-            view = self.memory[name][block.index]
-        except (KeyError, IndexError):
-            view = None
-        if view is None or view.shape != block.shape:
-            array = self.memory.get(name)
-            shape = None if array is None else array.shape
-            bad = next((a for a in block if shape is None or len(a) != len(shape) + 1
-                        or not all(map(operator.lt, a[1:], shape))), block)
-            raise AddressError(f"address {bad!r} lies in no loaded or reserved array")
+        view = self._views.get(block)
+        if view is None:
+            try:
+                view = self.memory[name][block.index]
+            except (KeyError, IndexError):
+                view = None
+            if view is None or view.shape != block.shape:
+                array = self.memory.get(name)
+                shape = None if array is None else array.shape
+                bad = next((a for a in block if shape is None or len(a) != len(shape) + 1
+                            or not all(map(operator.lt, a[1:], shape))), block)
+                raise AddressError(f"address {bad!r} lies in no loaded or reserved array")
+            if not view.itemsize:
+                # Any zero-byte array of the block's shape serves: keep the
+                # shared one, not a view object per block.
+                view = _zero_bytes(block.shape)
+            self._views[block] = view
         if written_only:
             written = self._written.get(name)
             if written is not None and block.ranges not in written:
@@ -341,19 +368,16 @@ class MemoryHierarchy:
 
         Counts one Read event per word.  ``shape`` defaults to a flat
         vector; a () shape yields a scalar slot, and an ndarray shape
-        reads as its ``tolist()``.  A zero-byte block (only
-        a ``CountHierarchy`` has one) passes the same checks, is neither
-        copied nor recorded, and gets the zero-byte array its block and
-        slot shapes share.
+        reads as its ``tolist()``.  A block object moved before skips
+        its address check (see ``_views``); the written check always
+        runs.  A zero-byte block (only a ``CountHierarchy`` has one)
+        passes the same checks, is neither copied nor recorded, and gets
+        the zero-byte array its block and slot shapes share.
         """
-        name = block.name
-        try:
-            view = self.memory[name][block.index]
-        except (KeyError, IndexError):
-            view = None
-        if view is None or view.shape != block.shape:
-            self._view(block)  # raises the AddressError that names the address
-        written = self._written.get(name)
+        view = self._views.get(block)
+        if view is None:
+            view = self._view(block, written_only=False)
+        written = self._written.get(block.name)
         if written is not None and block.ranges not in written:
             self._check_written(block, written)
         try:
@@ -367,9 +391,22 @@ class MemoryHierarchy:
                 self._claim(n)
                 self._moves.append((READ, block, arr.tobytes()))
             else:
-                arr = _zero_byte_slot(block.shape, shape)
-                n = arr.size
-                self._claim(n)
+                # The shared slot array (see ``_ZERO_BYTE_SLOTS``) and its
+                # claim, inline: the common count-backend read.
+                try:
+                    arr = _ZERO_BYTE_SLOTS[block.shape, shape]
+                    for x in shape or ():
+                        if x.__class__ is not int:
+                            raise KeyError(shape)
+                except (KeyError, TypeError):
+                    arr = _zero_byte_slot(block.shape, shape)
+                n = block.size
+                used = self._used + n
+                if used > self.capacity:
+                    self._claim(n)  # raises CapacityError
+                self._used = used
+                if used > self._peak:
+                    self._peak = used
         except ValueError:
             # An ndarray shape compares elementwise, so the comparison has
             # no truth value: the shape is read as its ``tolist()``.
@@ -504,51 +541,59 @@ class MemoryHierarchy:
         return IoStats(self.reads, self.writes)
 
 
+# The count backend's shared zero-byte arrays (see ``CountHierarchy``).
+# Each cache holds one entry per shape, shape pair, or op and operand
+# shapes the kernels use, for the life of the process.  Keys match by
+# equality, so a float shape equal to a kept one of ints, (4.0,) for
+# (4,), finds its entry where numpy refuses it: a hit counts only if the
+# caller's shape holds ints, and any other shape asks numpy.
+
+# Per shape: the zero-byte array of that shape.
+_ZERO_BYTES: dict[tuple, np.ndarray] = {}
+
+
+def _zero_bytes(shape) -> np.ndarray:
+    """The shared zero-byte array of ``shape``, or what ``np.zeros``
+    raises on it."""
+    try:
+        arr = _ZERO_BYTES[shape]
+        for x in shape:
+            if x.__class__ is not int:
+                raise KeyError(shape)
+        return arr
+    except (KeyError, TypeError):
+        pass
+    arr = np.empty(shape, "V0")
+    if type(shape) is tuple:
+        _ZERO_BYTES[shape] = arr
+    return arr
+
+
 # Per (block shape, slot shape): the zero-byte array a value-free read
-# puts in its slot.  Value-free slots are never written, so every read of
-# one shape pair shares one array; like ``_COUNT_RESULTS`` below it holds
-# one entry per shape pair the kernels read, for the life of the process.
-# Only a shape that reshapes is kept.  Keys match by equality, so a slot
-# shape of floats equal to a kept one's ints, (4.0,) for (4,), finds its
-# entry where the float64 reshape would refuse it.
+# puts in its slot.
 _ZERO_BYTE_SLOTS: dict[tuple, np.ndarray] = {}
 
 
 def _zero_byte_slot(block_shape: tuple, shape) -> np.ndarray:
     """The shared zero-byte slot array of a read of ``block_shape`` into
     ``shape``, by ``read_block``'s reshape rule, so a shape it refuses
-    raises what it raises there."""
-    key = block_shape, shape
-    try:
-        return _ZERO_BYTE_SLOTS[key]
-    except KeyError:
-        pass
-    except TypeError:  # an unhashable shape, such as a list, is not kept
-        key = None
-    arr = np.empty(block_shape, "V0")
+    raises what it raises there.  ``read_block`` looks the pair up in
+    ``_ZERO_BYTE_SLOTS`` first; only a hashable shape is kept."""
+    arr = _zero_bytes(block_shape)
     if not shape == block_shape:
         arr = arr.reshape(-1 if shape is None else shape)
-    if key is not None:
-        _ZERO_BYTE_SLOTS[key] = arr
+    try:
+        _ZERO_BYTE_SLOTS[block_shape, shape] = arr
+    except TypeError:  # an unhashable shape, such as a list
+        pass
     return arr
 
 
-# Per (op function, *operand shapes): the value-free slot of the op's
-# result shape, or the ValueError the op raises on those shapes.
-# Keyed on the function, not the op name, so an op put in ``_OPS`` under
-# a known name gets entries of its own.  It holds a few entries per
-# distinct block shape the kernels use, for the life of the process.
-_COUNT_RESULTS: dict[tuple, np.ndarray | ValueError] = {}
-
-
-def _count_result(fn: Callable, shapes: tuple) -> np.ndarray | ValueError:
-    try:
-        with np.errstate(all="ignore"):
-            result = fn(*[np.zeros(shape) for shape in shapes])
-    except ValueError as exc:
-        # A cached traceback would keep the first caller's frames alive.
-        return exc.with_traceback(None)
-    return np.empty(np.shape(result), "V0")
+# Per (``_OPS`` entry, *operand shapes): the zero-byte array of the op's
+# result shape.  Keyed on the entry, not the op name, so an op put in
+# ``_OPS`` under a known name gets entries of its own.  A failed call is
+# not kept.
+_COUNT_RESULTS: dict[tuple, np.ndarray] = {}
 
 
 class CountHierarchy(MemoryHierarchy):
@@ -560,16 +605,25 @@ class CountHierarchy(MemoryHierarchy):
     methods, so a tracer that wraps those sees count runs too, and every
     count, the peak and each address, residency, capacity and reshape
     error are those of ``MemoryHierarchy``.  On zero-byte arrays they
-    skip the value work: reads of one (block shape, slot shape) share
-    one zero-byte slot array, writes store nothing, and no move is
-    recorded.  ``load`` and ``alloc`` refuse the arrays and fills the
-    numeric ones refuse.  ``compute`` takes each result shape, or the
-    ``ValueError`` behind its ``UsageError``, from running the op once
-    on zeros per (function, operand shapes).  Nothing is computed, so
-    ``overflow`` stays False and ``fetch_matrix`` gives zeros; reading
-    ``trace`` raises ``UsageError``.  Counts are data-independent, so a
-    kernel run here counts exactly what it counts on a
-    ``MemoryHierarchy``.
+    skip the value work: writes store nothing and no move is recorded.
+    ``load`` and ``alloc`` refuse the arrays and fills the numeric ones
+    refuse.  Nothing is computed, so ``overflow`` stays False and
+    ``fetch_matrix`` gives zeros; reading ``trace`` raises
+    ``UsageError``.  Counts are data-independent, so a kernel run here
+    counts exactly what it counts on a ``MemoryHierarchy``.
+
+    A zero-byte array holds nothing to write, so arrays are shared, each
+    from a process-wide cache: ``load``, ``reserve`` and ``alloc`` give
+    the one array of their shape, a read the one of its (block shape,
+    slot shape), and ``compute`` the one of its (``_OPS`` entry, operand
+    shapes), found by running the op once on zeros.  On a hit a call is
+    one lookup and the claim: a cached entry means the same call, with
+    the same op entry and shapes, passed every check before, and the
+    checks that depend on this hierarchy (residency, capacity, the
+    ``out`` slot) still run.  A miss or a failure runs every check in
+    ``MemoryHierarchy``'s order and raises what it raises.  A hit counts
+    only on shapes of ints: a float shape equal to a cached one misses,
+    so numpy refuses it as the numeric backend's does.
     """
 
     @property
@@ -584,16 +638,18 @@ class CountHierarchy(MemoryHierarchy):
         """Place ``array``'s shape, not its values, in slow memory.  An
         ``array`` with no float64 form raises what ``MemoryHierarchy.load``
         raises; a float64 ndarray is not copied."""
-        self.memory[name] = np.empty(np.asarray(array, dtype=np.float64).shape, "V0")
+        self.memory[name] = _zero_bytes(np.asarray(array, dtype=np.float64).shape)
         self._written.pop(name, None)
+        self._views.clear()
 
     def reserve(self, name: str, shape: tuple) -> None:
-        self.memory[name] = np.empty(shape, "V0")
+        self.memory[name] = _zero_bytes(shape)
         self._written[name] = {}
+        self._views.clear()
 
     def alloc(self, shape: tuple = (), fill=0) -> int:
         float(fill)  # refuses the fills MemoryHierarchy.alloc refuses, before the claim
-        arr = np.empty(shape, "V0")
+        arr = _zero_bytes(shape)
         self._claim(arr.size)
         handle = self._next_handle
         self._next_handle = handle + 1
@@ -601,36 +657,40 @@ class CountHierarchy(MemoryHierarchy):
         return handle
 
     def compute(self, op: str, *operands: int, out: int | None = None) -> int:
-        """``MemoryHierarchy.compute``'s checks, in its order, and its
-        claim, with the result's shape in place of its values."""
-        try:
-            fn, arity = _OPS[op]
-        except KeyError:
-            raise UsageError(f"unknown op {op!r}") from None
-        if len(operands) != arity:
-            raise UsageError(f"op {op!r} takes {arity} operands, got {len(operands)}")
+        """``MemoryHierarchy.compute``'s checks and claim, with the
+        result's shape in place of its values.
+
+        A call whose (``_OPS`` entry, *operand shapes) has succeeded
+        before is one lookup in ``_COUNT_RESULTS``, which proves the op
+        known, the operand count right, the operands resident and their
+        shapes combinable; any other call runs ``_checked_result``."""
         slots = self._slots
-        # The key (fn, *operand shapes), built by arity as in the base.
+        # The key, built by operand count.  No op takes other than 1-4
+        # operands, so the last unpack's ValueError is a miss too.
         try:
-            if arity == 2:
+            if len(operands) == 2:
                 a, b = operands
-                key = fn, slots[a].shape, slots[b].shape
-            elif arity == 3:
+                result = _COUNT_RESULTS[_OPS[op], slots[a].shape, slots[b].shape]
+            elif len(operands) == 3:
                 a, b, c = operands
-                key = fn, slots[a].shape, slots[b].shape, slots[c].shape
+                result = _COUNT_RESULTS[_OPS[op], slots[a].shape, slots[b].shape,
+                                        slots[c].shape]
+            elif len(operands) == 1:
+                result = _COUNT_RESULTS[_OPS[op], slots[operands[0]].shape]
             else:
-                key = fn, *[slots[x].shape for x in operands]
-        except KeyError:
-            missing = next(x for x in operands if x not in slots)
-            raise ResidencyError(f"slot {missing} is not cache-resident") from None
-        result = _COUNT_RESULTS.get(key)
-        if result is None:
-            result = _COUNT_RESULTS[key] = _count_result(fn, key[1:])
-        if isinstance(result, ValueError):
-            shapes = ", ".join(map(str, key[1:]))
-            raise UsageError(f"op {op!r} cannot combine operands of shapes {shapes}") from result
+                a, b, c, e = operands
+                result = _COUNT_RESULTS[_OPS[op], slots[a].shape, slots[b].shape,
+                                        slots[c].shape, slots[e].shape]
+        except (KeyError, TypeError, ValueError):
+            result = self._checked_result(op, operands)
         if out is None:
-            self._claim(result.size)
+            n = result.size
+            used = self._used + n
+            if used > self.capacity:
+                self._claim(n)  # raises CapacityError
+            self._used = used
+            if used > self._peak:
+                self._peak = used
             out = self._next_handle
             self._next_handle = out + 1
             # Value-free slots are never written, so results share one array.
@@ -643,6 +703,33 @@ class CountHierarchy(MemoryHierarchy):
             if result.size != target.size:
                 raise UsageError("out slot size mismatch")
         return out
+
+    def _checked_result(self, op: str, operands: tuple) -> np.ndarray:
+        """``MemoryHierarchy.compute``'s checks before its claim, in its
+        order and with its errors; the op's result shape comes from
+        running it once on zeros.  Keeps the shared result array in
+        ``_COUNT_RESULTS``."""
+        try:
+            entry = _OPS[op]
+        except KeyError:
+            raise UsageError(f"unknown op {op!r}") from None
+        fn, arity = entry
+        if len(operands) != arity:
+            raise UsageError(f"op {op!r} takes {arity} operands, got {len(operands)}")
+        slots = self._slots
+        try:
+            shapes = [slots[x].shape for x in operands]
+        except KeyError:
+            missing = next(x for x in operands if x not in slots)
+            raise ResidencyError(f"slot {missing} is not cache-resident") from None
+        try:
+            with np.errstate(all="ignore"):
+                result = fn(*[np.zeros(shape) for shape in shapes])
+        except ValueError as exc:
+            raise UsageError(f"op {op!r} cannot combine operands of shapes "
+                             f"{', '.join(map(str, shapes))}") from exc
+        result = _COUNT_RESULTS[(entry, *shapes)] = _zero_bytes(np.shape(result))
+        return result
 
     def fetch_matrix(self, name: str, shape: tuple[int, int]) -> np.ndarray:
         """Zeros for the ``shape`` corner of ``name``, after

@@ -186,7 +186,7 @@ class AttentionDag(PebblingDag):
         self.output_trees = output_trees
 
 
-def _tree_shape(leaves: int) -> list[tuple[int, int]]:
+def _tree_shape(leaves: int):
     """Creation-order (left, right) operands of the balanced binary sum
     tree over ``leaves`` leaves.  Operand t < ``leaves`` is leaf t; operand
     ``leaves`` + c is the c-th internal node created, so the last one
@@ -194,15 +194,17 @@ def _tree_shape(leaves: int) -> list[tuple[int, int]]:
     right operand's subtree."""
     shape = []
 
-    def build(lo: int, hi: int) -> int:
+    # ``build`` gets itself as an argument: a closure that named itself
+    # would form a reference cycle, garbage for the cyclic GC, per call.
+    def build(lo, hi, build):
         if hi - lo == 1:
             return lo
         mid = (lo + hi + 1) // 2
-        left, right = build(lo, mid), build(mid, hi)
+        left, right = build(lo, mid, build), build(mid, hi, build)
         shape.append((left, right))
         return leaves + len(shape) - 1
 
-    build(0, leaves)
+    build(0, leaves, build)
     return shape
 
 

@@ -9,6 +9,7 @@ import pytest
 from attnio import experiments, pebbling
 from attnio.cli import main
 from attnio.fields import bch_parity_check
+from attnio.memory import MemoryHierarchy
 
 
 def run_cli(*argv):
@@ -48,6 +49,24 @@ def test_attn_run_bad_size_exit_code(capsys):
     assert run_cli("attn", "run", "--N", "-1", "--d", "2", "--M", "64") == 2
     assert run_cli("attn", "run", "--N", "4", "--d", "-1", "--M", "64") == 2
     assert capsys.readouterr().err.count("N and d must be >= 1") == 2
+
+
+@pytest.mark.parametrize("error, line", [
+    (MemoryError("Unable to allocate 6.55 PiB for an array with shape (30000000, 30000000)"),
+     "error: out of memory: Unable to allocate 6.55 PiB for an array with shape "
+     "(30000000, 30000000)\n"),
+    (MemoryError(), "error: out of memory\n"),
+], ids=["numpy", "bare"])
+def test_attn_run_out_of_memory_exit_code(capsys, monkeypatch, error, line):
+    # as `attn run --N 30000000 --d 1 --M 16 --algorithm tiling` fails
+    # reserving A, without first allocating the hundreds of MB it takes
+    def reserve(self, name, shape):
+        raise error
+
+    monkeypatch.setattr(MemoryHierarchy, "reserve", reserve)
+    assert run_cli("attn", "run", "--N", "4", "--d", "1", "--M", "16",
+                   "--algorithm", "tiling") == 2
+    assert capsys.readouterr() == ("", line)
 
 
 def test_attn_sweep(tmp_path, capsys):

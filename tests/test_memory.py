@@ -6,7 +6,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from attnio import errors
+from attnio import errors, experiments, kernels, memory
 from attnio.memory import (
     _OPS,
     SCAN_RESULTS,
@@ -767,9 +767,15 @@ def test_moves_outside_loaded_or_reserved_arrays_change_nothing():
 
 # -- the count backend -----------------------------------------------------------
 
-# Each call fails on the hierarchy COUNT_FAULT_SETUP builds: a 12-word
-# cache holding a (2, 3) slot ``a``, a (3,) slot ``v`` and a freed
-# handle ``gone``, with A loaded as (2, 3) and O reserved as (2, 2).
+# Each call fails on the hierarchy ``count_fault_setup`` builds: a
+# 12-word cache holding a (2, 3) slot ``a``, a (3,) slot ``v`` and a freed
+# handle ``gone``, with A loaded as (2, 3) and O reserved as (2, 2).  The
+# blocks are shared objects, so with ``count_fault_warm_up`` run first a
+# call finds them in the hierarchy's view map.
+A_ALL = Block("A", range(2), range(3))
+A_ROW = Block("A", range(1), range(3))
+O_ROW = Block("O", range(1), range(2))
+
 COUNT_FAULTS = {
     "unknown_op": lambda h, a, v, gone: h.compute("nope", a),
     "wrong_arity": lambda h, a, v, gone: h.compute("exp", a, v),
@@ -779,17 +785,19 @@ COUNT_FAULTS = {
     "out_not_resident": lambda h, a, v, gone: h.compute("exp", a, out=gone),
     "out_size_mismatch": lambda h, a, v, gone: h.compute("exp", a, out=v),
     "compute_capacity": lambda h, a, v, gone: h.compute("exp", a),
-    "read_capacity": lambda h, a, v, gone: h.read_block(Block("A", range(2), range(3))),
+    "read_capacity": lambda h, a, v, gone: h.read_block(A_ALL),
     "alloc_capacity": lambda h, a, v, gone: h.alloc((4,)),
     "block_outside_read": lambda h, a, v, gone: h.read_block(Block("A", range(3), range(1))),
     "block_outside_write": lambda h, a, v, gone: h.write_block(v, Block("O", range(3))),
     "unknown_array": lambda h, a, v, gone: h.read_block(Block("B", range(1))),
-    "unwritten_read": lambda h, a, v, gone: h.read_block(Block("O", range(1), range(2))),
+    "unwritten_read": lambda h, a, v, gone: h.read_block(O_ROW),
     "unwritten_fetch": lambda h, a, v, gone: h.fetch_matrix("O", (2, 2)),
-    "bad_read_shape": lambda h, a, v, gone: h.read_block(Block("A", range(1), range(3)),
-                                                         (2, 2)),
-    "bad_ndarray_read_shape": lambda h, a, v, gone: h.read_block(Block("A", range(1), range(3)),
-                                                                 np.array([2, 2])),
+    "bad_read_shape": lambda h, a, v, gone: h.read_block(A_ROW, (2, 2)),
+    "bad_ndarray_read_shape": lambda h, a, v, gone: h.read_block(A_ROW, np.array([2, 2])),
+    # setup has read A_ROW into (3,) and allocated (2,): a float equal to
+    # those ints must not find their shared arrays
+    "float_read_shape": lambda h, a, v, gone: h.read_block(A_ROW, (3.0,)),
+    "float_alloc_shape": lambda h, a, v, gone: h.alloc((2.0,)),
     "write_size_mismatch": lambda h, a, v, gone: h.write_block(v, Block("O", range(2))),
     "free_not_resident": lambda h, a, v, gone: h.free(gone),
     "negative_alloc": lambda h, a, v, gone: h.alloc((-1,)),
@@ -801,22 +809,43 @@ COUNT_FAULTS = {
 }
 
 
-def count_fault_setup(h):
+def count_fault_setup(h, warm_up=None):
     h.load("A", np.ones((2, 3)))
     h.reserve("O", (2, 2))
-    a = h.read_block(Block("A", range(2), range(3)), (2, 3))
+    if warm_up:
+        warm_up(h)
+    h.free(h.read_block(A_ROW, (3,)))
+    a = h.read_block(A_ALL, (2, 3))
     v = h.alloc((3,))
     gone = h.alloc((2,))
     h.free(gone)
     return a, v, gone
 
 
-@pytest.mark.parametrize("fault", COUNT_FAULTS)
-def test_count_hierarchy_raises_what_memory_hierarchy_raises(fault):
+def count_fault_warm_up(h):
+    """On the empty cache, the calls of ``COUNT_FAULTS`` made where they
+    can succeed: the same blocks, shapes and ops, each result freed."""
+    for shape in ((3,), (1, 3), None, [3]):
+        h.free(h.read_block(A_ROW, shape))
+    h.free(h.read_block(A_ALL))
+    a = h.read_block(A_ALL, (2, 3))
+    for op, operands in (("exp", (a,)), ("maximum", (a, a))):
+        h.free(h.compute(op, *operands))
+    h.compute("exp", a, out=a)
+    v = h.alloc((3,))
+    h.free(h.compute("matmul", a, v))
+    acc = h.alloc((2,), fill=1.0)
+    h.compute("add_rowsum", acc, a, out=acc)
+    h.write_block(acc, Block("O", range(1, 2), range(2)))
+    h.free(a, v, acc)
+    h.free(h.alloc((4,)), h.alloc((2,)))
+
+
+def assert_count_fault_parity(fault, warm_up):
     raised = []
     for cls in (MemoryHierarchy, CountHierarchy):
         h = cls(12)
-        handles = count_fault_setup(h)
+        handles = count_fault_setup(h, warm_up)
 
         def state():
             return (h.reads, h.writes, h.words_used, h.peak_words, h._next_handle,
@@ -829,6 +858,101 @@ def test_count_hierarchy_raises_what_memory_hierarchy_raises(fault):
         assert state() == before, (fault, cls)
         raised.append((info.type, str(info.value)))
     assert raised[0] == raised[1]
+
+
+@pytest.mark.parametrize("fault", COUNT_FAULTS)
+def test_count_hierarchy_raises_what_memory_hierarchy_raises(fault):
+    assert_count_fault_parity(fault, None)
+
+
+@pytest.mark.parametrize("fault", COUNT_FAULTS)
+def test_count_hierarchy_raises_the_same_with_warm_caches(fault):
+    # every cache the call could hit is filled on this hierarchy first
+    assert_count_fault_parity(fault, count_fault_warm_up)
+
+
+def _reload_smaller(h):
+    h.load("A", np.ones((2, 3)))
+    h.free(h.read_block(A_ALL))
+    h.load("A", np.ones((1, 3)))
+    h.read_block(A_ALL)
+
+
+def _reserve_again(h):
+    h.reserve("O", (2, 2))
+    h.write_block(h.alloc((2,), fill=1.0), O_ROW)
+    h.free(h.read_block(O_ROW))
+    h.reserve("O", (2, 2))
+    h.read_block(O_ROW)
+
+
+def _unwritten_twice(h):
+    # the first read passes the address check and fails the written one
+    h.reserve("O", (2, 2))
+    with pytest.raises(errors.AddressError, match="never written"):
+        h.read_block(O_ROW)
+    h.read_block(O_ROW)
+
+
+def _free_an_operand(h):
+    a, b = h.alloc((2,)), h.alloc((2,))
+    h.free(h.compute("maximum", a, b))
+    h.free(b)
+    h.compute("maximum", a, b)
+
+
+@pytest.mark.parametrize("steps, error, message", [
+    (_reload_smaller, errors.AddressError, "lies in no loaded"),
+    (_reserve_again, errors.AddressError, "never written"),
+    (_unwritten_twice, errors.AddressError, "never written"),
+    (_free_an_operand, errors.ResidencyError, "not cache-resident"),
+], ids=["block_after_smaller_load", "written_block_after_reserve", "unwritten_block_again",
+        "compute_after_free"])
+def test_a_stale_cache_entry_raises_as_on_memory_hierarchy(steps, error, message):
+    raised = []
+    for cls in (MemoryHierarchy, CountHierarchy):
+        with pytest.raises(error, match=message) as info:
+            steps(cls(16))
+        raised.append(str(info.value))
+    assert raised[0] == raised[1]
+
+
+@pytest.mark.parametrize("kernel, n, d, m", [
+    (kernels.streaming_attention, 24, 4, 64),
+    (kernels.square_tiling_attention, 24, 4, 16),
+    (kernels.square_tiling_attention, 10, 6, 64),  # clipped edge blocks
+], ids=["streaming", "tiling", "tiling_clipped"])
+def test_a_second_count_run_is_all_cache_hits(kernel, n, d, m, monkeypatch):
+    # every zero-byte array and compute result of a run at one (N, d, M)
+    # is shared with the next run there, which takes each from a cache
+    inst = experiments._shape_instance(n, d)
+    first = kernel(CountHierarchy(m), inst)
+    caches = (memory._ZERO_BYTES, memory._ZERO_BYTE_SLOTS, memory._COUNT_RESULTS)
+    sizes = list(map(len, caches))
+    made, empty = [], np.empty
+    monkeypatch.setattr(np, "empty", lambda *args, **kwargs: made.append(args)
+                        or empty(*args, **kwargs))
+    # the miss paths: load and reserve look their arrays up through
+    # _zero_bytes, so it counts only a shape it does not hold
+    monkeypatch.setattr(memory, "_zero_byte_slot", lambda *args: made.append(args))
+    monkeypatch.setattr(CountHierarchy, "_checked_result", lambda *args: made.append(args))
+    zero_bytes = memory._zero_bytes
+
+    def held_zero_bytes(shape):
+        if shape not in memory._ZERO_BYTES:
+            made.append(shape)
+        return zero_bytes(shape)
+
+    monkeypatch.setattr(memory, "_zero_bytes", held_zero_bytes)
+    h = CountHierarchy(m)
+    second = kernel(h, inst)
+    assert made == []
+    assert list(map(len, caches)) == sizes
+    # the view map holds no view object per block, only shared arrays
+    assert h._views and all(view is memory._ZERO_BYTES[block.shape]
+                            for block, view in h._views.items())
+    assert (second.io, second.epochs, second.entry_completions) == (
+        first.io, first.epochs, first.entry_completions)
 
 
 def test_count_hierarchy_shares_the_block_moves_and_keeps_no_trace():

@@ -1,5 +1,6 @@
 """Pebble game: DAG construction, validation, schedules, partitions."""
 
+import gc
 import graphlib
 import hashlib
 import json
@@ -82,6 +83,24 @@ def test_builder_peak_memory_is_what_the_dag_holds():
         tracemalloc.stop()
     assert len(dag) == 4880
     assert peak <= 1.1 * held, (peak, held)
+
+
+def test_build_schedule_and_validate_leave_no_cyclic_garbage():
+    # a reference cycle waits for the cyclic GC, which pays per tracked
+    # object: on a DAG's Node tuples that is most of a collection
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        dag = P.build_attention_dag(4, 2)
+        assert gc.collect() == 0
+        calc = P.blocked_pebbling_schedule(dag, 32)
+        assert gc.collect() == 0
+        assert P.validate_calculation(dag, 32, calc).ok
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_builder_example_2_2():
