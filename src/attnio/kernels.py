@@ -135,12 +135,16 @@ def square_tiling_attention(
     compute, alloc, free = h.compute, h.alloc, h.free
     rows = [range(i, min(i + b, n)) for i in range(0, n, b)]
     cols = [range(l, min(l + b, d)) for l in range(0, d, b)]
-    # Every block moved more than once, built once: Q[i][l] and KT[j][l]
-    # feed the l-loop, A[i][k] and V[j][k] Phase 2.
+    # Every block built once per run, so each has one checked view:
+    # Q[i][l] and KT[j][l] feed the l-loop, A[i][k] and V[j][k] Phase 2,
+    # and dvec[i] is written in Phase 1 and read back in Phase 2.
     q_blocks = [[Block("Q", ri, rl) for rl in cols] for ri in rows]
     kt_blocks = [[Block("KT", rl, rj) for rl in cols] for rj in rows]
     a_blocks = [[Block("A", ri, rk) for rk in rows] for ri in rows]
     v_blocks = [[Block("V", rk, cj) for rk in rows] for cj in cols]
+    o_blocks = [[Block("O", ri, cj) for cj in cols] for ri in rows]
+    qkt_blocks = [[Block("QKT", ri, rj) for rj in rows] for ri in rows] if write_qkt else None
+    dvec_blocks = [Block("dvec", ri) for ri in rows]
     completions: list[tuple[int, int]] = []
 
     # Phase 1: compute and store A = exp(Q K^T) and row sums.
@@ -156,26 +160,26 @@ def square_tiling_attention(
                 free(qb, kb)
             completions.append((h.reads + h.writes, len(ri) * len(rj)))
             if write_qkt:
-                write_block(a, Block("QKT", ri, rj))
+                write_block(a, qkt_blocks[i][j])
             compute("exp", a, out=a)
             write_block(a, a_blocks[i][j])
             compute("add_rowsum", dvec, a, out=dvec)
             free(a)
-        write_block(dvec, Block("dvec", ri))
+        write_block(dvec, dvec_blocks[i])
         free(dvec)
 
     # Phase 2: O block = sum_k diag(d)^{-1} A[i,k] V[k,j].
     for i, ri in enumerate(rows):
-        dvec = read_block(Block("dvec", ri), (len(ri),))
+        dvec = read_block(dvec_blocks[i], (len(ri),))
         compute("inv", dvec, out=dvec)
-        for cj, v_row in zip(cols, v_blocks):
+        for cj, v_row, oblk in zip(cols, v_blocks, o_blocks[i]):
             o = alloc((len(ri), len(cj)))
             for ablk, vblk in zip(a_blocks[i], v_row):
                 ab = read_block(ablk, ablk.shape)
                 vb = read_block(vblk, vblk.shape)
                 compute("scaled_addmm", o, dvec, ab, vb, out=o)
                 free(ab, vb)
-            write_block(o, Block("O", ri, cj))
+            write_block(o, oblk)
             free(o)
         free(dvec)
 

@@ -26,18 +26,12 @@ most M ticks each, the epochs of the lower-bound simulation argument.
 kernels do that once per run.  Either way the hierarchy's ``overflow``
 flag records any NaN or +inf result stored in a slot; a result refused
 by the capacity or ``out`` check is never seen.  The check is deferred:
-once per 256 stored non-empty results their buffers are joined into one
-byte string and scanned with one reduction, and whatever is still
-pending is scanned when ``overflow`` is read, so every read is exact.
-That relies on no slot array ever being mutated after ``compute``
-returns, and on every slot array being C-contiguous, which reads,
+once per 256 stored non-empty results their buffers are joined and
+scanned with one reduction, and whatever is pending is scanned when
+``overflow`` is read, so every read is exact.  That relies on no slot
+array being mutated after ``compute`` returns (``out=`` replaces the
+slot's array) and on every slot array being C-contiguous, which reads,
 allocs and the ops on C-contiguous operands all give.
-
-The row sum comes fused with the step that consumes it: ``add_rowsum``
-(acc + row sums) takes the place of a separate ``rowsum`` op, so no row
-vector is stored between the two steps.  ``free`` takes any number of
-handles and vacates them in order.  ``peak_words`` is the highest
-``words_used`` so far.
 
 A block's address is checked on its first move only: each hierarchy
 keeps, per ``Block`` object, the slow-memory view that move checked, and
@@ -46,22 +40,17 @@ later moves of that object reuse it.  That relies on two invariants: a
 ``load`` and ``reserve``, which empty the map.  Whether the words were
 written is checked on every read.
 
-``CountHierarchy`` is the same hierarchy without values.  Its slow
-memory and slots are zero-byte (dtype ``V0``) arrays of the shapes the
-float64 ones would have.  ``read_block``, ``write_block`` and ``free``
-stay ``MemoryHierarchy``'s own methods, so a count run counts, claims
-and raises exactly as here, and a wrapper put on those methods (the
-bench tracer's) sees its moves too.  They run every check on a
-zero-byte array, then skip the value work: a zero-byte read copies
-nothing, a zero-byte write stores nothing, and neither records a move.
-Zero-byte arrays are never written, so the count backend shares them
-through process-wide caches: one array per shape for slow memory and
-``alloc``, one per (block shape, slot shape) for reads, and one per
-(op, operand shapes) for ``compute``, whose result shape comes from
-running the op once on zeros.  A call those caches have seen succeed is
-one lookup; any other runs every check.  So it has no trace, its
-``overflow`` stays False and ``fetch_matrix`` gives zeros.  Counts do
-not depend on values, so a kernel counts the same on both;
+Each primitive has one checked path, which both backends run:
+``_claim`` is the only capacity check, ``_resident`` the only residency
+error, and ``_refuse`` raises for every failed ``compute`` call.
+
+``CountHierarchy`` is the same hierarchy without values: its arrays are
+zero-byte (dtype ``V0``) ones of the float64 shapes, shared through two
+process-wide caches, one per shape and one per (op, operand shapes).  It
+overrides only ``compute``, ``trace`` and two value hooks, so a count
+run counts, claims and raises exactly as here, and a wrapper put on the
+other methods (the bench tracer's) sees its calls too.  Counts do not
+depend on values, so a kernel counts the same on both;
 ``experiments.run_sweep`` runs a point on it, with no values drawn,
 whenever the point's values provably stay finite.
 """
@@ -72,8 +61,9 @@ import csv
 import math
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress, product, repeat
-from typing import Callable
+from typing import Callable, NoReturn
 
 import numpy as np
 
@@ -113,10 +103,10 @@ class IoStats:
 # Fused ops (exp_sub, mul_add, addmm, add_outer, scaled_addmm,
 # add_rowsum) apply their steps in one call and in the same order as
 # the separate ops, so results are bit-identical and need no extra
-# cache words.  ``overflow`` sees only the fused result: an
-# intermediate +inf that a negative scale in scaled_addmm turns into
-# -inf goes unflagged (the kernels' scale is a reciprocal row sum, never
-# negative).
+# cache words; the row sum exists only fused, as ``add_rowsum``.
+# ``overflow`` sees only the fused result: an intermediate +inf that a
+# negative scale in scaled_addmm turns into -inf goes unflagged (the
+# kernels' scale is a reciprocal row sum, never negative).
 #
 # The matrix products (matmul, addmm, scaled_addmm) take 1-D and 2-D
 # operands only, and go through ``ndarray.dot``: on those it gives the
@@ -237,28 +227,25 @@ class MemoryHierarchy:
         # the blocks written to it, as {ranges: index}.  A block read
         # back exactly as it was written is found in O(1).
         self._written: dict[str, dict[tuple, tuple]] = {}
-        # Per ``Block`` object, its checked slow-memory view, filled by
-        # the block's first move that passes the address check.  A
-        # ``Block`` is never mutated and slow-memory arrays change only
-        # through ``load`` and ``reserve``, which empty it, so a view
-        # found here lies inside its array.
+        # Per ``Block`` object, the slow-memory view its first move
+        # checked; ``load`` and ``reserve`` empty it.
         self._views: dict[Block, np.ndarray] = {}
         # One (kind, block, value bytes) record per block move.
         self._moves = []
-        self.trace = Trace(self._moves)
         self.reads = 0
         self.writes = 0
         self._overflow = False
-        # Results not yet scanned for NaN or +inf.  Invariant: no slot
-        # array is mutated after ``compute`` returns (``out=`` replaces
-        # the slot's array, reads and allocs make fresh ones), so
-        # scanning a result late sees what it held; each is C-contiguous,
-        # so a scan can join their buffers.
+        # Results not yet scanned for NaN or +inf (see ``overflow``).
         self._pending: list[np.ndarray] = []
         self._slots: dict[int, np.ndarray] = {}
         self._used = 0
         self._peak = 0
         self._next_handle = 0
+
+    @cached_property
+    def trace(self) -> Trace:
+        """The I/O trace: a view of the block moves, made on first read."""
+        return Trace(self._moves)
 
     # -- occupancy ---------------------------------------------------------
 
@@ -300,19 +287,34 @@ class MemoryHierarchy:
         except KeyError:
             raise ResidencyError(f"slot {handle} is not cache-resident") from None
 
+    # -- values --------------------------------------------------------------
+
+    @staticmethod
+    def _copy(array) -> np.ndarray:
+        """The slow-memory array ``load`` keeps for ``array``."""
+        return np.array(array, dtype=np.float64, order="C")
+
+    @staticmethod
+    def _filled(shape, fill=0) -> np.ndarray:
+        """The array of ``shape`` and ``fill`` ``reserve`` and ``alloc`` make."""
+        # np.zeros is the cheaper +0 fill; -0.0 == 0 keeps its sign via np.full.
+        if fill == 0 and math.copysign(1.0, fill) > 0:
+            return np.zeros(shape, dtype=np.float64)
+        return np.full(shape, float(fill), dtype=np.float64)
+
     # -- slow memory (no I/O) -----------------------------------------------
 
     def load(self, name: str, array) -> None:
         """Place a C-order float64 copy of ``array``, in its own shape, in
         slow memory under ``name``.  Models input residency."""
-        self.memory[name] = np.array(array, dtype=np.float64, order="C")
+        self.memory[name] = self._copy(array)
         self._written.pop(name, None)
         self._views.clear()
 
     def reserve(self, name: str, shape: tuple) -> None:
         """Declare an output array of ``shape`` under ``name``.  Its words
         can be written, and read once written."""
-        self.memory[name] = np.zeros(shape, dtype=np.float64)
+        self.memory[name] = self._filled(shape)
         self._written[name] = {}
         self._views.clear()
 
@@ -371,49 +373,32 @@ class MemoryHierarchy:
         reads as its ``tolist()``.  A block object moved before skips
         its address check (see ``_views``); the written check always
         runs.  A zero-byte block (only a ``CountHierarchy`` has one)
-        passes the same checks, is neither copied nor recorded, and gets
-        the zero-byte array its block and slot shapes share.
+        passes the same checks and is neither copied nor recorded: its
+        slot is the shared zero-byte array of the block's shape, or
+        numpy's reshape of it.
         """
+        if shape is None:
+            shape = -1
+        elif isinstance(shape, np.ndarray):
+            # An ndarray would compare elementwise with the block's shape.
+            shape = shape.tolist()
         view = self._views.get(block)
         if view is None:
             view = self._view(block, written_only=False)
         written = self._written.get(block.name)
         if written is not None and block.ranges not in written:
             self._check_written(block, written)
-        try:
-            if view.itemsize:
-                # A C-order copy; a reshape to any other shape fails before the claim.
-                if shape == block.shape:
-                    arr = view.copy()
-                else:
-                    arr = view.copy().reshape(-1 if shape is None else shape)
-                n = arr.size
-                self._claim(n)
-                self._moves.append((READ, block, arr.tobytes()))
-            else:
-                # The shared slot array (see ``_ZERO_BYTE_SLOTS``) and its
-                # claim, inline: the common count-backend read.
-                try:
-                    arr = _ZERO_BYTE_SLOTS[block.shape, shape]
-                    for x in shape or ():
-                        if x.__class__ is not int:
-                            raise KeyError(shape)
-                except (KeyError, TypeError):
-                    arr = _zero_byte_slot(block.shape, shape)
-                n = block.size
-                used = self._used + n
-                if used > self.capacity:
-                    self._claim(n)  # raises CapacityError
-                self._used = used
-                if used > self._peak:
-                    self._peak = used
-        except ValueError:
-            # An ndarray shape compares elementwise, so the comparison has
-            # no truth value: the shape is read as its ``tolist()``.
-            if not isinstance(shape, np.ndarray):
-                raise
-            return self.read_block(block, shape.tolist())
-        self.reads += n
+        # A reshape to any other shape fails before the claim.
+        if view.itemsize:
+            # A C-order copy.
+            arr = view.copy() if shape == block.shape else view.copy().reshape(shape)
+            self._claim(block.size)
+            self._moves.append((READ, block, arr.tobytes()))
+        else:
+            # Zero-byte arrays are never written, so slots share them.
+            arr = view if shape == block.shape else view.reshape(shape)
+            self._claim(block.size)
+        self.reads += block.size
         handle = self._next_handle
         self._next_handle = handle + 1
         self._slots[handle] = arr
@@ -424,9 +409,7 @@ class MemoryHierarchy:
         zero-byte slot stores and records nothing."""
         arr = self._resident(handle)
         if block.size != arr.size:
-            raise UsageError(
-                f"slot holds {arr.size} words but {block.size} addresses given"
-            )
+            raise UsageError(f"slot holds {arr.size} words but {block.size} addresses given")
         view = self._view(block, written_only=False)
         if arr.itemsize:
             view[...] = arr.reshape(block.shape)
@@ -444,18 +427,14 @@ class MemoryHierarchy:
         for handle in handles:
             arr = slots.pop(handle, None)
             if arr is None:
-                raise ResidencyError(f"slot {handle} is not cache-resident")
+                self._resident(handle)  # raises ResidencyError
             self._used -= arr.size
 
     # -- computation ---------------------------------------------------------
 
     def alloc(self, shape: tuple = (), fill=0) -> int:
         """Create a zero-filled (or constant) slot without any I/O."""
-        # np.zeros is the cheaper +0 fill; -0.0 == 0 keeps its sign via np.full.
-        if fill == 0 and math.copysign(1.0, fill) > 0:
-            arr = np.zeros(shape, dtype=np.float64)
-        else:
-            arr = np.full(shape, float(fill), dtype=np.float64)
+        arr = self._filled(shape, fill)
         self._claim(arr.size)
         handle = self._next_handle
         self._next_handle = handle + 1
@@ -471,18 +450,15 @@ class MemoryHierarchy:
         op or a wrong operand count raises ``UsageError`` before
         anything is computed, and so do operands whose shapes the op
         cannot combine (numpy's ``ValueError`` is its cause); nothing is
-        stored or claimed.
+        stored or claimed.  The call runs unchecked; only a failure
+        goes to ``_refuse``.
         """
+        slots = self._slots
+        # Operands by arity: unpacking the handles straight into the
+        # call is cheaper than a generic map over them.  No op takes
+        # other than 1-4 operands, and a wrong count fails its unpack.
         try:
             fn, arity = _OPS[op]
-        except KeyError:
-            raise UsageError(f"unknown op {op!r}") from None
-        if len(operands) != arity:
-            raise UsageError(f"op {op!r} takes {arity} operands, got {len(operands)}")
-        slots = self._slots
-        # Operands by arity: unpacking 1-3 handles straight into the call
-        # is cheaper than a generic map over them.
-        try:
             if arity == 2:
                 a, b = operands
                 result = fn(slots[a], slots[b])
@@ -490,18 +466,13 @@ class MemoryHierarchy:
                 a, b, c = operands
                 result = fn(slots[a], slots[b], slots[c])
             elif arity == 1:
-                result = fn(slots[operands[0]])
+                (a,) = operands
+                result = fn(slots[a])
             else:
-                result = fn(*[slots[x] for x in operands])
-        except KeyError:
-            # Operands are looked up left to right before the op runs.
-            missing = next((x for x in operands if x not in slots), None)
-            if missing is None:
-                raise
-            raise ResidencyError(f"slot {missing} is not cache-resident") from None
-        except ValueError as exc:
-            shapes = ", ".join(str(slots[x].shape) for x in operands)
-            raise UsageError(f"op {op!r} cannot combine operands of shapes {shapes}") from exc
+                a, b, c, e = operands
+                result = fn(slots[a], slots[b], slots[c], slots[e])
+        except (KeyError, ValueError) as exc:
+            self._refuse(op, operands, exc)
         # Slots hold float64 arrays, so every op yields float64; only a
         # numpy scalar (any op with a shape-() result) needs wrapping.
         if type(result) is not np.ndarray:
@@ -514,10 +485,10 @@ class MemoryHierarchy:
             try:
                 target = slots[out]
             except KeyError:
-                raise ResidencyError(f"slot {out} is not cache-resident") from None
+                target = self._resident(out)  # raises ResidencyError
             if result.shape != target.shape:
                 if result.size != target.size:
-                    raise UsageError("out slot size mismatch")
+                    self._refuse(op, operands)
                 result = result.reshape(target.shape)
         slots[out] = result
         if result.size:
@@ -527,28 +498,49 @@ class MemoryHierarchy:
                 self._scan_pending()
         return out
 
+    def _refuse(self, op: str, operands: tuple, exc: Exception | None = None) -> NoReturn:
+        """Raise what a failed ``compute`` call raises, in its order: an
+        unknown op or a wrong operand count (``UsageError``), a
+        non-resident operand (``ResidencyError``), then ``exc``, a
+        ``ValueError`` as operands the op cannot combine (``UsageError``)
+        and any other as it is.  With no ``exc`` the call failed at its
+        ``out`` slot's size (``UsageError``)."""
+        if op not in _OPS:
+            raise UsageError(f"unknown op {op!r}") from None
+        arity = _OPS[op][1]
+        if len(operands) != arity:
+            raise UsageError(f"op {op!r} takes {arity} operands, got {len(operands)}") from None
+        for x in operands:
+            self._resident(x)
+        if isinstance(exc, ValueError):
+            shapes = ", ".join(str(self._slots[x].shape) for x in operands)
+            raise UsageError(f"op {op!r} cannot combine operands of shapes {shapes}") from exc
+        if exc is not None:
+            raise exc
+        raise UsageError("out slot size mismatch")
+
     def value(self, handle: int) -> np.ndarray:
         """Inspect a slot's contents (testing convenience, not a memory op)."""
         return self._resident(handle).copy()
 
     def fetch_matrix(self, name: str, shape: tuple[int, int]) -> np.ndarray:
         """Copy the ``shape`` corner of a named array out of slow memory
-        (no I/O accounting)."""
-        return self._view(Block(name, *map(range, shape))).copy()
+        (no I/O accounting); a zero-byte array gives zeros."""
+        view = self._view(Block(name, *map(range, shape)))
+        return view.copy() if view.itemsize else np.zeros(view.shape)
 
     @property
     def io(self) -> IoStats:
         return IoStats(self.reads, self.writes)
 
 
-# The count backend's shared zero-byte arrays (see ``CountHierarchy``).
-# Each cache holds one entry per shape, shape pair, or op and operand
-# shapes the kernels use, for the life of the process.  Keys match by
-# equality, so a float shape equal to a kept one of ints, (4.0,) for
-# (4,), finds its entry where numpy refuses it: a hit counts only if the
-# caller's shape holds ints, and any other shape asks numpy.
-
-# Per shape: the zero-byte array of that shape.
+# The count backend's two caches of shared zero-byte arrays (see
+# ``CountHierarchy``), kept for the life of the process.
+#
+# Per shape: the zero-byte array of that shape.  Keys match by equality,
+# so a float shape equal to a kept one of ints, (4.0,) for (4,), finds
+# its entry where numpy refuses it: a hit counts only if the caller's
+# shape holds ints, and any other shape asks numpy.
 _ZERO_BYTES: dict[tuple, np.ndarray] = {}
 
 
@@ -569,30 +561,9 @@ def _zero_bytes(shape) -> np.ndarray:
     return arr
 
 
-# Per (block shape, slot shape): the zero-byte array a value-free read
-# puts in its slot.
-_ZERO_BYTE_SLOTS: dict[tuple, np.ndarray] = {}
-
-
-def _zero_byte_slot(block_shape: tuple, shape) -> np.ndarray:
-    """The shared zero-byte slot array of a read of ``block_shape`` into
-    ``shape``, by ``read_block``'s reshape rule, so a shape it refuses
-    raises what it raises there.  ``read_block`` looks the pair up in
-    ``_ZERO_BYTE_SLOTS`` first; only a hashable shape is kept."""
-    arr = _zero_bytes(block_shape)
-    if not shape == block_shape:
-        arr = arr.reshape(-1 if shape is None else shape)
-    try:
-        _ZERO_BYTE_SLOTS[block_shape, shape] = arr
-    except TypeError:  # an unhashable shape, such as a list
-        pass
-    return arr
-
-
 # Per (``_OPS`` entry, *operand shapes): the zero-byte array of the op's
-# result shape.  Keyed on the entry, not the op name, so an op put in
-# ``_OPS`` under a known name gets entries of its own.  A failed call is
-# not kept.
+# result shape, for calls that succeeded.  Keyed on the entry, not the op
+# name, so an op put in ``_OPS`` under a known name gets its own entries.
 _COUNT_RESULTS: dict[tuple, np.ndarray] = {}
 
 
@@ -600,61 +571,40 @@ class CountHierarchy(MemoryHierarchy):
     """A hierarchy of shapes, occupancy and counters, with no values.
 
     Slow memory and slots are zero-byte arrays (dtype ``V0``) of the
-    shapes the float64 ones would have.  ``read_block``, ``write_block``
-    and ``free`` are not overridden: they are ``MemoryHierarchy``'s own
-    methods, so a tracer that wraps those sees count runs too, and every
-    count, the peak and each address, residency, capacity and reshape
-    error are those of ``MemoryHierarchy``.  On zero-byte arrays they
-    skip the value work: writes store nothing and no move is recorded.
-    ``load`` and ``alloc`` refuse the arrays and fills the numeric ones
-    refuse.  Nothing is computed, so ``overflow`` stays False and
-    ``fetch_matrix`` gives zeros; reading ``trace`` raises
-    ``UsageError``.  Counts are data-independent, so a kernel run here
-    counts exactly what it counts on a ``MemoryHierarchy``.
+    shapes the float64 ones would have.  It overrides only ``compute``,
+    ``trace`` and the value hooks ``_copy`` (behind ``load``) and
+    ``_filled`` (behind ``reserve`` and ``alloc``), which refuse the
+    arrays and fills the numeric ones refuse.  The other methods are
+    ``MemoryHierarchy``'s own: every count, the peak and each error are
+    its, and on zero-byte arrays they skip the value work, so reads copy
+    nothing, writes store nothing, no move is recorded and
+    ``fetch_matrix`` gives zeros.  ``overflow`` stays False; reading
+    ``trace`` raises ``UsageError``.
 
-    A zero-byte array holds nothing to write, so arrays are shared, each
-    from a process-wide cache: ``load``, ``reserve`` and ``alloc`` give
-    the one array of their shape, a read the one of its (block shape,
-    slot shape), and ``compute`` the one of its (``_OPS`` entry, operand
-    shapes), found by running the op once on zeros.  On a hit a call is
-    one lookup and the claim: a cached entry means the same call, with
-    the same op entry and shapes, passed every check before, and the
-    checks that depend on this hierarchy (residency, capacity, the
-    ``out`` slot) still run.  A miss or a failure runs every check in
-    ``MemoryHierarchy``'s order and raises what it raises.  A hit counts
-    only on shapes of ints: a float shape equal to a cached one misses,
-    so numpy refuses it as the numeric backend's does.
+    Zero-byte arrays hold nothing to write, so they are shared, from two
+    process-wide caches: one array per shape (``_ZERO_BYTES``) for slow
+    memory, ``alloc`` and each read into its block's shape (any other
+    read shape gets numpy's reshape of it), and one per (``_OPS`` entry,
+    operand shapes) for ``compute`` (``_COUNT_RESULTS``), found by
+    running the op once on zeros.  A ``compute`` hit is one lookup and
+    the claim: the same call passed every check before, and the checks
+    that depend on this hierarchy (residency, capacity, the ``out``
+    slot) still run.
     """
 
     @property
     def trace(self):
         raise UsageError("a CountHierarchy records no trace; run on a MemoryHierarchy")
 
-    @trace.setter
-    def trace(self, _):
-        pass  # MemoryHierarchy.__init__ sets one
+    @staticmethod
+    def _copy(array) -> np.ndarray:
+        # ``array``'s shape, not its values; a float64 ndarray is not copied.
+        return _zero_bytes(np.asarray(array, dtype=np.float64).shape)
 
-    def load(self, name: str, array) -> None:
-        """Place ``array``'s shape, not its values, in slow memory.  An
-        ``array`` with no float64 form raises what ``MemoryHierarchy.load``
-        raises; a float64 ndarray is not copied."""
-        self.memory[name] = _zero_bytes(np.asarray(array, dtype=np.float64).shape)
-        self._written.pop(name, None)
-        self._views.clear()
-
-    def reserve(self, name: str, shape: tuple) -> None:
-        self.memory[name] = _zero_bytes(shape)
-        self._written[name] = {}
-        self._views.clear()
-
-    def alloc(self, shape: tuple = (), fill=0) -> int:
-        float(fill)  # refuses the fills MemoryHierarchy.alloc refuses, before the claim
-        arr = _zero_bytes(shape)
-        self._claim(arr.size)
-        handle = self._next_handle
-        self._next_handle = handle + 1
-        self._slots[handle] = arr
-        return handle
+    @staticmethod
+    def _filled(shape, fill=0) -> np.ndarray:
+        float(fill)  # refuses the fills MemoryHierarchy refuses
+        return _zero_bytes(shape)
 
     def compute(self, op: str, *operands: int, out: int | None = None) -> int:
         """``MemoryHierarchy.compute``'s checks and claim, with the
@@ -663,7 +613,7 @@ class CountHierarchy(MemoryHierarchy):
         A call whose (``_OPS`` entry, *operand shapes) has succeeded
         before is one lookup in ``_COUNT_RESULTS``, which proves the op
         known, the operand count right, the operands resident and their
-        shapes combinable; any other call runs ``_checked_result``."""
+        shapes combinable; a miss runs ``_uncached_result``."""
         slots = self._slots
         # The key, built by operand count.  No op takes other than 1-4
         # operands, so the last unpack's ValueError is a miss too.
@@ -682,15 +632,9 @@ class CountHierarchy(MemoryHierarchy):
                 result = _COUNT_RESULTS[_OPS[op], slots[a].shape, slots[b].shape,
                                         slots[c].shape, slots[e].shape]
         except (KeyError, TypeError, ValueError):
-            result = self._checked_result(op, operands)
+            result = self._uncached_result(op, operands)
         if out is None:
-            n = result.size
-            used = self._used + n
-            if used > self.capacity:
-                self._claim(n)  # raises CapacityError
-            self._used = used
-            if used > self._peak:
-                self._peak = used
+            self._claim(result.size)
             out = self._next_handle
             self._next_handle = out + 1
             # Value-free slots are never written, so results share one array.
@@ -699,42 +643,26 @@ class CountHierarchy(MemoryHierarchy):
             try:
                 target = slots[out]
             except KeyError:
-                raise ResidencyError(f"slot {out} is not cache-resident") from None
+                target = self._resident(out)  # raises ResidencyError
             if result.size != target.size:
-                raise UsageError("out slot size mismatch")
+                self._refuse(op, operands)
         return out
 
-    def _checked_result(self, op: str, operands: tuple) -> np.ndarray:
-        """``MemoryHierarchy.compute``'s checks before its claim, in its
-        order and with its errors; the op's result shape comes from
-        running it once on zeros.  Keeps the shared result array in
-        ``_COUNT_RESULTS``."""
+    def _uncached_result(self, op: str, operands: tuple) -> np.ndarray:
+        """The shared result array of a call ``_COUNT_RESULTS`` misses,
+        whose shape comes from running the op once on zeros, kept there;
+        a call that fails goes to ``_refuse``."""
         try:
             entry = _OPS[op]
-        except KeyError:
-            raise UsageError(f"unknown op {op!r}") from None
-        fn, arity = entry
-        if len(operands) != arity:
-            raise UsageError(f"op {op!r} takes {arity} operands, got {len(operands)}")
-        slots = self._slots
-        try:
-            shapes = [slots[x].shape for x in operands]
-        except KeyError:
-            missing = next(x for x in operands if x not in slots)
-            raise ResidencyError(f"slot {missing} is not cache-resident") from None
-        try:
-            with np.errstate(all="ignore"):
-                result = fn(*[np.zeros(shape) for shape in shapes])
-        except ValueError as exc:
-            raise UsageError(f"op {op!r} cannot combine operands of shapes "
-                             f"{', '.join(map(str, shapes))}") from exc
-        result = _COUNT_RESULTS[(entry, *shapes)] = _zero_bytes(np.shape(result))
-        return result
-
-    def fetch_matrix(self, name: str, shape: tuple[int, int]) -> np.ndarray:
-        """Zeros for the ``shape`` corner of ``name``, after
-        ``MemoryHierarchy.fetch_matrix``'s address and written checks."""
-        return np.zeros(self._view(Block(name, *map(range, shape))).shape)
+            shapes = [self._slots[x].shape for x in operands]
+            if len(shapes) == entry[1]:
+                with np.errstate(all="ignore"):
+                    shape = np.shape(entry[0](*map(np.zeros, shapes)))
+                result = _COUNT_RESULTS[(entry, *shapes)] = _zero_bytes(shape)
+                return result
+        except (KeyError, ValueError) as exc:
+            self._refuse(op, operands, exc)
+        self._refuse(op, operands)  # a wrong operand count
 
 
 def split_into_epochs(ticks: int, m: int) -> list[range]:

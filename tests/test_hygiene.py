@@ -2,9 +2,10 @@
 every demo runs to the end with nothing on stderr, no module-level
 function or class, and no method or property of a module-level class,
 that nothing references, no module that reaches into another object's
-private attributes, and one enumeration-cap contract:
-``errors.check_enumeration`` alone raises ``EnumerationCapError``, and
-``cli.main`` alone turns it or a ``RegimeError`` into an exit code."""
+private attributes, one enumeration-cap contract
+(``errors.check_enumeration`` alone raises ``EnumerationCapError``, and
+``cli.main`` alone turns it or a ``RegimeError`` into an exit code), and
+one written copy of each error message in ``memory.py``."""
 
 import ast
 import os
@@ -197,3 +198,36 @@ def test_checker_flags_a_foreign_private_attribute():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_foreign_private_attributes(path):
     assert foreign_private_attributes(path.read_text()) == []
+
+
+def repeated_messages(source: str) -> list[str]:
+    """Error-message templates that more than one ``raise`` of ``source``
+    writes.  A template is a string constant of a raise, an f-string
+    with its fields written as ``{}``."""
+    def templates(node: ast.AST):
+        if isinstance(node, ast.JoinedStr):
+            yield "".join(part.value if isinstance(part, ast.Constant) else "{}"
+                          for part in node.values)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+        else:
+            for child in ast.iter_child_nodes(node):
+                yield from templates(child)
+
+    written = Counter(message for node in ast.walk(ast.parse(source))
+                      if isinstance(node, ast.Raise) and node.exc is not None
+                      for message in templates(node.exc))
+    return sorted(message for message, count in written.items() if count > 1)
+
+
+def test_checker_flags_a_repeated_message():
+    source = ("def f(n, m):\n"
+              "    if n:\n        raise ValueError(f'slot {n} is gone')\n"
+              "    if m:\n        raise KeyError(f'slot {m} is gone')\n"
+              "    raise ValueError('once')\n")
+    assert repeated_messages(source) == ["slot {} is gone"]
+
+
+def test_memory_writes_each_error_message_once():
+    # each check of the simulator has one copy, so its message does too
+    assert repeated_messages((SRC / "memory.py").read_text()) == []

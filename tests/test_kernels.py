@@ -20,7 +20,7 @@ from attnio.kernels import (
     streaming_fits,
 )
 from attnio.matrices import AttentionInstance, random_instance
-from attnio.memory import _OPS, MemoryHierarchy, export_trace_csv
+from attnio.memory import _OPS, CountHierarchy, MemoryHierarchy, export_trace_csv
 
 
 def rel_error(a, b):
@@ -114,8 +114,9 @@ def test_streaming_block_rows_budget():
                 assert 2 * r * d + max(5 * r, 3 * r + d) <= m
 
 
-class PeakHierarchy(MemoryHierarchy):
-    """Records the highest cache occupancy a run reaches."""
+class _PeakTracking:
+    """Records the highest cache occupancy a run reaches, seen at each
+    capacity claim."""
 
     peak = 0
 
@@ -124,45 +125,81 @@ class PeakHierarchy(MemoryHierarchy):
         self.peak = max(self.peak, self.words_used)
 
 
-def test_streaming_peak_matches_cache_model():
+PEAK_HIERARCHIES = {cls: type(f"Peak{cls.__name__}", (_PeakTracking, cls), {})
+                    for cls in (MemoryHierarchy, CountHierarchy)}
+BACKENDS = pytest.mark.parametrize("backend", list(PEAK_HIERARCHIES),
+                                   ids=lambda cls: cls.__name__)
+
+
+def backend_instance(backend, n, d):
+    """Random values for a MemoryHierarchy, shapes alone for a
+    CountHierarchy, as a sweep runs them."""
+    if backend is CountHierarchy:
+        return experiments._shape_instance(n, d)
+    return random_instance(n, d, n + d)
+
+
+def peak_run(kernel, backend, n, d, m):
+    """A peak-tracking hierarchy of ``backend`` after ``kernel`` ran on it."""
+    h = PEAK_HIERARCHIES[backend](m)
+    kernel(h, backend_instance(backend, n, d))
+    return h
+
+
+STREAMING_GRID = [(n, d, m) for n, d, m in product((5, 16, 33), (1, 2, 4, 8),
+                                                   (16, 64, 100, 256, 512))
+                  if streaming_fits(m, d)]
+TILING_GRID = list(product((1, 3, 5, 17), (1, 2, 4, 8, 16), (4, 8, 16, 32, 64, 128, 256, 1024)))
+
+
+@BACKENDS
+def test_streaming_peak_matches_cache_model(backend):
     # two R x d blocks plus the larger of five length-R vectors and
     # three vectors with one streamed K or V row, as budgeted
-    for n, d, m in product((5, 16, 33), (1, 2, 4, 8), (16, 64, 100, 256, 512)):
-        if streaming_fits(m, d):
-            h = PeakHierarchy(m)
-            streaming_attention(h, random_instance(n, d, n + d))
-            r = streaming_block_rows(m, n, d)
-            assert h.peak == 2 * r * d + max(5 * r, 3 * r + d), (n, d, m)
+    for n, d, m in STREAMING_GRID:
+        h = peak_run(streaming_attention, backend, n, d, m)
+        r = streaming_block_rows(m, n, d)
+        assert h.peak == 2 * r * d + max(5 * r, 3 * r + d), (n, d, m)
 
 
-def test_tiling_peak_matches_cache_model():
+@BACKENDS
+def test_tiling_peak_matches_cache_model(backend):
     # the score block, its Q and KT blocks, and the row-sum vector, each
     # clipped to N and d
-    for n, d, m in product((1, 3, 5, 17), (1, 2, 4, 8, 16),
-                           (4, 8, 16, 32, 64, 128, 256, 1024)):
+    for n, d, m in TILING_GRID:
         b = math.isqrt(m // 4)
-        h = PeakHierarchy(m)
-        square_tiling_attention(h, random_instance(n, d, n + d))
+        h = peak_run(square_tiling_attention, backend, n, d, m)
         bn, bd = min(b, n), min(b, d)
         assert h.peak == bn + bn * bn + 2 * bn * bd, (n, d, m)
 
 
-def test_peak_words_matches_peak_hierarchy():
+@BACKENDS
+def test_peak_words_matches_peak_hierarchy(backend):
     # the hierarchy's own peak over the grids of the two peak tests above;
     # every kernel also frees all it holds
-    def check(h):
-        assert h.peak_words == h.peak <= h.capacity and h.words_used == 0
+    runs = [(streaming_attention, point) for point in STREAMING_GRID]
+    runs += [(square_tiling_attention, point) for point in TILING_GRID]
+    for kernel, (n, d, m) in runs:
+        h = peak_run(kernel, backend, n, d, m)
+        assert h.peak_words == h.peak <= h.capacity and h.words_used == 0, (n, d, m)
 
-    for n, d, m in product((5, 16, 33), (1, 2, 4, 8), (16, 64, 100, 256, 512)):
-        if streaming_fits(m, d):
-            h = PeakHierarchy(m)
-            streaming_attention(h, random_instance(n, d, n + d))
-            check(h)
-    for n, d, m in product((1, 3, 5, 17), (1, 2, 4, 8, 16),
-                           (4, 8, 16, 32, 64, 128, 256, 1024)):
-        h = PeakHierarchy(m)
-        square_tiling_attention(h, random_instance(n, d, n + d))
-        check(h)
+
+@BACKENDS
+@pytest.mark.parametrize("kernel, n, d, m", [
+    (streaming_attention, 24, 4, 64),
+    (square_tiling_attention, 24, 4, 16),
+    (square_tiling_attention, 10, 6, 64),  # clipped edge blocks
+    (lambda h, inst: matmul_via_attention(h, inst.Q, inst.K), 12, 4, 16),
+], ids=["streaming", "tiling", "tiling_clipped", "matmul"])
+def test_each_moved_block_is_built_once_per_run(backend, kernel, n, d, m):
+    # a block moved twice, such as tiling's row sums, is one object, so
+    # its address is checked once and the view map holds one entry per
+    # block; the row blocks here never span a whole array, which
+    # fetch_matrix's own block does
+    h = backend(m)
+    kernel(h, backend_instance(backend, n, d))
+    keys = [(block.name, block.ranges) for block in h._views]
+    assert len(keys) == len(set(keys)) > 1
 
 
 def test_streaming_io_halves_with_cache():

@@ -927,15 +927,14 @@ def test_a_second_count_run_is_all_cache_hits(kernel, n, d, m, monkeypatch):
     # is shared with the next run there, which takes each from a cache
     inst = experiments._shape_instance(n, d)
     first = kernel(CountHierarchy(m), inst)
-    caches = (memory._ZERO_BYTES, memory._ZERO_BYTE_SLOTS, memory._COUNT_RESULTS)
+    caches = (memory._ZERO_BYTES, memory._COUNT_RESULTS)
     sizes = list(map(len, caches))
     made, empty = [], np.empty
     monkeypatch.setattr(np, "empty", lambda *args, **kwargs: made.append(args)
                         or empty(*args, **kwargs))
     # the miss paths: load and reserve look their arrays up through
     # _zero_bytes, so it counts only a shape it does not hold
-    monkeypatch.setattr(memory, "_zero_byte_slot", lambda *args: made.append(args))
-    monkeypatch.setattr(CountHierarchy, "_checked_result", lambda *args: made.append(args))
+    monkeypatch.setattr(CountHierarchy, "_uncached_result", lambda *args: made.append(args))
     zero_bytes = memory._zero_bytes
 
     def held_zero_bytes(shape):
@@ -957,9 +956,13 @@ def test_a_second_count_run_is_all_cache_hits(kernel, n, d, m, monkeypatch):
 
 def test_count_hierarchy_shares_the_block_moves_and_keeps_no_trace():
     # bench/tracer.py wraps MemoryHierarchy's methods; count runs go
-    # through these same functions, so its word sums cover them
-    for method in ("read_block", "write_block", "free"):
+    # through these same functions, so its word sums and timings cover
+    # them.  Only compute, trace and the two value hooks are its own.
+    for method in ("read_block", "write_block", "free", "load", "reserve", "alloc",
+                   "fetch_matrix"):
         assert getattr(CountHierarchy, method) is getattr(MemoryHierarchy, method)
+    assert {name for name in vars(CountHierarchy) if not name.startswith("__")} == {
+        "trace", "_copy", "_filled", "compute", "_uncached_result"}
     h = CountHierarchy(8)
     h.load("A", np.ones((2, 2)))
     h.reserve("O", (2, 2))
