@@ -13,7 +13,6 @@ which ``max_entries_per_epoch`` measures on instrumented kernel runs.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -179,13 +178,11 @@ def max_entries_per_epoch(entry_completions, epochs) -> int:
     completed within a single epoch of the given trace split.
 
     ``entry_completions`` holds (tick, count) pairs from an instrumented
-    kernel; a completion at tick t lands in the epoch whose [start, stop)
-    range contains t - 1, i.e. the epoch of the last contributing event.
+    kernel, ``epochs`` the range of epoch starts of ``split_into_epochs``.
+    A completion at tick t lands in the epoch holding tick t - 1, i.e. the
+    epoch of the last contributing event; later ticks go to the last epoch.
     """
-    if not epochs:
-        return 0
     totals = [0] * len(epochs)
-    stops = [e.stop for e in epochs]
     for tick, count in entry_completions:
-        totals[min(bisect.bisect_right(stops, max(tick - 1, 0)), len(stops) - 1)] += count
+        totals[min(max(tick - 1, 0) // epochs.step, len(epochs) - 1)] += count
     return max(totals)

@@ -323,11 +323,11 @@ def regime_terms(n: int, d: int, m: int) -> tuple[float, float]:
 
 def upper_bound_formula(algorithm: str, n: int, d: int, m: int) -> float:
     """The regime formula each kernel is held to (constant excluded):
-    tiling's small-cache term plus N^2, streaming's large-cache term plus
-    Nd, dispatch the better of the two.  An unknown algorithm raises
+    tiling's small-cache term plus N^2 + Nd, streaming's large-cache term
+    plus Nd, dispatch the better of the two.  An unknown algorithm raises
     ``ConfigurationError``."""
     small, large = regime_terms(n, d, m)
-    tiling, streaming = small + n * n, large + n * d
+    tiling, streaming = small + n * n + n * d, large + n * d
     if algorithm == "tiling":
         return tiling
     if algorithm == "streaming":

@@ -42,15 +42,16 @@ class KernelResult:
 
     ``entry_completions`` logs, for each group of Q K^T entries, the
     number of words moved when their summations finished, as
-    (tick, count) pairs.  Epoch-progress checks bucket these by epoch,
-    each a ``range`` of ticks.  ``overflow`` is set if the arithmetic
-    stored a NaN or +inf in the cache or if the output holds any
-    non-finite value, -inf included.
+    (tick, count) pairs.  Epoch-progress checks bucket these by the
+    epochs, the ``range`` of epoch starts.  Ranges compare by element:
+    9 and 10 ticks at M = 4 give equal epochs, so compare ``io`` too.
+    ``overflow`` is set if the arithmetic stored a NaN or +inf in the
+    cache or if the output holds any non-finite value, -inf included.
     """
 
     output: np.ndarray
     io: IoStats
-    epochs: list[range]
+    epochs: range
     algorithm: str
     entry_completions: list[tuple[int, int]]
     overflow: bool

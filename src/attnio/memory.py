@@ -19,8 +19,8 @@ float.  There is no eviction policy: kernels manage their slots
 explicitly and the simulator only enforces capacity.
 
 The I/O clock is the read and write counters, one tick per word moved.
-``split_into_epochs`` cuts a tick count into ``range`` epochs of at
-most M ticks each, the epochs of the lower-bound simulation argument.
+``split_into_epochs`` cuts a tick count into epochs of at most M ticks,
+the lower-bound simulation argument's, as the ``range`` of epoch starts.
 
 ``compute`` does not silence numpy's floating-point warnings; the
 kernels do that once per run.  Either way the hierarchy's ``overflow``
@@ -665,18 +665,17 @@ class CountHierarchy(MemoryHierarchy):
         self._refuse(op, operands)  # a wrong operand count
 
 
-def split_into_epochs(ticks: int, m: int) -> list[range]:
+def split_into_epochs(ticks: int, m: int) -> range:
     """Greedy left-to-right split of ticks 0 .. ticks-1 (one per moved
-    word) into epochs, each a ``range`` of at most m ticks.
+    word) into epochs of at most m ticks, as the range of their first
+    ticks: epoch k holds ticks epochs[k] .. min(epochs[k] + m, ticks) - 1.
 
     Zero ticks yield a single empty epoch.  The split is minimal:
     T = ceil(ticks/m) epochs, hence ticks >= (T - 1) * m.
     """
     if m < 1:
         raise ConfigurationError("epoch size must be positive")
-    if ticks == 0:
-        return [range(0, 0)]
-    return [range(k, min(k + m, ticks)) for k in range(0, ticks, m)]
+    return range(0, max(ticks, 1), m)
 
 
 def format_address(address: tuple) -> str:

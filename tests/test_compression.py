@@ -1,14 +1,18 @@
 """Entry-compression oracle, protocols, and epoch-progress accounting."""
 
+import bisect
+import random
+from itertools import product
+
 import numpy as np
 import pytest
 
 from attnio import compression as C
 from attnio import errors
 from attnio.fields import FieldMatrix, vandermonde_matrix
-from attnio.kernels import square_tiling_attention, streaming_attention
+from attnio.kernels import square_tiling_attention, streaming_attention, streaming_fits
 from attnio.matrices import random_instance
-from attnio.memory import MemoryHierarchy
+from attnio.memory import CountHierarchy, MemoryHierarchy, split_into_epochs
 
 
 # -- IndexSet -------------------------------------------------------------------
@@ -197,13 +201,13 @@ def test_epoch_progress_bound_values():
 
 
 def test_max_entries_per_epoch_bucketing():
-    epochs = [range(0, 4), range(4, 8)]
+    epochs = split_into_epochs(8, 4)  # [0, 4) and [4, 8)
     completions = [(2, 3), (4, 1), (7, 2)]  # tick 4 = last event index 3
     assert C.max_entries_per_epoch(completions, epochs) == 4
 
 
 def test_max_entries_per_epoch_bucketing_edges():
-    epochs = [range(0, 4), range(4, 8)]
+    epochs = split_into_epochs(8, 4)  # [0, 4) and [4, 8)
     # tick 0 and tick 4 (event 3, epoch 0's last) land in epoch 0
     assert C.max_entries_per_epoch([(0, 1), (4, 2)], epochs) == 3
     # tick 5 is event 4, the first of epoch 1
@@ -211,6 +215,47 @@ def test_max_entries_per_epoch_bucketing_edges():
     # tick 8 is the trace's last event; a later tick clamps to the last epoch
     assert C.max_entries_per_epoch([(5, 4), (8, 8), (9, 16)], epochs) == 28
     assert C.max_entries_per_epoch([(0, 1), (9, 16)], epochs) == 16
+
+
+def listed_bmax(entry_completions, ticks, m):
+    """(B_max, epoch count) by the explicit bucketing: one [start, stop)
+    range per epoch, and a bisect of t - 1 into the epochs' stops."""
+    epochs = [range(k, min(k + m, ticks)) for k in range(0, ticks, m)] or [range(0, 0)]
+    totals = [0] * len(epochs)
+    stops = [e.stop for e in epochs]
+    for tick, count in entry_completions:
+        totals[min(bisect.bisect_right(stops, max(tick - 1, 0)), len(stops) - 1)] += count
+    return max(totals), len(epochs)
+
+
+def test_bucketing_matches_the_explicit_epoch_list_on_kernel_runs():
+    runs = 0
+    for (kernel, hierarchy), n, d, m in product(
+            product((square_tiling_attention, streaming_attention),
+                    (MemoryHierarchy, CountHierarchy)),
+            (1, 5, 16), (1, 2, 4), (4, 16, 36, 64)):
+        if kernel is streaming_attention and not streaming_fits(m, d):
+            continue
+        res = kernel(hierarchy(m), random_instance(n, d, n + d + m))
+        assert (C.max_entries_per_epoch(res.entry_completions, res.epochs),
+                len(res.epochs)) == listed_bmax(res.entry_completions, res.io.total, m)
+        runs += 1
+    assert runs == 120
+
+
+def test_bucketing_matches_the_explicit_epoch_list_on_random_completions():
+    completions = [(0, 1), (1, 2), (5, 4)]
+    assert (C.max_entries_per_epoch(completions, split_into_epochs(0, 3)), 1) == \
+        listed_bmax(completions, 0, 3) == (7, 1)
+    rng = random.Random(5)
+    for _ in range(500):
+        ticks, m = rng.randrange(40), rng.randrange(1, 10)
+        edges = [0, 1, ticks, ticks + 1, ticks + m] + list(range(0, ticks + 2 * m, m))
+        completions = [(rng.choice(edges) if rng.random() < 0.5 else rng.randrange(ticks + 2 * m),
+                        rng.randrange(1, 5)) for _ in range(rng.randrange(1, 12))]
+        epochs = split_into_epochs(ticks, m)
+        assert (C.max_entries_per_epoch(completions, epochs),
+                len(epochs)) == listed_bmax(completions, ticks, m)
 
 
 def test_kernel_epoch_consistency():

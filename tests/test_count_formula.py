@@ -15,6 +15,8 @@ K and V once per row block, and writes O once:
 
     reads  = Nd + 2Nd ceil(N/R)
     writes = Nd
+
+Either way a run has max(1, ceil((reads + writes) / M)) epochs.
 """
 
 import math
@@ -73,8 +75,10 @@ def test_kernel_counts_match_the_closed_form(mode):
         if mode == "streaming" and not streaming_fits(m, d):
             continue
         h = MemoryHierarchy(m)
-        run(h, random_instance(n, d, n * d + m))
-        assert (h.reads, h.writes) == formula(n, d, m), (mode, n, d, m)
+        res = run(h, random_instance(n, d, n * d + m))
+        reads, writes = formula(n, d, m)
+        assert (h.reads, h.writes) == (reads, writes), (mode, n, d, m)
+        assert len(res.epochs) == max(1, math.ceil((reads + writes) / m)), (mode, n, d, m)
         checked += 1
     assert checked >= 150
 

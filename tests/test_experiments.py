@@ -231,11 +231,21 @@ def test_upper_bound_formula_adds_the_output_terms_to_regime_terms():
     n, d, m = 32, 8, 16
     small, large = E.regime_terms(n, d, m)
     assert (small, large) == (n * n * d / 4, n * n * d * d / m)
-    assert E.upper_bound_formula("tiling", n, d, m) == small + n * n
+    assert E.upper_bound_formula("tiling", n, d, m) == small + n * n + n * d
     assert E.upper_bound_formula("streaming", n, d, m) == large + n * d
-    assert E.upper_bound_formula("dispatch", n, d, m) == min(small + n * n, large + n * d)
+    assert E.upper_bound_formula("dispatch", n, d, m) == min(small + n * n + n * d,
+                                                             large + n * d)
     with pytest.raises(errors.ConfigurationError, match="unknown algorithm 'quantum'"):
         E.upper_bound_formula("quantum", n, d, m)
+
+
+def test_check_bounds_passes_tiling_where_the_output_terms_dominate():
+    # at N = 1 reading Q, K^T, V and writing O (the Nd terms) outweighs
+    # N^2 d / sqrt(M) + N^2, so tiling's bound needs its own Nd term
+    records = E.run_sweep(E.SweepConfig((1,), (8,), (32, 64, 100, 256), ("tiling",)))
+    assert [r.status for r in records] == ["ok"] * 4
+    report = E.check_bounds(records)
+    assert report.ok, report.failures()
 
 
 def test_check_bounds_catches_wasteful_kernel():

@@ -458,7 +458,9 @@ def value_digest(mode, magnitude):
         if isinstance(result, np.ndarray):  # matmul returns Q K^T alone
             output, record = result, (h.io, h.overflow)
         else:
-            output, record = result.output, (result.io, result.epochs,
+            # the digests were recorded over the epochs as a list of tick ranges
+            epochs = [range(s, min(s + m, result.io.total)) for s in result.epochs]
+            output, record = result.output, (result.io, epochs,
                                              result.entry_completions, result.overflow)
         digest.update(output.tobytes())
         digest.update(repr(record).encode())

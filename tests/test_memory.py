@@ -1,6 +1,8 @@
 """Memory-hierarchy simulator: counting, capacity, overflow, epochs."""
 
 import csv
+import sys
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -624,12 +626,29 @@ def test_failed_block_moves_add_no_move():
 
 
 def test_split_into_epochs():
-    epochs = split_into_epochs(10, 4)
+    def expand(ticks, m):
+        return [range(s, min(s + m, ticks)) for s in split_into_epochs(ticks, m)]
+    epochs = expand(10, 4)
     assert epochs == [range(0, 4), range(4, 8), range(8, 10)]
     assert sum(len(e) for e in epochs) == 10
-    assert split_into_epochs(0, 4) == [range(0, 0)]
+    assert expand(0, 4) == [range(0, 0)]
     # minimality: T epochs means at least (T - 1) * m events
     assert 10 >= (len(epochs) - 1) * 4
+
+
+def test_epochs_take_constant_memory():
+    # the split is set by the tick count and M, so 104,360 epochs take O(1)
+    res = kernels.square_tiling_attention(CountHierarchy(4), experiments._shape_instance(80, 16))
+    assert len(res.epochs) == 104360
+    assert sys.getsizeof(res.epochs) < 100
+    tracemalloc.start()
+    try:
+        epochs = split_into_epochs(10 ** 6, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(epochs) == 250000
+    assert peak < 1024
 
 
 def test_replay_trace_rebuilds_memory():
