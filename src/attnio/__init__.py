@@ -74,5 +74,3 @@ from .pebbling import (
     validate_calculation,
     verify_m_partition,
 )
-
-__version__ = "0.1.0"

@@ -13,10 +13,11 @@ input, including a path that cannot be read or written, exits 2.  The
 output paths of ``attn run`` and ``attn sweep`` are opened before the
 run, so an unwritable one exits 2 with no run and no output.  An input
 above an enumeration cap exits 1 with one ``refused: ...`` line, and
-ATTNIO_ENUM_CAP sets the cap in each command's unit: ``pebble search``
-configurations 4^n for n nodes, ``codes vandermonde|verify`` subsets
-C(N, k), ``codes bch`` codewords 2^(null space dimension), ``compress
-count`` assignments q^(free rows * d).  ``main`` alone sets exit codes.
+ATTNIO_ENUM_CAP, an integer >= 0, sets the cap in each command's unit:
+``pebble search`` configurations 4^n for n nodes, ``codes
+vandermonde|verify`` subsets C(N, k), ``codes bch`` codewords 2^(null
+space dimension), ``compress count`` assignments q^(free rows * d).
+``main`` alone sets exit codes.
 """
 
 from __future__ import annotations
@@ -47,10 +48,12 @@ def _enum_cap(default: int) -> int:
     if not raw:
         return default
     try:
-        return int(raw)
+        cap = int(raw)
+        if cap >= 0:
+            return cap
     except ValueError:
-        raise ConfigurationError(
-            f"{ENUM_CAP_VAR} must be an integer, got {raw!r}") from None
+        pass
+    raise ConfigurationError(f"{ENUM_CAP_VAR} must be an integer >= 0, got {raw!r}")
 
 
 def _check_writable(path) -> None:
@@ -70,7 +73,7 @@ def _cmd_attn_run(args) -> int:
     err = np.linalg.norm(result.output - reference) / np.linalg.norm(reference)
     print(f"algorithm={result.algorithm} N={args.N} d={args.d} M={args.M}")
     print(f"reads={result.io.reads} writes={result.io.writes} total={result.io.total}")
-    print(f"epochs={len(result.epochs)} relative_error={err:.3e}")
+    print(f"epochs={len(result.epochs)} peak_words={h.peak_words} relative_error={err:.3e}")
     if args.trace:
         export_trace_csv(h.trace, args.trace)
         print(f"trace written to {args.trace}")

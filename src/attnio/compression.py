@@ -7,8 +7,10 @@ so exhaustively counting the distinct outputs at tiny sizes gives exact
 lower bounds to compare against explicit protocols.
 
 ``epoch_progress_bound`` is the closed-form cap on how many Q K^T
-entries any single epoch of a cache-size-M execution can complete,
-which ``max_entries_per_epoch`` measures on instrumented kernel runs.
+entries any single epoch of a cache-size-M execution can complete, in
+its large-field form max(ceil(M^2/d^2), M) (the paper's binary variant
+is not modelled), which ``max_entries_per_epoch`` measures on
+instrumented kernel runs.
 """
 
 from __future__ import annotations
@@ -45,27 +47,18 @@ class IndexSet:
         """C_I: the distinct column indices."""
         return frozenset(c for _, c in self.pairs)
 
-    def row_sets(self) -> dict[int, frozenset]:
-        """R_i: per row, the columns requested in that row."""
-        out: dict[int, set] = {}
-        for r, c in self.pairs:
-            out.setdefault(r, set()).add(c)
-        return {r: frozenset(cs) for r, cs in out.items()}
-
     def sorted_pairs(self) -> list[tuple[int, int]]:
         return sorted(self.pairs)
 
 
 def distinct_output_count(k: FieldMatrix, index_set: IndexSet, q: int,
-                          n: int, d: int, row_restriction=None,
-                          cap: int = ENUMERATION_CAP) -> int:
+                          n: int, d: int, cap: int = ENUMERATION_CAP) -> int:
     """Exact number of distinct ((Q K^T)[i,j])_{(i,j) in I} tuples.
 
-    Q ranges over all N x d matrices over F_q whose rows listed in
-    ``row_restriction`` (default: the index set's rows) are free; all
-    other rows are fixed to zero.  Fixing rows only shrinks the output
-    set, so the count is a sound lower bound on the unrestricted one.
-    ``cap`` bounds the assignments enumerated, q^(free rows * d).
+    Q ranges over all N x d matrices over F_q.  Only the index set's
+    rows R_I reach an output, so just those rows are enumerated; the
+    count is the same as over every row.  ``cap`` bounds the assignments
+    enumerated, q^(|R_I| * d).
     """
     if k.q != q:
         raise ConfigurationError(f"K is over F_{k.q}, expected F_{q}")
@@ -75,11 +68,7 @@ def distinct_output_count(k: FieldMatrix, index_set: IndexSet, q: int,
     outside = [p for p in pairs if not (0 <= min(p) and max(p) < n)]
     if outside:
         raise ConfigurationError(f"index pair {outside[0]} outside [0, {n}) x [0, {n})")
-    free_rows = sorted(index_set.rows if row_restriction is None
-                       else set(row_restriction))
-    outside = [r for r in free_rows if not 0 <= r < n]
-    if outside:
-        raise ConfigurationError(f"row_restriction row {outside[0]} outside [0, {n})")
+    free_rows = sorted(index_set.rows)
     if not pairs:
         return 1
     check_enumeration(q ** (len(free_rows) * d), cap, "assignments")
@@ -89,10 +78,7 @@ def distinct_output_count(k: FieldMatrix, index_set: IndexSet, q: int,
     for assignment in itertools.product(range(q), repeat=len(free_rows) * d):
         outputs = []
         for r, c in pairs:
-            t = row_pos.get(r)
-            if t is None:
-                outputs.append(0)
-                continue
+            t = row_pos[r]
             qrow = assignment[t * d:(t + 1) * d]
             outputs.append(sum(qrow[l] * kt[l][c] for l in range(d)) % q)
         seen.add(tuple(outputs))
@@ -153,24 +139,12 @@ def direct_compression_protocol(q_mat: FieldMatrix, k_mat: FieldMatrix,
     return ProtocolResult("rows", message, len_b, decoded)
 
 
-def epoch_progress_bound(m: int, d: int, mode: str = "large_field",
-                         n: int | None = None) -> int:
+def epoch_progress_bound(m: int, d: int) -> int:
     """Closed-form cap (constant 1 per term) on Q K^T entries completed
-    per epoch by a cache-size-M execution.
-
-    large_field: max(ceil(M^2/d^2), M).  binary: the d^2 in the
-    denominator is offset by a ceil(log2 N)^2 factor.
-    """
+    per epoch by a cache-size-M execution: max(ceil(M^2/d^2), M)."""
     if m < 1 or d < 1:
         raise ConfigurationError("M and d must be >= 1")
-    if mode == "large_field":
-        return max(math.ceil(m * m / (d * d)), m)
-    if mode == "binary":
-        if n is None or n < 1:
-            raise ConfigurationError("binary mode needs N >= 1")
-        log2n = max(math.ceil(math.log2(n)), 1)
-        return max(math.ceil(m * m * log2n * log2n / (d * d)), m)
-    raise ConfigurationError(f"unknown mode {mode!r}")
+    return max(math.ceil(m * m / (d * d)), m)
 
 
 def max_entries_per_epoch(entry_completions, epochs) -> int:

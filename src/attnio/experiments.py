@@ -261,23 +261,20 @@ def read_records_csv(path) -> list[SweepRecord]:
     return records
 
 
-def fit_scaling_exponent(records, vary: str = "M") -> tuple[float, float]:
-    """Least-squares slope of log(I/O) against log(axis).
+def fit_scaling_exponent(records) -> tuple[float, float]:
+    """Least-squares slope of log(I/O) against log(M).
 
     Returns (slope, residual) where residual is the root-mean-square
     log deviation from the fitted line.  Needs at least 3 records that
-    differ only along the chosen axis.
+    differ only in M.
     """
-    axes = ["M", "N", "d"]
-    if vary not in axes:
-        raise ConfigurationError(f"vary must be one of {axes}")
     usable = [r for r in records if r.status == "ok"]
     if len(usable) < 3:
         raise ConfigurationError("need at least 3 ok records to fit")
-    for name in axes:
-        if name != vary and len({getattr(r, name) for r in usable}) != 1:
-            raise ConfigurationError(f"records vary along {name}, expected only {vary}")
-    xs = np.log([getattr(r, vary) for r in usable])
+    for name in ("N", "d"):
+        if len({getattr(r, name) for r in usable}) != 1:
+            raise ConfigurationError(f"records vary along {name}, expected only M")
+    xs = np.log([r.M for r in usable])
     if len(set(xs)) < 2:
         raise ConfigurationError("degenerate grid: axis values all equal")
     ys = np.log([r.io for r in usable])

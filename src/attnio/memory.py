@@ -38,7 +38,8 @@ keeps, per ``Block`` object, the slow-memory view that move checked, and
 later moves of that object reuse it.  That relies on two invariants: a
 ``Block`` is never mutated, and slow-memory arrays change only through
 ``load`` and ``reserve``, which empty the map.  Whether the words were
-written is checked on every read.
+written is checked on every read.  ``fetch_matrix`` moves nothing: it
+checks its block on each call and keeps no view.
 
 Each primitive has one checked path, which both backends run:
 ``_claim`` is the only capacity check, ``_resident`` the only residency
@@ -228,7 +229,8 @@ class MemoryHierarchy:
         # back exactly as it was written is found in O(1).
         self._written: dict[str, dict[tuple, tuple]] = {}
         # Per ``Block`` object, the slow-memory view its first move
-        # checked; ``load`` and ``reserve`` empty it.
+        # checked; ``load`` and ``reserve`` empty it.  Only moves enter
+        # it: ``fetch_matrix`` checks its block each call.
         self._views: dict[Block, np.ndarray] = {}
         # One (kind, block, value bytes) record per block move.
         self._moves = []
@@ -318,35 +320,26 @@ class MemoryHierarchy:
         self._written[name] = {}
         self._views.clear()
 
-    def _view(self, block: Block, written_only: bool = True) -> np.ndarray:
+    def _view(self, block: Block) -> np.ndarray:
         """The slice of slow memory ``block`` covers, or ``AddressError``
-        if its name is unknown, it leaves its array, or (with
-        ``written_only``) it holds a word of a reserved array that was
-        never written.  The slice and its address check run once per
-        block object; later moves take the view from ``_views``.  A
-        zero-byte view is the shared zero-byte array of its shape."""
-        name = block.name
-        view = self._views.get(block)
-        if view is None:
-            try:
-                view = self.memory[name][block.index]
-            except (KeyError, IndexError):
-                view = None
-            if view is None or view.shape != block.shape:
-                array = self.memory.get(name)
-                shape = None if array is None else array.shape
-                bad = next((a for a in block if shape is None or len(a) != len(shape) + 1
-                            or not all(map(operator.lt, a[1:], shape))), block)
-                raise AddressError(f"address {bad!r} lies in no loaded or reserved array")
-            if not view.itemsize:
-                # Any zero-byte array of the block's shape serves: keep the
-                # shared one, not a view object per block.
-                view = _zero_bytes(block.shape)
-            self._views[block] = view
-        if written_only:
-            written = self._written.get(name)
-            if written is not None and block.ranges not in written:
-                self._check_written(block, written)
+        if its name is unknown or it leaves its array.  A zero-byte view
+        is the shared zero-byte array of its shape.  ``read_block`` and
+        ``write_block`` keep the view in ``_views``, so this runs once
+        per block object they move."""
+        try:
+            view = self.memory[block.name][block.index]
+        except (KeyError, IndexError):
+            view = None
+        if view is None or view.shape != block.shape:
+            array = self.memory.get(block.name)
+            shape = None if array is None else array.shape
+            bad = next((a for a in block if shape is None or len(a) != len(shape) + 1
+                        or not all(map(operator.lt, a[1:], shape))), block)
+            raise AddressError(f"address {bad!r} lies in no loaded or reserved array")
+        if not view.itemsize:
+            # Any zero-byte array of the block's shape serves: keep the
+            # shared one, not a view object per block.
+            view = _zero_bytes(block.shape)
         return view
 
     def _check_written(self, block: Block, written: dict) -> None:
@@ -384,7 +377,7 @@ class MemoryHierarchy:
             shape = shape.tolist()
         view = self._views.get(block)
         if view is None:
-            view = self._view(block, written_only=False)
+            view = self._views[block] = self._view(block)
         written = self._written.get(block.name)
         if written is not None and block.ranges not in written:
             self._check_written(block, written)
@@ -410,7 +403,9 @@ class MemoryHierarchy:
         arr = self._resident(handle)
         if block.size != arr.size:
             raise UsageError(f"slot holds {arr.size} words but {block.size} addresses given")
-        view = self._view(block, written_only=False)
+        view = self._views.get(block)
+        if view is None:
+            view = self._views[block] = self._view(block)
         if arr.itemsize:
             view[...] = arr.reshape(block.shape)
             self._moves.append((WRITE, block, arr.tobytes()))
@@ -526,7 +521,11 @@ class MemoryHierarchy:
     def fetch_matrix(self, name: str, shape: tuple[int, int]) -> np.ndarray:
         """Copy the ``shape`` corner of a named array out of slow memory
         (no I/O accounting); a zero-byte array gives zeros."""
-        view = self._view(Block(name, *map(range, shape)))
+        block = Block(name, *map(range, shape))
+        view = self._view(block)
+        written = self._written.get(name)
+        if written is not None and block.ranges not in written:
+            self._check_written(block, written)
         return view.copy() if view.itemsize else np.zeros(view.shape)
 
     @property

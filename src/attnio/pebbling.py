@@ -323,7 +323,9 @@ def validate_calculation(dag: PebblingDag, m: int, calc: list[Transition]) -> Va
     every check in order.  Skipping the unknown-vertex check on success
     is exact, as only DAG vertices ever hold a pebble: blue starts on the
     inputs, R1 needs blue, R2 needs red and R3 a DAG vertex, so a vertex
-    found red or blue is known."""
+    found red or blue is known.  An M below 1 raises ``ConfigurationError``."""
+    if m < 1:
+        raise ConfigurationError(f"M must be >= 1, got {m}")
     nodes, inputs = dag.nodes, dag.inputs
     red, blue = set(), set(inputs)
     reads = writes = 0

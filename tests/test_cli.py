@@ -21,6 +21,8 @@ def test_attn_run(capsys):
     out = capsys.readouterr().out
     assert "algorithm=streaming" in out
     assert "reads=" in out
+    # the kernel's highest cache occupancy, against M = 64
+    assert "epochs=2 peak_words=63 relative_error=" in out
 
 
 def test_attn_run_tolerance_comes_from_bound_config(capsys, monkeypatch):
@@ -190,6 +192,19 @@ def test_pebble_bad_input_exit_code(tmp_path, capsys):
         assert run_cli("pebble", "validate", "--dag", str(dag_path),
                        "--calculation", str(calc_path), "--M", "8") == 2
     assert capsys.readouterr().err.count("error:") == 3
+
+
+def test_pebble_validate_negative_cache_exit_code(tmp_path, capsys):
+    # bad input, not an invalid calculation
+    dag_path = tmp_path / "dag.jsonl"
+    pebbling.build_attention_dag(1, 1).to_jsonl(dag_path)
+    calc_path = tmp_path / "calc.json"
+    pebbling.save_calculation([], calc_path)
+    for m in ("-3", "0"):
+        assert run_cli("pebble", "validate", "--dag", str(dag_path),
+                       "--calculation", str(calc_path), "--M", m) == 2
+    assert capsys.readouterr() == (
+        "", "error: M must be >= 1, got -3\nerror: M must be >= 1, got 0\n")
 
 
 def test_pebble_malformed_dag_exit_code(tmp_path, capsys):
@@ -388,6 +403,14 @@ def test_enum_cap_not_an_integer_exit_code(capsys, monkeypatch):
     monkeypatch.setenv("ATTNIO_ENUM_CAP", "abc")
     assert run_cli("codes", "vandermonde", "5", "2", "7") == 2
     assert "ATTNIO_ENUM_CAP must be an integer" in capsys.readouterr().err
+
+
+def test_enum_cap_negative_exit_code(capsys, monkeypatch):
+    # refused as bad input, not taken as a cap every count exceeds
+    monkeypatch.setenv("ATTNIO_ENUM_CAP", "-5")
+    assert run_cli("codes", "vandermonde", "5", "2", "7") == 2
+    assert capsys.readouterr() == (
+        "", "error: ATTNIO_ENUM_CAP must be an integer >= 0, got '-5'\n")
 
 
 def test_bad_configuration_exit_code(tmp_path, capsys):

@@ -126,6 +126,6 @@ def test_bounds_and_slopes_hold_at_paper_scale_on_the_closed_form():
         for algorithm, (d, m_grid) in SLOPE_GRIDS.items():
             records = [E.SweepRecord(algorithm, n, d, m, "ok", *MODES[algorithm][1](n, d, m), 1, 0)
                        for m in m_grid]
-            slope, _ = E.fit_scaling_exponent(records, "M")
+            slope, _ = E.fit_scaling_exponent(records)
             lo, hi = cfg[f"{algorithm}_slope_window"]
             assert lo <= slope <= hi, (algorithm, n, slope)

@@ -168,30 +168,30 @@ def test_fit_exact_power_laws():
     streaming = [E.SweepRecord("streaming", 16, 4, m, "ok",
                                int(1000 * 16 * 16 * 16 / m), 0, 1, 0)
                  for m in (16, 32, 64)]
-    slope, residual = E.fit_scaling_exponent(streaming, "M")
+    slope, residual = E.fit_scaling_exponent(streaming)
     assert abs(slope + 1.0) < 1e-9 and residual < 1e-9
 
     tiling = [E.SweepRecord("tiling", 16, 4, m, "ok",
                             int(round(1000 * 16 * 16 * 4 / math.sqrt(m))), 0, 1, 0)
               for m in (16, 36, 64)]
-    slope, _ = E.fit_scaling_exponent(tiling, "M")
+    slope, _ = E.fit_scaling_exponent(tiling)
     assert abs(slope + 0.5) < 1e-3
 
 
 def test_fit_measured_tiling_slope():
     cfg = small_config(n_grid=(32,), d_grid=(8,), m_grid=(16, 36, 64),
                        algorithms=("tiling",), seed=3)
-    slope, _ = E.fit_scaling_exponent(E.run_sweep(cfg), "M")
+    slope, _ = E.fit_scaling_exponent(E.run_sweep(cfg))
     assert -0.6 <= slope <= -0.4
 
 
 def test_fit_preconditions():
     records = E.run_sweep(small_config(m_grid=(32, 64)))
     with pytest.raises(errors.ConfigurationError):
-        E.fit_scaling_exponent(records, "M")  # only 2 points
+        E.fit_scaling_exponent(records)  # only 2 points
     mixed = E.run_sweep(small_config(n_grid=(8, 16), m_grid=(32, 64, 128)))
     with pytest.raises(errors.ConfigurationError):
-        E.fit_scaling_exponent(mixed, "M")  # N varies too
+        E.fit_scaling_exponent(mixed)  # N varies too
 
 
 def test_check_bounds_pass():
@@ -283,7 +283,7 @@ def test_fit_names_the_first_varying_axis_whatever_the_hash_seed():
     script = ("from attnio import experiments as E\n"
               "recs = [E.SweepRecord('tiling', n, d, m, 'ok', 100 + n + d + m, 0, 1, 0)\n"
               "        for n, d, m in [(8, 2, 16), (16, 4, 32), (8, 4, 64)]]\n"
-              "try:\n    E.fit_scaling_exponent(recs, 'M')\n"
+              "try:\n    E.fit_scaling_exponent(recs)\n"
               "except E.ConfigurationError as exc:\n    print(exc)\n")
     src = str(Path(E.__file__).resolve().parents[1])
     messages = {subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,

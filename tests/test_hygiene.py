@@ -9,6 +9,7 @@ one written copy of each error message in ``memory.py``."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -16,11 +17,29 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "attnio"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "attnio"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
-DEMOS = sorted((SRC.parents[1] / "demos").glob("*.py"))
-# Every place a definition may be used from; bench looks some up by string.
-USERS = [SRC.parents[1] / part for part in ("src", "tests", "demos", "bench")]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+# The product code a definition may be used from; bench looks some up by
+# string.  Tests are no users: a definition only they reach is unused
+# unless TEST_ORACLES lists it.
+USERS = [ROOT / part for part in ("src", "demos", "bench")]
+
+# Definitions only tests use, kept as the reference a test checks product
+# code against; each reason names that test's file.  An entry whose
+# definition is gone, or that product code now references, fails.
+TEST_ORACLES = {
+    "experiments.py:dispatch_matches_argmin":
+        "criterion 4 in tests/test_acceptance.py: the dispatcher's choice against the regime argmin",
+    "experiments.py:fit_scaling_exponent":
+        "the slope windows of tests/test_count_formula.py and tests/test_experiments.py",
+    "experiments.py:read_records_csv":
+        "tests/test_experiments.py: the round trip and malformed rows of write_records_csv's CSV",
+    "pebbling.py:save_calculation":
+        "tests/test_pebbling.py pins its bytes in GOLDEN_DIGESTS; "
+        "tests/test_cli.py feeds its files to attnio pebble validate",
+}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -51,7 +70,7 @@ def test_no_unused_imports_in_demos(path):
 
 
 def test_demos_found():
-    assert DEMOS, f"no demos found under {SRC.parents[1] / 'demos'}"
+    assert DEMOS, f"no demos found under {ROOT / 'demos'}"
 
 
 @pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
@@ -89,24 +108,47 @@ def definitions(tree: ast.Module):
                     yield f"{stmt.name}.{member.name}", member
 
 
-def unreferenced_definitions(sources: dict) -> list[str]:
+def counts_as_use(path: Path) -> bool:
+    """Whether the references of the file at ``path`` are uses: it lies
+    under ``USERS`` and is no ``__init__.py``, whose re-exports serve
+    importers, not product code."""
+    return path.name != "__init__.py" and any(path.is_relative_to(root) for root in USERS)
+
+
+def unreferenced_definitions(sources: dict, others: dict | None = None) -> list[str]:
     """Definitions (see ``definitions``) of ``sources`` (name -> text of
-    the modules checked) that no text in ``sources`` or in the rest of the
-    users refers to outside their own definition."""
+    the modules checked) that no text refers to outside their own
+    definition: neither ``sources`` nor a file of ``others`` (path ->
+    text, by default every file under ``USERS``) that ``counts_as_use``."""
+    if others is None:
+        others = {str(path): path.read_text() for root in USERS for path in root.rglob("*.py")}
     trees = {name: ast.parse(text) for name, text in sources.items()}
     total = Counter()
     for tree in trees.values():
         total += references(tree)
-    for root in USERS:
-        for path in root.rglob("*.py"):
-            if str(path) not in sources:
-                total += references(ast.parse(path.read_text()))
+    for path, text in others.items():
+        if path not in sources and counts_as_use(Path(path)):
+            total += references(ast.parse(text))
     unused = []
     for name, tree in trees.items():
         for label, node in definitions(tree):
             if total[node.name] == references(node)[node.name]:
                 unused.append(f"{Path(name).name}:{label}")
     return unused
+
+
+def reference_breaches(sources: dict, oracles: dict, others: dict | None = None) -> list[str]:
+    """What the reference check refuses in ``sources`` (see
+    ``unreferenced_definitions``): an unreferenced definition that
+    ``oracles`` does not list, and an entry of ``oracles`` whose
+    definition is gone or is referenced."""
+    defined = {f"{Path(name).name}:{label}" for name, text in sources.items()
+               for label, _ in definitions(ast.parse(text))}
+    unused = unreferenced_definitions(sources, others)
+    return ([f"{label}: unreferenced" for label in unused if label not in oracles]
+            + [f"{label}: no such definition" for label in oracles if label not in defined]
+            + [f"{label}: referenced" for label in oracles
+               if label in defined and label not in unused])
 
 
 def test_checker_flags_an_unreferenced_definition():
@@ -123,8 +165,51 @@ def test_checker_flags_an_unreferenced_definition():
         "probe.py:orphan_probe", "probe.py:Holder.dead_probe"]
 
 
+PROBE = "class Probe:\n    def tested_probe(self):\n        return 1\n\nprint(Probe())\n"
+
+
+def test_checker_flags_a_method_only_tests_call():
+    caller = "Probe().tested_probe()\n"
+    for path, unused in [(ROOT / "tests" / "test_probe.py", ["probe.py:Probe.tested_probe"]),
+                         (ROOT / "demos" / "probe_demo.py", [])]:
+        assert unreferenced_definitions({"probe.py": PROBE}, {str(path): caller}) == unused
+
+
+def test_checker_flags_a_definition_only_an_init_exports():
+    source = "def exported_probe():\n    return 1\n"
+    init = "from .probe import exported_probe\n"
+    for path, unused in [(SRC / "__init__.py", ["probe.py:exported_probe"]),
+                         (SRC / "cli.py", [])]:
+        assert unreferenced_definitions({"probe.py": source}, {str(path): init}) == unused
+
+
+def test_checker_flags_a_stale_test_oracle():
+    tests_only = {str(ROOT / "tests" / "test_probe.py"): "Probe().tested_probe()\n"}
+    oracle = {"probe.py:Probe.tested_probe": "tests/test_probe.py"}
+    assert reference_breaches({"probe.py": PROBE}, oracle, tests_only) == []
+    assert reference_breaches({"probe.py": PROBE}, {}, tests_only) == [
+        "probe.py:Probe.tested_probe: unreferenced"]
+    gone = PROBE.replace("tested_probe", "renamed_probe")
+    assert reference_breaches({"probe.py": gone}, oracle, tests_only) == [
+        "probe.py:Probe.renamed_probe: unreferenced",
+        "probe.py:Probe.tested_probe: no such definition"]
+    product = {str(SRC / "cli.py"): "Probe().tested_probe()\n"}
+    assert reference_breaches({"probe.py": PROBE}, oracle, product) == [
+        "probe.py:Probe.tested_probe: referenced"]
+
+
 def test_every_module_level_definition_is_referenced():
-    assert unreferenced_definitions({str(p): p.read_text() for p in MODULES}) == []
+    assert reference_breaches({str(p): p.read_text() for p in MODULES}, TEST_ORACLES) == []
+
+
+@pytest.mark.parametrize("label", sorted(TEST_ORACLES))
+def test_each_test_oracle_names_a_test_that_uses_it(label):
+    reason = TEST_ORACLES[label]
+    named = re.findall(r"tests/test_\w+\.py", reason)
+    assert "\n" not in reason and named, reason
+    name = label.split(":")[1].split(".")[-1]
+    for test in named:
+        assert references(ast.parse((ROOT / test).read_text()))[name], (label, test)
 
 
 # Handlers that catch a refusal or a regime error, named or not.

@@ -190,12 +190,15 @@ def test_peak_words_matches_peak_hierarchy(backend):
     (square_tiling_attention, 24, 4, 16),
     (square_tiling_attention, 10, 6, 64),  # clipped edge blocks
     (lambda h, inst: matmul_via_attention(h, inst.Q, inst.K), 12, 4, 16),
-], ids=["streaming", "tiling", "tiling_clipped", "matmul"])
+    (streaming_attention, 8, 2, 256),  # one row block spans all of O
+    (square_tiling_attention, 4, 2, 64),  # one block spans all of O
+], ids=["streaming", "tiling", "tiling_clipped", "matmul", "streaming_whole",
+        "tiling_whole"])
 def test_each_moved_block_is_built_once_per_run(backend, kernel, n, d, m):
     # a block moved twice, such as tiling's row sums, is one object, so
     # its address is checked once and the view map holds one entry per
-    # block; the row blocks here never span a whole array, which
-    # fetch_matrix's own block does
+    # block; fetch_matrix's block, which can span the same words as a
+    # moved one, is no move and adds none
     h = backend(m)
     kernel(h, backend_instance(backend, n, d))
     keys = [(block.name, block.ranges) for block in h._views]
