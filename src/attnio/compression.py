@@ -157,6 +157,10 @@ def max_entries_per_epoch(entry_completions, epochs) -> int:
     epoch of the last contributing event; later ticks go to the last epoch.
     """
     totals = [0] * len(epochs)
+    step, last = epochs.step, len(epochs) - 1
     for tick, count in entry_completions:
-        totals[min(max(tick - 1, 0) // epochs.step, len(epochs) - 1)] += count
+        k = (tick - 1) // step
+        if not 0 <= k <= last:
+            k = 0 if k < 0 else last
+        totals[k] += count
     return max(totals)

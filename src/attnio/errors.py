@@ -1,10 +1,24 @@
 """Exception types shared across the package."""
 
 import math
+from numbers import Integral
 
 
 class ConfigurationError(ValueError):
     """Bad construction parameters (cache too small, unknown field degree, ...)."""
+
+
+def is_integer(x) -> bool:
+    """Whether ``x`` is an integer: an int or a numpy integer, not a bool."""
+    return isinstance(x, Integral) and not isinstance(x, bool)
+
+
+def check_integer(name: str, value) -> None:
+    """Refuse a size ``name`` whose ``value`` is not an integer (a float
+    or a bool, say) with ``ConfigurationError``; the one integer check of
+    the package's entry points."""
+    if not is_integer(value):
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
 
 
 class CapacityError(RuntimeError):

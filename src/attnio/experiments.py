@@ -19,14 +19,14 @@ from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from importlib import resources
 from itertools import product
-from numbers import Integral, Real
+from numbers import Real
 from operator import attrgetter
 from typing import get_type_hints
 
 import numpy as np
 
 from .compression import epoch_progress_bound, max_entries_per_epoch
-from .errors import ConfigurationError, RegimeError
+from .errors import ConfigurationError, RegimeError, is_integer
 from .kernels import (
     dispatch_attention,
     picks_streaming,
@@ -47,10 +47,6 @@ _KERNELS = {
 def load_bound_config() -> dict:
     with resources.files(__package__).joinpath("bound_config.json").open() as fh:
         return json.load(fh)
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, Integral) and not isinstance(x, bool)
 
 
 def _is_list(value) -> bool:
@@ -84,7 +80,7 @@ class SweepConfig:
     def __post_init__(self):
         for field, name in (("n_grid", "N"), ("d_grid", "d"), ("m_grid", "M")):
             grid, least = getattr(self, field), _LEAST[name]
-            if not (_is_list(grid) and grid and all(_is_int(x) and x >= least for x in grid)):
+            if not (_is_list(grid) and grid and all(is_integer(x) and x >= least for x in grid)):
                 raise ConfigurationError(
                     f"{name} must be a non-empty list of integers >= {least}, got {grid!r}")
             object.__setattr__(self, field, tuple(grid))
@@ -95,7 +91,7 @@ class SweepConfig:
             if not isinstance(alg, str) or alg not in _KERNELS:
                 raise ConfigurationError(f"unknown algorithm {alg!r}")
         object.__setattr__(self, "algorithms", tuple(self.algorithms))
-        if not (_is_int(self.seed) and self.seed >= 0):
+        if not (is_integer(self.seed) and self.seed >= 0):
             raise ConfigurationError(f"seed must be an integer >= 0, got {self.seed!r}")
         a = self.magnitude
         try:
@@ -144,7 +140,7 @@ class SweepRecord:
             raise ConfigurationError(f"status {self.status!r} not in {STATUSES}")
         for name in _INT_COLUMNS:
             value, least = getattr(self, name), _LEAST.get(name, 0)
-            if not _is_int(value):
+            if not is_integer(value):
                 raise ConfigurationError(f"{name} = {value!r} is not an integer")
             if value < least:
                 raise ConfigurationError(f"{name} = {value} is below {least}")

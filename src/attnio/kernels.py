@@ -138,14 +138,15 @@ def square_tiling_attention(
     cols = [range(l, min(l + b, d)) for l in range(0, d, b)]
     # Every block built once per run, so each has one checked view:
     # Q[i][l] and KT[j][l] feed the l-loop, A[i][k] and V[j][k] Phase 2,
-    # and dvec[i] is written in Phase 1 and read back in Phase 2.
-    q_blocks = [[Block("Q", ri, rl) for rl in cols] for ri in rows]
-    kt_blocks = [[Block("KT", rl, rj) for rl in cols] for rj in rows]
-    a_blocks = [[Block("A", ri, rk) for rk in rows] for ri in rows]
-    v_blocks = [[Block("V", rk, cj) for rk in rows] for cj in cols]
-    o_blocks = [[Block("O", ri, cj) for cj in cols] for ri in rows]
-    qkt_blocks = [[Block("QKT", ri, rj) for rj in rows] for ri in rows] if write_qkt else None
-    dvec_blocks = [Block("dvec", ri) for ri in rows]
+    # and dvec[i] is written in Phase 1 and read back in Phase 2.  KT and
+    # V are indexed transposed: KT[j][l] is Block("KT", cols[l], rows[j]).
+    q_blocks = Block.grid("Q", rows, cols)
+    kt_blocks = list(zip(*Block.grid("KT", cols, rows)))
+    a_blocks = Block.grid("A", rows, rows)
+    v_blocks = list(zip(*Block.grid("V", rows, cols)))
+    o_blocks = Block.grid("O", rows, cols)
+    qkt_blocks = Block.grid("QKT", rows, rows) if write_qkt else None
+    dvec_blocks = Block.grid("dvec", rows)
     completions: list[tuple[int, int]] = []
 
     # Phase 1: compute and store A = exp(Q K^T) and row sums.
@@ -233,17 +234,23 @@ def streaming_attention(h: MemoryHierarchy, inst: AttentionInstance) -> KernelRe
     h.reserve("O", (n, d))
     read_block, write_block = h.read_block, h.write_block
     compute, alloc, free = h.compute, h.alloc, h.free
-    cols = range(d)
+    cols = [range(d)]
     row_shape = (d,)
-    # Each K and V row is read once per row block: build its block once.
-    kv_rows = [(Block("K", range(j, j + 1), cols), Block("V", range(j, j + 1), cols))
-               for j in range(n)]
+    # Each K and V row is read once per row block: build its block once,
+    # and each row block's Q and O blocks before the loop.  Every block
+    # spans all d columns, so the grid nests each in a list of one.
+    unit_rows = [range(j, j + 1) for j in range(n)]
+    row_blocks = [range(i0, min(i0 + r_max, n)) for i0 in range(0, n, r_max)]
+    k_rows, v_rows, q_blocks, o_blocks = (
+        [blk for (blk,) in Block.grid(name, parts, cols)]
+        for name, parts in (("K", unit_rows), ("V", unit_rows),
+                            ("Q", row_blocks), ("O", row_blocks)))
+    kv_rows = list(zip(k_rows, v_rows))
     completions: list[tuple[int, int]] = []
 
-    for i0 in range(0, n, r_max):
-        rows = range(i0, min(i0 + r_max, n))
+    for rows, qblk, oblk in zip(row_blocks, q_blocks, o_blocks):
         r = len(rows)
-        q = read_block(Block("Q", rows, cols), (r, d))
+        q = read_block(qblk, (r, d))
         o = alloc((r, d))
         lsum = alloc((r,))
         mrun = alloc((r,), fill=-math.inf)
@@ -266,7 +273,7 @@ def streaming_attention(h: MemoryHierarchy, inst: AttentionInstance) -> KernelRe
             completions.append((h.reads + h.writes, r))
         compute("inv", lsum, out=lsum)
         compute("rowscale", o, lsum, out=o)
-        write_block(o, Block("O", rows, cols))
+        write_block(o, oblk)
         free(q, o, lsum, mrun)
 
     return _finish(h, h.fetch_matrix("O", (n, d)), "streaming", completions)

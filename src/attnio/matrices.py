@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_integer
 
 
 @dataclass(frozen=True)
@@ -41,10 +41,12 @@ class AttentionInstance:
 def random_instance(n: int, d: int, seed, magnitude: float = 1.0) -> AttentionInstance:
     """Seeded instance with entries uniform in [-magnitude, magnitude].
 
-    A seed numpy's ``default_rng`` rejects, or a magnitude ``uniform``
-    cannot draw from (negative, non-finite, or 2*magnitude overflows),
-    raises ``ConfigurationError``.
+    An N or d that is not an integer, a seed numpy's ``default_rng``
+    rejects, or a magnitude ``uniform`` cannot draw from (negative,
+    non-finite, or 2*magnitude overflows), raises ``ConfigurationError``.
     """
+    check_integer("N", n)
+    check_integer("d", d)
     if n < 1 or d < 1:
         raise ConfigurationError(f"N and d must be >= 1, got N={n}, d={d}")
     try:

@@ -9,10 +9,13 @@ Slow memory is one C-ordered float64 array per name: ``load`` places an
 input array there, ``reserve`` declares an output array, and both are
 free.  A ``Block`` names a row-major rectangle of one array; it is the
 address form of ``read_block`` and ``write_block``, and each block moves
-with one slice.  The hierarchy keeps one (kind, block, value bytes)
-record per move, and iterating its ``trace`` yields one (kind, address,
-value) row per word, with addresses (name, i, j, ...); no per-word tuple
-or float exists until then, and the trace has no random access.
+with one slice.  ``Block.grid`` builds the table of blocks over a product
+of axis partitions, checking each range once, not once per block; the
+kernels build every block they move with it.  The hierarchy keeps one
+(kind, block, value bytes) record per move, and iterating its ``trace``
+yields one (kind, address, value) row per word, with addresses (name, i,
+j, ...); no per-word tuple or float exists until then, and the trace has
+no random access.
 
 One matrix entry is one word is one I/O unit, and every word is a 64-bit
 float.  There is no eviction policy: kernels manage their slots
@@ -74,6 +77,7 @@ from .errors import (
     ConfigurationError,
     ResidencyError,
     UsageError,
+    check_integer,
 )
 
 READ = "R"
@@ -139,6 +143,18 @@ _OPS: dict[str, tuple[Callable, int]] = {
 }
 
 
+def _axes(ranges) -> tuple[tuple, tuple]:
+    """The slices and the lengths of block ranges; the one check of a
+    block's ranges, which ``Block(...)`` and ``Block.grid`` share."""
+    index, shape = [], []
+    for r in ranges:
+        if type(r) is not range or r.step != 1 or not 0 <= r.start <= r.stop:
+            raise AddressError(f"block axes must be ranges of step 1 from 0 up, got {r!r}")
+        index.append(slice(r.start, r.stop))
+        shape.append(r.stop - r.start)
+    return tuple(index), tuple(shape)
+
+
 class Block:
     """A row-major rectangle of the array ``name``: one ``range`` per
     axis, none for a shape-() array.
@@ -147,25 +163,54 @@ class Block:
     row-major order, built only then; ``len`` is its word count.  Each
     range must have step 1 and 0 <= start <= stop; anything else raises
     ``AddressError``.  Whether the block lies inside its array is
-    checked when it moves.
+    checked when it moves.  ``Block.grid`` builds a kernel's whole table
+    of blocks of one array, checking each range once.
     """
 
     __slots__ = ("name", "ranges", "shape", "size", "index")
 
     def __init__(self, name: str, *ranges: range):
-        index, shape = [], []
-        for r in ranges:
-            if type(r) is not range or r.step != 1 or not 0 <= r.start <= r.stop:
-                raise AddressError(f"block axes must be ranges of step 1 from 0 up, got {r!r}")
-            index.append(slice(r.start, r.stop))
-            shape.append(r.stop - r.start)
+        index, shape = _axes(ranges)
         self.name = name
         self.ranges = ranges
-        self.shape = shape = tuple(shape)
+        self.shape = shape
         self.size = math.prod(shape)
         # A shape-() array is indexed by ``...``, which keeps a 0-d view
         # where ``()`` would give a numpy scalar.
-        self.index = tuple(index) or ...
+        self.index = index or ...
+
+    @classmethod
+    def grid(cls, name: str, *partitions) -> list | Block:
+        """The table of blocks of ``name`` over the product of the axis
+        ``partitions``: ``table[i][j]...`` equals ``Block(name, p0[i],
+        p1[j], ...)`` field by field, nested one list per partition (the
+        block itself for none).  Each range is checked once, by the check
+        ``Block(...)`` runs, however many blocks share it."""
+        # Per axis: its ranges, and their slices and lengths.
+        ranges, slices, lengths = [], [], []
+        for part in partitions:
+            part = list(part)
+            part_slices, part_lengths = _axes(part)
+            ranges.append(part)
+            slices.append(part_slices)
+            lengths.append(part_lengths)
+        new = cls.__new__
+        blocks = []
+        for block_ranges, index, shape in zip(product(*ranges), product(*slices),
+                                              product(*lengths)):
+            block = new(cls)
+            block.name = name
+            block.ranges = block_ranges
+            block.shape = shape
+            block.size = math.prod(shape)
+            block.index = index or ...
+            blocks.append(block)
+        # Nest the row-major list, innermost axis first.
+        counts = list(map(len, ranges))
+        for k in range(len(counts) - 1, 0, -1):
+            n = counts[k]
+            blocks = [blocks[g * n:(g + 1) * n] for g in range(math.prod(counts[:k]))]
+        return blocks if partitions else blocks[0]
 
     def __len__(self) -> int:
         return self.size
@@ -213,10 +258,12 @@ class MemoryHierarchy:
     Slots are handles to cache-resident arrays (a scalar is a shape-()
     array).  Occupancy is counted in words; any read, allocation, or
     compute that would push occupancy past ``capacity`` raises
-    ``CapacityError`` instead of evicting.
+    ``CapacityError`` instead of evicting.  A ``capacity`` that is not an
+    integer, or is below ``MIN_CAPACITY``, raises ``ConfigurationError``.
     """
 
     def __init__(self, capacity: int):
+        check_integer("cache capacity", capacity)
         if capacity < MIN_CAPACITY:
             raise ConfigurationError(
                 f"cache capacity must be >= {MIN_CAPACITY}, got {capacity}"
@@ -370,11 +417,13 @@ class MemoryHierarchy:
         slot is the shared zero-byte array of the block's shape, or
         numpy's reshape of it.
         """
-        if shape is None:
-            shape = -1
-        elif isinstance(shape, np.ndarray):
-            # An ndarray would compare elementwise with the block's shape.
-            shape = shape.tolist()
+        # Kernels pass a tuple: one test, before the other cases.
+        if shape.__class__ is not tuple:
+            if shape is None:
+                shape = -1
+            elif isinstance(shape, np.ndarray):
+                # An ndarray would compare elementwise with the block's shape.
+                shape = shape.tolist()
         view = self._views.get(block)
         if view is None:
             view = self._views[block] = self._view(block)

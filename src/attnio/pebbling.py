@@ -25,7 +25,7 @@ from functools import cached_property, partial
 from itertools import chain, filterfalse, repeat
 from typing import NamedTuple
 
-from .errors import ConfigurationError, RegimeError, check_enumeration
+from .errors import ConfigurationError, RegimeError, check_enumeration, check_integer
 
 INPUT = "Input"
 L1_PRODUCT = "L1Product"
@@ -237,7 +237,11 @@ def build_attention_dag(n: int, d: int) -> AttentionDag:
     inverses, N^2 d second-stage products, Nd output trees, and Nd
     scaled outputs.  Roots are distinct pass-through nodes above their
     trees, so every summation tree holds exactly 2d (or 2N) vertices.
+    An N or d that is not an integer, or is below 1, raises
+    ``ConfigurationError``.
     """
+    check_integer("N", n)
+    check_integer("d", d)
     if n < 1 or d < 1:
         raise ConfigurationError("N and d must be >= 1")
     # index labels, so that each id joins strings and formats no int; an
@@ -323,7 +327,9 @@ def validate_calculation(dag: PebblingDag, m: int, calc: list[Transition]) -> Va
     every check in order.  Skipping the unknown-vertex check on success
     is exact, as only DAG vertices ever hold a pebble: blue starts on the
     inputs, R1 needs blue, R2 needs red and R3 a DAG vertex, so a vertex
-    found red or blue is known.  An M below 1 raises ``ConfigurationError``."""
+    found red or blue is known.  An M that is not an integer, or is below
+    1, raises ``ConfigurationError``."""
+    check_integer("M", m)
     if m < 1:
         raise ConfigurationError(f"M must be >= 1, got {m}")
     nodes, inputs = dag.nodes, dag.inputs

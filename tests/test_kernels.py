@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import sys
 import warnings
 from itertools import product
 
@@ -20,7 +21,7 @@ from attnio.kernels import (
     streaming_fits,
 )
 from attnio.matrices import AttentionInstance, random_instance
-from attnio.memory import _OPS, CountHierarchy, MemoryHierarchy, export_trace_csv
+from attnio.memory import _OPS, Block, CountHierarchy, MemoryHierarchy, export_trace_csv
 
 
 def rel_error(a, b):
@@ -397,6 +398,33 @@ def test_random_instance_rejects_what_numpy_cannot_draw():
         with pytest.raises(errors.ConfigurationError, match="magnitude"):
             random_instance(4, 2, 0, magnitude)
     assert np.abs(random_instance(4, 2, 0, 1e200).Q).max() <= 1e200
+
+
+def test_random_instance_refuses_a_non_integer_size():
+    for n, d, name in ((2.0, 3, "N"), (True, 3, "N"), (2, 3.0, "d"), (2, False, "d")):
+        with pytest.raises(errors.ConfigurationError, match=rf"^{name} must be an integer, got "):
+            random_instance(n, d, 0)
+    assert random_instance(np.int64(2), np.int32(3), 0).Q.shape == (2, 3)
+
+
+@pytest.mark.parametrize("backend", [MemoryHierarchy, CountHierarchy])
+def test_kernels_build_their_blocks_by_grid(monkeypatch, backend):
+    # Block(...) checks its ranges again for every block; the kernels
+    # build their block tables with Block.grid, so only fetch_matrix's
+    # block, one per fetched output, runs Block.__init__
+    callers = []
+    init = Block.__init__
+
+    def recorded(self, *args):
+        callers.append(sys._getframe(1).f_code.co_name)
+        init(self, *args)
+
+    monkeypatch.setattr(Block, "__init__", recorded)
+    inst = random_instance(9, 4, 0)  # clipped row blocks in both kernels
+    square_tiling_attention(backend(64), inst, write_qkt=True)
+    streaming_attention(backend(64), inst)
+    matmul_via_attention(backend(64), inst.Q, inst.K)
+    assert callers == ["fetch_matrix"] * 4
 
 
 # sha256 of export_trace_csv bytes, recorded before slow memory became

@@ -164,6 +164,16 @@ def test_minimum_capacity():
         MemoryHierarchy(3)
 
 
+@pytest.mark.parametrize("cls", [MemoryHierarchy, CountHierarchy])
+def test_capacity_must_be_an_integer(cls):
+    # a capacity of 10.5 once held 10 words, and 64.0 failed in the kernels
+    for capacity in (64.0, 10.5, True, np.float64(64)):
+        with pytest.raises(errors.ConfigurationError,
+                           match=r"^cache capacity must be an integer, got "):
+            cls(capacity)
+    assert cls(np.int64(64)).capacity == 64
+
+
 def test_overflow_flag():
     h = MemoryHierarchy(8)
     h.load("x", 1e308)
@@ -713,6 +723,48 @@ def test_block_is_the_sequence_of_its_addresses():
             Block("A", bad)
 
 
+def block_table(name, partitions, ranges=()):
+    """``Block.grid``'s table built one ``Block(...)`` at a time."""
+    if not partitions:
+        return Block(name, *ranges)
+    return [block_table(name, partitions[1:], (*ranges, r)) for r in partitions[0]]
+
+
+def block_fields(table):
+    """A table of blocks with each block as its fields, repr and words."""
+    if isinstance(table, list):
+        return [block_fields(entry) for entry in table]
+    return (table.name, table.ranges, table.shape, table.size, table.index, repr(table),
+            len(table), list(table))
+
+
+@pytest.mark.parametrize("partitions", [
+    [],
+    [[range(0, 4), range(4, 8)]],
+    [[range(0, 3), range(3, 6), range(6, 7)]],
+    [[range(0, 2), range(2, 4)], [range(0, 3), range(3, 6)]],
+    [[range(0, 3), range(3, 5)], [range(0, 4), range(4, 6)], [range(2, 3)]],
+    [[range(0, 3), range(3, 5)], [range(0, 4), range(4, 6), range(6, 7)]],
+    [[range(0, 2), range(2, 3)], []],
+], ids=["no-axis", "exact-1", "clipped-1", "exact-2", "clipped-3", "clipped-2", "empty-axis"])
+def test_grid_blocks_equal_blocks_built_one_at_a_time(partitions):
+    table = Block.grid("A", *partitions)
+    assert block_fields(table) == block_fields(block_table("A", partitions))
+    # partitions may be any iterables of ranges
+    assert block_fields(Block.grid("A", *map(iter, partitions))) == block_fields(table)
+
+
+@pytest.mark.parametrize("bad", [range(0, 4, 2), range(-1, 2), range(3, 1), (0, 1), 3])
+def test_grid_refuses_a_malformed_range_as_block_does(bad):
+    with pytest.raises(errors.AddressError) as expected:
+        Block("A", bad)
+    good = [range(0, 2), range(2, 4)]
+    for partitions in ([[bad]], [[*good, bad]], [good, [bad, *good]], [[*good, bad], good]):
+        with pytest.raises(errors.AddressError) as info:
+            Block.grid("A", *partitions)
+        assert str(info.value) == str(expected.value)
+
+
 def test_load_keeps_a_c_order_copy_in_the_arrays_own_shape():
     h = MemoryHierarchy(16)
     k = np.arange(6.0).reshape(2, 3)
@@ -1019,15 +1071,20 @@ def test_count_reads_share_one_zero_byte_slot_per_shape_pair():
     assert (h.reads, h.words_used) == (20, 12)
 
 
+class ShapeTuple(tuple):
+    """A tuple subclass: ``read_block`` takes it as any other sequence."""
+
+
 @pytest.mark.parametrize("shape", [np.array([4]), np.array([2, 2]), np.array([1, 4]),
-                                   np.array(4), np.array([4.0])],
-                         ids=["flat", "square", "row", "0-d", "float"])
+                                   np.array(4), np.array([4.0]), [1, 4], ShapeTuple((2, 2))],
+                         ids=["flat", "square", "row", "0-d", "float", "list",
+                              "tuple-subclass"])
 def test_ndarray_read_shape_reads_as_on_both_backends(shape):
     # an ndarray compares elementwise with the block's shape tuple; it is
-    # read as its list, on either backend
+    # read as its list, on either backend, and so is any other sequence
     outcomes = set()
     for cls in (MemoryHierarchy, CountHierarchy):
-        for given in (shape, shape.tolist()):
+        for given in (shape, np.asarray(shape).tolist()):
             h = cls(16)
             h.load("A", np.arange(4.0).reshape(2, 2))
             try:
@@ -1036,7 +1093,7 @@ def test_ndarray_read_shape_reads_as_on_both_backends(shape):
             except TypeError as exc:  # a float shape
                 outcomes.add((str(exc), h.reads, h.words_used))
     assert len(outcomes) == 1
-    if shape.dtype.kind == "i":
+    if np.asarray(shape).dtype.kind == "i":
         assert outcomes == {(tuple(np.atleast_1d(shape)), 4, 4)}
 
 

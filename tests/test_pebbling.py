@@ -10,6 +10,7 @@ import re
 import tracemalloc
 from collections import Counter, deque
 
+import numpy as np
 import pytest
 
 from attnio import errors
@@ -126,6 +127,13 @@ def test_builder_degenerate_chain():
     assert dag.nodes["RS[0]"].parents == ("EXP[0,0]",)
 
 
+def test_builder_refuses_a_non_integer_size():
+    for n, d, name in ((2.0, 1, "N"), (True, 1, "N"), (1, 2.0, "d"), (1, False, "d")):
+        with pytest.raises(ConfigurationError, match=rf"^{name} must be an integer, got "):
+            P.build_attention_dag(n, d)
+    assert len(P.build_attention_dag(np.int64(1), np.int32(1))) == len(P.build_attention_dag(1, 1))
+
+
 def test_level1_trees_disjoint():
     dag = P.build_attention_dag(3, 2)
     trees = {}
@@ -195,6 +203,15 @@ def test_validator_red_budget():
     res = P.validate_calculation(edge_dag(), 1, calc)
     assert not res.ok
     assert res.violation.index == 1 and res.violation.rule == "R3"
+
+
+def test_validator_refuses_a_non_integer_red_budget():
+    # a budget of 1.5 would let this second red pebble through
+    calc = [("R1", "in"), ("R3", "out")]
+    for m in (1.5, 2.0, True):
+        with pytest.raises(ConfigurationError, match=r"^M must be an integer, got "):
+            P.validate_calculation(edge_dag(), m, calc)
+    assert not P.validate_calculation(edge_dag(), np.int64(1), calc).ok
 
 
 def test_validator_r2_needs_red():
