@@ -37,8 +37,8 @@ class UsageError(RuntimeError):
 
 
 class ResidencyError(UsageError):
-    """A slot handed to ``free``, ``write_block``, ``value`` or ``compute``
-    is not cache-resident: never made, or already freed."""
+    """A slot handed to ``free``, ``write_block`` or ``compute`` is not
+    cache-resident: never made, or already freed."""
 
 
 class RegimeError(ValueError):

@@ -185,7 +185,7 @@ def square_tiling_attention(
             free(o)
         free(dvec)
 
-    return _finish(h, h.fetch_matrix("O", (n, d)), "tiling", completions)
+    return _finish(h, h.fetch_matrix("O"), "tiling", completions)
 
 
 def streaming_block_rows(m: int, n: int, d: int) -> int:
@@ -276,7 +276,7 @@ def streaming_attention(h: MemoryHierarchy, inst: AttentionInstance) -> KernelRe
         write_block(o, oblk)
         free(q, o, lsum, mrun)
 
-    return _finish(h, h.fetch_matrix("O", (n, d)), "streaming", completions)
+    return _finish(h, h.fetch_matrix("O"), "streaming", completions)
 
 
 def dispatch_attention(h: MemoryHierarchy, inst: AttentionInstance) -> KernelResult:
@@ -297,4 +297,4 @@ def matmul_via_attention(h: MemoryHierarchy, Q, K) -> np.ndarray:
     Q = np.atleast_2d(np.asarray(Q, dtype=np.float64))
     inst = AttentionInstance(Q, K, np.ones_like(Q))
     square_tiling_attention(h, inst, write_qkt=True)
-    return h.fetch_matrix("QKT", (inst.N, inst.N))
+    return h.fetch_matrix("QKT")

@@ -41,8 +41,9 @@ keeps, per ``Block`` object, the slow-memory view that move checked, and
 later moves of that object reuse it.  That relies on two invariants: a
 ``Block`` is never mutated, and slow-memory arrays change only through
 ``load`` and ``reserve``, which empty the map.  Whether the words were
-written is checked on every read.  ``fetch_matrix`` moves nothing: it
-checks its block on each call and keeps no view.
+written is checked on every read: at once for a ``Block`` object written
+before, word by word for any other.  ``fetch_matrix(name)`` moves
+nothing: it copies the whole array after that check and keeps no view.
 
 Each primitive has one checked path, which both backends run:
 ``_claim`` is the only capacity check, ``_resident`` the only residency
@@ -50,11 +51,11 @@ error, and ``_refuse`` raises for every failed ``compute`` call.
 
 ``CountHierarchy`` is the same hierarchy without values: its arrays are
 zero-byte (dtype ``V0``) ones of the float64 shapes, shared through two
-process-wide caches, one per shape and one per (op, operand shapes).  It
-overrides only ``compute``, ``trace`` and two value hooks, so a count
-run counts, claims and raises exactly as here, and a wrapper put on the
-other methods (the bench tracer's) sees its calls too.  Counts do not
-depend on values, so a kernel counts the same on both;
+process-wide caches, one per shape and one per (op name, operand
+shapes).  It overrides only ``compute``, ``trace`` and two value hooks,
+so a count run counts, claims and raises exactly as here, and a wrapper
+put on the other methods (the bench tracer's) sees its calls too.
+Counts do not depend on values, so a kernel counts the same on both;
 ``experiments.run_sweep`` runs a point on it, with no values drawn,
 whenever the point's values provably stay finite.
 """
@@ -242,14 +243,13 @@ class Trace:
 
     def address_labels(self):
         """Per move, its kind and the list of its word addresses as
-        ``format_address`` writes them.  Kernels move the same blocks
-        again and again, so each distinct block is formatted once."""
+        ``format_address`` writes them.  Kernels move the same ``Block``
+        objects again and again, so each object is formatted once."""
         labels = {}
         for kind, block, _ in self._moves:
-            key = block.name, block.ranges
-            if key not in labels:
-                labels[key] = list(map(format_address, block))
-            yield kind, labels[key]
+            if block not in labels:
+                labels[block] = list(map(format_address, block))
+            yield kind, labels[block]
 
 
 class MemoryHierarchy:
@@ -271,13 +271,12 @@ class MemoryHierarchy:
         self.capacity = capacity
         # Slow memory: one C-ordered float64 array per name.
         self.memory: dict[str, np.ndarray] = {}
-        # Reserved arrays not yet known to be fully written, each with
-        # the blocks written to it, as {ranges: index}.  A block read
-        # back exactly as it was written is found in O(1).
-        self._written: dict[str, dict[tuple, tuple]] = {}
+        # Reserved arrays not yet known to be fully written, each with the
+        # set of ``Block`` objects written to it: a read-back is one lookup.
+        self._written: dict[str, set[Block]] = {}
         # Per ``Block`` object, the slow-memory view its first move
         # checked; ``load`` and ``reserve`` empty it.  Only moves enter
-        # it: ``fetch_matrix`` checks its block each call.
+        # it: ``fetch_matrix`` checks its array each call.
         self._views: dict[Block, np.ndarray] = {}
         # One (kind, block, value bytes) record per block move.
         self._moves = []
@@ -364,7 +363,7 @@ class MemoryHierarchy:
         """Declare an output array of ``shape`` under ``name``.  Its words
         can be written, and read once written."""
         self.memory[name] = self._filled(shape)
-        self._written[name] = {}
+        self._written[name] = set()
         self._views.clear()
 
     def _view(self, block: Block) -> np.ndarray:
@@ -389,12 +388,12 @@ class MemoryHierarchy:
             view = _zero_bytes(block.shape)
         return view
 
-    def _check_written(self, block: Block, written: dict) -> None:
+    def _check_written(self, block: Block, written: set) -> None:
         """Exact per-word check that a reserved array's words in ``block``
         were all written; forgets the array's blocks once all are."""
         mask = np.zeros(self.memory[block.name].shape, dtype=bool)
-        for index in written.values():
-            mask[index] = True
+        for done in written:
+            mask[done.index] = True
         if mask.all():
             del self._written[block.name]
             return
@@ -428,7 +427,7 @@ class MemoryHierarchy:
         if view is None:
             view = self._views[block] = self._view(block)
         written = self._written.get(block.name)
-        if written is not None and block.ranges not in written:
+        if written is not None and block not in written:
             self._check_written(block, written)
         # A reshape to any other shape fails before the claim.
         if view.itemsize:
@@ -461,7 +460,7 @@ class MemoryHierarchy:
         self.writes += arr.size
         written = self._written.get(block.name)
         if written is not None:
-            written[block.ranges] = block.index
+            written.add(block)
 
     def free(self, *handles: int) -> None:
         """Vacate slots, in order.  No I/O is counted.  A handle that is
@@ -563,18 +562,14 @@ class MemoryHierarchy:
             raise exc
         raise UsageError("out slot size mismatch")
 
-    def value(self, handle: int) -> np.ndarray:
-        """Inspect a slot's contents (testing convenience, not a memory op)."""
-        return self._resident(handle).copy()
-
-    def fetch_matrix(self, name: str, shape: tuple[int, int]) -> np.ndarray:
-        """Copy the ``shape`` corner of a named array out of slow memory
-        (no I/O accounting); a zero-byte array gives zeros."""
-        block = Block(name, *map(range, shape))
+    def fetch_matrix(self, name: str) -> np.ndarray:
+        """Copy the whole array ``name``, every word written, out of slow
+        memory (no I/O accounting); a zero-byte array gives zeros."""
+        # An unknown name gets the shape-() block, which ``_view`` refuses.
+        block = Block(name, *map(range, np.shape(self.memory.get(name))))
         view = self._view(block)
-        written = self._written.get(name)
-        if written is not None and block.ranges not in written:
-            self._check_written(block, written)
+        if name in self._written:
+            self._check_written(block, self._written[name])
         return view.copy() if view.itemsize else np.zeros(view.shape)
 
     @property
@@ -609,9 +604,8 @@ def _zero_bytes(shape) -> np.ndarray:
     return arr
 
 
-# Per (``_OPS`` entry, *operand shapes): the zero-byte array of the op's
-# result shape, for calls that succeeded.  Keyed on the entry, not the op
-# name, so an op put in ``_OPS`` under a known name gets its own entries.
+# Per (op name, *operand shapes): the zero-byte array of the op's result
+# shape, for calls that succeeded.
 _COUNT_RESULTS: dict[tuple, np.ndarray] = {}
 
 
@@ -632,7 +626,7 @@ class CountHierarchy(MemoryHierarchy):
     Zero-byte arrays hold nothing to write, so they are shared, from two
     process-wide caches: one array per shape (``_ZERO_BYTES``) for slow
     memory, ``alloc`` and each read into its block's shape (any other
-    read shape gets numpy's reshape of it), and one per (``_OPS`` entry,
+    read shape gets numpy's reshape of it), and one per (op name,
     operand shapes) for ``compute`` (``_COUNT_RESULTS``), found by
     running the op once on zeros.  A ``compute`` hit is one lookup and
     the claim: the same call passed every check before, and the checks
@@ -658,7 +652,7 @@ class CountHierarchy(MemoryHierarchy):
         """``MemoryHierarchy.compute``'s checks and claim, with the
         result's shape in place of its values.
 
-        A call whose (``_OPS`` entry, *operand shapes) has succeeded
+        A call whose (op name, *operand shapes) has succeeded
         before is one lookup in ``_COUNT_RESULTS``, which proves the op
         known, the operand count right, the operands resident and their
         shapes combinable; a miss runs ``_uncached_result``."""
@@ -668,16 +662,16 @@ class CountHierarchy(MemoryHierarchy):
         try:
             if len(operands) == 2:
                 a, b = operands
-                result = _COUNT_RESULTS[_OPS[op], slots[a].shape, slots[b].shape]
+                result = _COUNT_RESULTS[op, slots[a].shape, slots[b].shape]
             elif len(operands) == 3:
                 a, b, c = operands
-                result = _COUNT_RESULTS[_OPS[op], slots[a].shape, slots[b].shape,
+                result = _COUNT_RESULTS[op, slots[a].shape, slots[b].shape,
                                         slots[c].shape]
             elif len(operands) == 1:
-                result = _COUNT_RESULTS[_OPS[op], slots[operands[0]].shape]
+                result = _COUNT_RESULTS[op, slots[operands[0]].shape]
             else:
                 a, b, c, e = operands
-                result = _COUNT_RESULTS[_OPS[op], slots[a].shape, slots[b].shape,
+                result = _COUNT_RESULTS[op, slots[a].shape, slots[b].shape,
                                         slots[c].shape, slots[e].shape]
         except (KeyError, TypeError, ValueError):
             result = self._uncached_result(op, operands)
@@ -701,12 +695,12 @@ class CountHierarchy(MemoryHierarchy):
         whose shape comes from running the op once on zeros, kept there;
         a call that fails goes to ``_refuse``."""
         try:
-            entry = _OPS[op]
+            fn, arity = _OPS[op]
             shapes = [self._slots[x].shape for x in operands]
-            if len(shapes) == entry[1]:
+            if len(shapes) == arity:
                 with np.errstate(all="ignore"):
-                    shape = np.shape(entry[0](*map(np.zeros, shapes)))
-                result = _COUNT_RESULTS[(entry, *shapes)] = _zero_bytes(shape)
+                    shape = np.shape(fn(*map(np.zeros, shapes)))
+                result = _COUNT_RESULTS[(op, *shapes)] = _zero_bytes(shape)
                 return result
         except (KeyError, ValueError) as exc:
             self._refuse(op, operands, exc)

@@ -464,10 +464,11 @@ def blocked_pebbling_schedule(dag: AttentionDag, m: int) -> list[Transition]:
     than the kernel: 320 against 192 at N=8 d=4 M=64, and 160 against 128
     at N=8 d=2 M=32 (r = 2 against the kernel's 4 and 3).  Near M = 8d at
     larger N not even r = 1 fits, and ``RegimeError`` is raised although
-    the kernel runs.
+    the kernel runs.  A non-integer M raises ``ConfigurationError``.
     """
     if not isinstance(dag, AttentionDag):
         raise ConfigurationError("the blocked schedule needs build_attention_dag's DAG")
+    check_integer("M", m)
     n, d = dag.N, dag.d
     score = _budgeted([move for leaf in _tree_walk(d, 2, True) for move in leaf])
     output = [_budgeted(leaf) for leaf in _tree_walk(n, 1, True)]
@@ -567,8 +568,10 @@ def verify_m_partition(dag: PebblingDag, m: int, parts: list[PartSpec]) -> list[
     Witnesses: up to five offending vertices (sorted) for P1; for an
     uncovered P2 path, the BFS path from the first input in sorted order
     that reaches the part; for P4, the part indices of a dependence
-    cycle.  A too-large P2 dominator and P3 carry ``None``.
+    cycle.  A too-large P2 dominator and P3 carry ``None``.  A
+    non-integer M raises ``ConfigurationError``.
     """
+    check_integer("M", m)
     violations: list[Violation] = []
 
     owner: dict[object, int] = {}
@@ -657,10 +660,11 @@ def brute_force_min_io(dag: PebblingDag, m: int,
     such a goal, free R4 moves reach the exact terminal configuration.
 
     R3 needs every parent and the vertex itself red at once, so no
-    complete calculation exists when M < max in-degree + 1; such an M is
-    rejected up front with ``ConfigurationError``.  ``cap`` bounds the
-    configurations of an n-vertex graph, counted as all 4^n (one red
+    complete calculation exists when M < max in-degree + 1; such an M,
+    or a non-integer one, raises ``ConfigurationError``.  ``cap`` bounds
+    the configurations of an n-vertex graph, counted as all 4^n (one red
     and one blue bit per vertex) though the search visits far fewer."""
+    check_integer("M", m)
     need = 1 + max((len(node.parents) for node in dag.nodes.values()), default=0)
     if m < need:
         raise ConfigurationError(

@@ -81,31 +81,46 @@ def test_demo_runs_cleanly(path):
 
 
 def references(tree: ast.AST) -> Counter:
-    """Names, attributes, imported names and string constants in ``tree``."""
+    """(kind, text) of each reference in ``tree``: ``"name"`` for a name
+    or an imported name, ``"attr"`` for an attribute, ``"str"`` for a
+    string constant."""
     found = Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            found[node.id] += 1
+            found["name", node.id] += 1
         elif isinstance(node, ast.Attribute):
-            found[node.attr] += 1
+            found["attr", node.attr] += 1
         elif isinstance(node, ast.alias):
-            found[node.name.rsplit(".", 1)[-1]] += 1
+            found["name", node.name.rsplit(".", 1)[-1]] += 1
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            found[node.value] += 1
+            found["str", node.value] += 1
     return found
 
 
+def uses(found: Counter, name: str, owner: str | None) -> int:
+    """How many of one file's ``references`` use the definition ``name``
+    of class ``owner`` (``None`` for a module-level one): any reference
+    to a module-level definition; to a method, an attribute, or a
+    string constant in a file that also names the class.  A bare name
+    or a dict key such as ``"value"`` is no call of a method."""
+    if owner is None:
+        return found["name", name] + found["attr", name] + found["str", name]
+    named = found["name", owner] + found["attr", owner]
+    return found["attr", name] + (found["str", name] if named else 0)
+
+
 def definitions(tree: ast.Module):
-    """(label, node) for each module-level function and class, and each
-    non-dunder method or property of a module-level class."""
+    """(label, node, class name) for each module-level function and
+    class (class name ``None``), and each non-dunder method or property
+    of a module-level class."""
     for stmt in tree.body:
         if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
-            yield stmt.name, stmt
+            yield stmt.name, stmt, None
         if isinstance(stmt, ast.ClassDef):
             for member in stmt.body:
                 if isinstance(member, ast.FunctionDef) and not (
                         member.name.startswith("__") and member.name.endswith("__")):
-                    yield f"{stmt.name}.{member.name}", member
+                    yield f"{stmt.name}.{member.name}", member, stmt.name
 
 
 def counts_as_use(path: Path) -> bool:
@@ -119,20 +134,21 @@ def unreferenced_definitions(sources: dict, others: dict | None = None) -> list[
     """Definitions (see ``definitions``) of ``sources`` (name -> text of
     the modules checked) that no text refers to outside their own
     definition: neither ``sources`` nor a file of ``others`` (path ->
-    text, by default every file under ``USERS``) that ``counts_as_use``."""
+    text, by default every file under ``USERS``) that ``counts_as_use``;
+    what counts as a use is ``uses``'s rule."""
     if others is None:
         others = {str(path): path.read_text() for root in USERS for path in root.rglob("*.py")}
     trees = {name: ast.parse(text) for name, text in sources.items()}
-    total = Counter()
-    for tree in trees.values():
-        total += references(tree)
-    for path, text in others.items():
-        if path not in sources and counts_as_use(Path(path)):
-            total += references(ast.parse(text))
+    found = {name: references(tree) for name, tree in trees.items()}
+    found |= {path: references(ast.parse(text)) for path, text in others.items()
+              if path not in sources and counts_as_use(Path(path))}
     unused = []
     for name, tree in trees.items():
-        for label, node in definitions(tree):
-            if total[node.name] == references(node)[node.name]:
+        for label, node, owner in definitions(tree):
+            # The defining file without the definition itself.
+            rest = found[name] - references(node)
+            if not uses(rest, node.name, owner) and not any(
+                    uses(refs, node.name, owner) for path, refs in found.items() if path != name):
                 unused.append(f"{Path(name).name}:{label}")
     return unused
 
@@ -143,7 +159,7 @@ def reference_breaches(sources: dict, oracles: dict, others: dict | None = None)
     ``oracles`` does not list, and an entry of ``oracles`` whose
     definition is gone or is referenced."""
     defined = {f"{Path(name).name}:{label}" for name, text in sources.items()
-               for label, _ in definitions(ast.parse(text))}
+               for label, _, _ in definitions(ast.parse(text))}
     unused = unreferenced_definitions(sources, others)
     return ([f"{label}: unreferenced" for label in unused if label not in oracles]
             + [f"{label}: no such definition" for label in oracles if label not in defined]
@@ -173,6 +189,18 @@ def test_checker_flags_a_method_only_tests_call():
     for path, unused in [(ROOT / "tests" / "test_probe.py", ["probe.py:Probe.tested_probe"]),
                          (ROOT / "demos" / "probe_demo.py", [])]:
         assert unreferenced_definitions({"probe.py": PROBE}, {str(path): caller}) == unused
+
+
+def test_checker_counts_no_bare_name_or_stray_string_as_a_method_use():
+    # bench/run.py writes a "value" JSON key, and other files have a
+    # variable ``value``: neither calls a method ``value``
+    keyed = "RECORD = {'tested_probe': 1}\n"
+    variable = "tested_probe = 1\nprint(tested_probe)\n"
+    looked_up = "getattr(Probe(), 'tested_probe')()\n"
+    for text, unused in [(keyed, ["probe.py:Probe.tested_probe"]),
+                         (variable, ["probe.py:Probe.tested_probe"]), (looked_up, [])]:
+        assert unreferenced_definitions({"probe.py": PROBE},
+                                        {str(ROOT / "bench" / "probe.py"): text}) == unused
 
 
 def test_checker_flags_a_definition_only_an_init_exports():
@@ -207,9 +235,10 @@ def test_each_test_oracle_names_a_test_that_uses_it(label):
     reason = TEST_ORACLES[label]
     named = re.findall(r"tests/test_\w+\.py", reason)
     assert "\n" not in reason and named, reason
-    name = label.split(":")[1].split(".")[-1]
+    owner, _, name = label.split(":")[1].rpartition(".")
     for test in named:
-        assert references(ast.parse((ROOT / test).read_text()))[name], (label, test)
+        assert uses(references(ast.parse((ROOT / test).read_text())), name, owner or None), (
+            label, test)
 
 
 # Handlers that catch a refusal or a regime error, named or not.

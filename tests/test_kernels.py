@@ -264,7 +264,7 @@ def test_trace_replays_to_memory_and_output():
         assert all(type(v) is float for _, _, v in h.trace)
         replayed = {a: v for kind, a, v in h.trace if kind == "W"}
         assert replayed == {a: h.memory[a[0]][a[1:]].item() for a in replayed}
-        assert np.array_equal(h.fetch_matrix("O", (inst.N, inst.d)), result.output)
+        assert np.array_equal(h.fetch_matrix("O"), result.output)
 
 
 def test_kernels_reject_used_hierarchy():

@@ -539,6 +539,15 @@ def test_schedule_degenerate_size():
     assert res.ok and res.io == 4  # read Q, K, V; write O
 
 
+def test_schedule_refuses_a_non_integer_cache():
+    # 16.0 stopped with a bare TypeError, and True named a "cache of True words"
+    dag = P.build_attention_dag(4, 2)
+    for m in (16.0, 32.5, True):
+        with pytest.raises(ConfigurationError, match=r"^M must be an integer, got "):
+            P.blocked_pebbling_schedule(dag, m)
+    assert P.blocked_pebbling_schedule(dag, np.int64(32)) == P.blocked_pebbling_schedule(dag, 32)
+
+
 def test_schedule_halves_with_cache():
     n, d = 8, 2
     dag = P.build_attention_dag(n, d)
@@ -830,6 +839,15 @@ def test_brute_force_pinned_on_random_dags():
                 assert P.brute_force_min_io(dag, m) == pin, (seed, m)
 
 
+def test_brute_force_refuses_a_non_integer_red_budget():
+    # 3.5 answered for M = 4: 3 on random_dag(37), where M = 3 gives 5
+    dag = random_dag(37)
+    for m in (3.5, 3.0, True):
+        with pytest.raises(ConfigurationError, match=r"^M must be an integer, got "):
+            P.brute_force_min_io(dag, m)
+    assert P.brute_force_min_io(dag, np.int64(3)) == 5
+
+
 def test_brute_force_pinned_on_attention_dag():
     dag = P.build_attention_dag(1, 1)
     assert [P.brute_force_min_io(dag, m) for m in range(3, 7)] == [4, 4, 4, 4]
@@ -934,6 +952,16 @@ def test_partition_whole_graph_valid():
     dag = P.build_attention_dag(2, 2)
     part = P.PartSpec(dag.nodes.keys(), dag.inputs)
     assert P.verify_m_partition(dag, 12, [part]) == []
+
+
+def test_partition_refuses_a_non_integer_cache():
+    # 2.5 was compared against dominator sizes as it stood
+    dag = P.build_attention_dag(2, 2)
+    part = P.PartSpec(dag.nodes.keys(), dag.inputs)
+    for m in (2.5, 12.0, True):
+        with pytest.raises(ConfigurationError, match=r"^M must be an integer, got "):
+            P.verify_m_partition(dag, m, [part])
+    assert P.verify_m_partition(dag, np.int64(12), [part]) == []
 
 
 def test_partition_p1_overlap_and_cover():
