@@ -60,6 +60,7 @@ from .memory import (
     CountHierarchy,
     IoStats,
     MemoryHierarchy,
+    TracingHierarchy,
     export_trace_csv,
     split_into_epochs,
 )

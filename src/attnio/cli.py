@@ -38,7 +38,7 @@ from .errors import (
 )
 from .fields import FieldMatrix
 from .matrices import random_instance
-from .memory import MemoryHierarchy, export_trace_csv
+from .memory import MemoryHierarchy, TracingHierarchy, export_trace_csv
 
 ENUM_CAP_VAR = "ATTNIO_ENUM_CAP"
 
@@ -66,7 +66,7 @@ def _check_writable(path) -> None:
 
 def _cmd_attn_run(args) -> int:
     inst = random_instance(args.N, args.d, args.seed)
-    h = MemoryHierarchy(args.M)
+    h = (TracingHierarchy if args.trace else MemoryHierarchy)(args.M)
     _check_writable(args.trace)
     result = experiments._KERNELS[args.algorithm](h, inst)
     reference = kernels.reference_attention(inst)
@@ -75,7 +75,7 @@ def _cmd_attn_run(args) -> int:
     print(f"reads={result.io.reads} writes={result.io.writes} total={result.io.total}")
     print(f"epochs={len(result.epochs)} peak_words={h.peak_words} relative_error={err:.3e}")
     if args.trace:
-        export_trace_csv(h.trace, args.trace)
+        export_trace_csv(h, args.trace)
         print(f"trace written to {args.trace}")
     return 0 if err <= experiments.load_bound_config()["oracle_rel_tolerance"] else 1
 

@@ -19,8 +19,9 @@ word and holds no memory or cache - and raises ``ConfigurationError``
 otherwise, so one hierarchy's counts always belong to exactly one run.
 Each kernel loads its inputs and reserves its outputs (``A``, ``dvec``,
 ``QKT``, ``O``) as named arrays, and moves ``Block``s of them.
-Kernels read the hierarchy's read and write counters, never its trace:
-completion ticks and the epoch split both come from ``reads + writes``.
+Kernels read only the hierarchy's read and write counters (a plain
+hierarchy keeps no trace): completion ticks and the epoch split both
+come from ``reads + writes``.
 """
 
 from __future__ import annotations

@@ -11,11 +11,11 @@ free.  A ``Block`` names a row-major rectangle of one array; it is the
 address form of ``read_block`` and ``write_block``, and each block moves
 with one slice.  ``Block.grid`` builds the table of blocks over a product
 of axis partitions, checking each range once, not once per block; the
-kernels build every block they move with it.  The hierarchy keeps one
+kernels build every block they move with it.  The hierarchy keeps only
+counters, no record of its moves: a ``TracingHierarchy`` keeps one
 (kind, block, value bytes) record per move, and iterating its ``trace``
 yields one (kind, address, value) row per word, with addresses (name, i,
-j, ...); no per-word tuple or float exists until then, and the trace has
-no random access.
+j, ...).
 
 One matrix entry is one word is one I/O unit, and every word is a 64-bit
 float.  There is no eviction policy: kernels manage their slots
@@ -52,9 +52,9 @@ error, and ``_refuse`` raises for every failed ``compute`` call.
 ``CountHierarchy`` is the same hierarchy without values: its arrays are
 zero-byte (dtype ``V0``) ones of the float64 shapes, shared through two
 process-wide caches, one per shape and one per (op name, operand
-shapes).  It overrides only ``compute``, ``trace`` and two value hooks,
-so a count run counts, claims and raises exactly as here, and a wrapper
-put on the other methods (the bench tracer's) sees its calls too.
+shapes).  It overrides only ``compute`` and two value hooks, so a count
+run counts, claims and raises exactly as here, and a wrapper put on the
+other methods (the bench tracer's) sees its calls too.
 Counts do not depend on values, so a kernel counts the same on both;
 ``experiments.run_sweep`` runs a point on it, with no values drawn,
 whenever the point's values provably stay finite.
@@ -66,7 +66,6 @@ import csv
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import compress, product, repeat
 from typing import Callable, NoReturn
 
@@ -223,37 +222,8 @@ class Block:
         return f"Block({', '.join(map(repr, (self.name, *self.ranges)))})"
 
 
-class Trace:
-    """The I/O trace: a view of a hierarchy's block moves, iterated as
-    one (kind, address, value) row per word, in move order.
-
-    It keeps only a reference to the hierarchy's move list, so a move is
-    recorded once, by one append in ``read_block`` or ``write_block``.
-    There is no random access and no length: the counters ``reads`` and
-    ``writes`` give the row count, and kernels never read the trace,
-    only those counters.
-    """
-
-    def __init__(self, moves: list[tuple[str, Block, bytes]]):
-        self._moves = moves
-
-    def __iter__(self):
-        for kind, block, raw in self._moves:
-            yield from zip(repeat(kind), block, np.frombuffer(raw).tolist())
-
-    def address_labels(self):
-        """Per move, its kind and the list of its word addresses as
-        ``format_address`` writes them.  Kernels move the same ``Block``
-        objects again and again, so each object is formatted once."""
-        labels = {}
-        for kind, block, _ in self._moves:
-            if block not in labels:
-                labels[block] = list(map(format_address, block))
-            yield kind, labels[block]
-
-
 class MemoryHierarchy:
-    """Bounded cache + unbounded memory with an exact I/O trace.
+    """Bounded cache + unbounded memory with exact I/O counters.
 
     Slots are handles to cache-resident arrays (a scalar is a shape-()
     array).  Occupancy is counted in words; any read, allocation, or
@@ -278,8 +248,6 @@ class MemoryHierarchy:
         # checked; ``load`` and ``reserve`` empty it.  Only moves enter
         # it: ``fetch_matrix`` checks its array each call.
         self._views: dict[Block, np.ndarray] = {}
-        # One (kind, block, value bytes) record per block move.
-        self._moves = []
         self.reads = 0
         self.writes = 0
         self._overflow = False
@@ -289,11 +257,6 @@ class MemoryHierarchy:
         self._used = 0
         self._peak = 0
         self._next_handle = 0
-
-    @cached_property
-    def trace(self) -> Trace:
-        """The I/O trace: a view of the block moves, made on first read."""
-        return Trace(self._moves)
 
     # -- occupancy ---------------------------------------------------------
 
@@ -412,9 +375,8 @@ class MemoryHierarchy:
         reads as its ``tolist()``.  A block object moved before skips
         its address check (see ``_views``); the written check always
         runs.  A zero-byte block (only a ``CountHierarchy`` has one)
-        passes the same checks and is neither copied nor recorded: its
-        slot is the shared zero-byte array of the block's shape, or
-        numpy's reshape of it.
+        passes the same checks and is not copied: its slot is the shared
+        zero-byte array of the block's shape, or numpy's reshape of it.
         """
         # Kernels pass a tuple: one test, before the other cases.
         if shape.__class__ is not tuple:
@@ -429,16 +391,12 @@ class MemoryHierarchy:
         written = self._written.get(block.name)
         if written is not None and block not in written:
             self._check_written(block, written)
-        # A reshape to any other shape fails before the claim.
-        if view.itemsize:
-            # A C-order copy.
-            arr = view.copy() if shape == block.shape else view.copy().reshape(shape)
-            self._claim(block.size)
-            self._moves.append((READ, block, arr.tobytes()))
-        else:
-            # Zero-byte arrays are never written, so slots share them.
-            arr = view if shape == block.shape else view.reshape(shape)
-            self._claim(block.size)
+        # A C-order copy; zero-byte arrays are never written, so slots
+        # share them.  A reshape to any other shape fails before the claim.
+        arr = view.copy() if view.itemsize else view
+        if shape != block.shape:
+            arr = arr.reshape(shape)
+        self._claim(block.size)
         self.reads += block.size
         handle = self._next_handle
         self._next_handle = handle + 1
@@ -447,7 +405,7 @@ class MemoryHierarchy:
 
     def write_block(self, handle: int, block: Block) -> None:
         """Copy a slot's words to memory, one Write event per word.  A
-        zero-byte slot stores and records nothing."""
+        zero-byte slot stores nothing."""
         arr = self._resident(handle)
         if block.size != arr.size:
             raise UsageError(f"slot holds {arr.size} words but {block.size} addresses given")
@@ -456,7 +414,6 @@ class MemoryHierarchy:
             view = self._views[block] = self._view(block)
         if arr.itemsize:
             view[...] = arr.reshape(block.shape)
-            self._moves.append((WRITE, block, arr.tobytes()))
         self.writes += arr.size
         written = self._written.get(block.name)
         if written is not None:
@@ -487,14 +444,13 @@ class MemoryHierarchy:
     def compute(self, op: str, *operands: int, out: int | None = None) -> int:
         """Apply a named arithmetic primitive to cache-resident operands.
 
-        Counters and trace are untouched.  With ``out`` the result
-        overwrites an existing slot of the same size (in-place
-        accumulation); otherwise a fresh slot is allocated.  An unknown
-        op or a wrong operand count raises ``UsageError`` before
-        anything is computed, and so do operands whose shapes the op
-        cannot combine (numpy's ``ValueError`` is its cause); nothing is
-        stored or claimed.  The call runs unchecked; only a failure
-        goes to ``_refuse``.
+        No I/O is counted.  With ``out`` the result overwrites an
+        existing slot of the same size (in-place accumulation);
+        otherwise a fresh slot is allocated.  An unknown op or a wrong
+        operand count raises ``UsageError`` before anything is computed,
+        and so do operands whose shapes the op cannot combine (numpy's
+        ``ValueError`` is its cause); nothing is stored or claimed.  The
+        call runs unchecked; only a failure goes to ``_refuse``.
         """
         slots = self._slots
         # Operands by arity: unpacking the handles straight into the
@@ -577,6 +533,38 @@ class MemoryHierarchy:
         return IoStats(self.reads, self.writes)
 
 
+class TracingHierarchy(MemoryHierarchy):
+    """A ``MemoryHierarchy`` that records its I/O trace.
+
+    Each block move that succeeds appends one (kind, block, value bytes)
+    record to ``moves``, after the base move, so a move that raises
+    records nothing.  Counts, checks and errors are the base's.  Kernels
+    and sweeps read the counters alone and run on a plain hierarchy;
+    ``attnio attn run --trace`` builds this one for ``export_trace_csv``.
+    """
+
+    def __init__(self, capacity: int):
+        super().__init__(capacity)
+        self.moves: list[tuple[str, Block, bytes]] = []
+
+    def read_block(self, block: Block, shape: tuple = None) -> int:
+        handle = super().read_block(block, shape)
+        self.moves.append((READ, block, self._slots[handle].tobytes()))
+        return handle
+
+    def write_block(self, handle: int, block: Block) -> None:
+        super().write_block(handle, block)
+        self.moves.append((WRITE, block, self._slots[handle].tobytes()))
+
+    @property
+    def trace(self):
+        """One (kind, address, value) row per word, in move order, each
+        built as it is iterated; there is no random access and no
+        length, as the counters give the row count."""
+        for kind, block, raw in self.moves:
+            yield from zip(repeat(kind), block, np.frombuffer(raw).tolist())
+
+
 # The count backend's two caches of shared zero-byte arrays (see
 # ``CountHierarchy``), kept for the life of the process.
 #
@@ -613,15 +601,15 @@ class CountHierarchy(MemoryHierarchy):
     """A hierarchy of shapes, occupancy and counters, with no values.
 
     Slow memory and slots are zero-byte arrays (dtype ``V0``) of the
-    shapes the float64 ones would have.  It overrides only ``compute``,
-    ``trace`` and the value hooks ``_copy`` (behind ``load``) and
-    ``_filled`` (behind ``reserve`` and ``alloc``), which refuse the
-    arrays and fills the numeric ones refuse.  The other methods are
+    shapes the float64 ones would have.  It overrides only ``compute``
+    and the value hooks ``_copy`` (behind ``load``) and ``_filled``
+    (behind ``reserve`` and ``alloc``), which refuse the arrays and
+    fills the numeric ones refuse.  The other methods are
     ``MemoryHierarchy``'s own: every count, the peak and each error are
     its, and on zero-byte arrays they skip the value work, so reads copy
-    nothing, writes store nothing, no move is recorded and
-    ``fetch_matrix`` gives zeros.  ``overflow`` stays False; reading
-    ``trace`` raises ``UsageError``.
+    nothing, writes store nothing and ``fetch_matrix`` gives zeros.
+    ``overflow`` stays False, and like a ``MemoryHierarchy`` it has no
+    ``trace``.
 
     Zero-byte arrays hold nothing to write, so they are shared, from two
     process-wide caches: one array per shape (``_ZERO_BYTES``) for slow
@@ -633,10 +621,6 @@ class CountHierarchy(MemoryHierarchy):
     that depend on this hierarchy (residency, capacity, the ``out``
     slot) still run.
     """
-
-    @property
-    def trace(self):
-        raise UsageError("a CountHierarchy records no trace; run on a MemoryHierarchy")
 
     @staticmethod
     def _copy(array) -> np.ndarray:
@@ -727,13 +711,18 @@ def format_address(address: tuple) -> str:
     return f"{name}[{','.join(map(str, idx))}]" if idx else str(name)
 
 
-def export_trace_csv(trace: Trace, path) -> None:
-    """Write the trace as CSV rows (tick, kind, address), each address as
-    ``format_address`` writes it.  Deterministic."""
+def export_trace_csv(h: TracingHierarchy, path) -> None:
+    """Write the trace of ``h`` as CSV rows (tick, kind, address), each
+    address as ``format_address`` writes it.  Kernels move the same
+    ``Block`` objects again and again, so each object's addresses are
+    formatted once.  Deterministic."""
+    labels = {}
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["tick", "kind", "address"])
         tick = 0
-        for kind, labels in trace.address_labels():
-            writer.writerows(zip(range(tick, tick + len(labels)), repeat(kind), labels))
-            tick += len(labels)
+        for kind, block, _ in h.moves:
+            if block not in labels:
+                labels[block] = list(map(format_address, block))
+            writer.writerows(zip(range(tick, tick + block.size), repeat(kind), labels[block]))
+            tick += block.size

@@ -11,12 +11,14 @@ import numpy as np
 import pytest
 
 from attnio import errors, experiments, kernels, memory
+from attnio.matrices import random_instance
 from attnio.memory import (
     _OPS,
     SCAN_RESULTS,
     Block,
     CountHierarchy,
     MemoryHierarchy,
+    TracingHierarchy,
     export_trace_csv,
     format_address,
     split_into_epochs,
@@ -33,15 +35,37 @@ ELEMENTWISE_OPS = {
 }
 
 
-@pytest.fixture
-def elementwise_ops(monkeypatch):
-    assert not set(ELEMENTWISE_OPS) & set(_OPS)
-    for name, entry in ELEMENTWISE_OPS.items():
+def add_ops(monkeypatch, ops: dict) -> None:
+    """Add ``ops`` to the op table until ``monkeypatch`` undoes it, with
+    an empty count-result cache meanwhile, so that no count result of
+    those ops outlives them; every test that adds an op goes through
+    here."""
+    assert not set(ops) & set(_OPS)
+    monkeypatch.setattr(memory, "_COUNT_RESULTS", {})
+    for name, entry in ops.items():
         monkeypatch.setitem(_OPS, name, entry)
 
 
+@pytest.fixture
+def elementwise_ops(monkeypatch):
+    add_ops(monkeypatch, ELEMENTWISE_OPS)
+
+
+def test_a_count_result_of_an_added_op_dies_with_it():
+    with pytest.MonkeyPatch.context() as patch:
+        add_ops(patch, {"neg": ELEMENTWISE_OPS["neg"]})
+        h = CountHierarchy(8)
+        assert h._slots[h.compute("neg", h.alloc((2,)))].shape == (2,)
+        assert ("neg", (2,)) in memory._COUNT_RESULTS
+    assert "neg" not in _OPS
+    for cls in (MemoryHierarchy, CountHierarchy):
+        h = cls(8)
+        with pytest.raises(errors.UsageError, match="unknown op 'neg'"):
+            h.compute("neg", h.alloc((2,)))
+
+
 def test_read_write_counting():
-    h = MemoryHierarchy(8)
+    h = TracingHierarchy(8)
     h.load("x", [3.0])
     h.reserve("y", (1,))
     s = h.read_block(Block("x", range(1)), ())
@@ -127,7 +151,7 @@ SLOT_FAULTS = {
 @pytest.mark.parametrize("fault", SLOT_FAULTS)
 def test_slot_fault_raises_residency_error_and_changes_nothing(fault):
     assert issubclass(errors.ResidencyError, errors.UsageError)
-    h = MemoryHierarchy(8)
+    h = TracingHierarchy(8)
     h.load("A", np.ones((1, 2)))
     h.reserve("B", (2,))
     live = h.read_block(Block("A", range(1), range(2)), (2,))
@@ -256,7 +280,7 @@ def test_overflow_replaced_by_out_stays_flagged(m, further_words):
 ], ids=["out_size_mismatch", "cache_full"])
 def test_refused_compute_leaves_overflow_unset(m, use_out, error):
     # exp(1e308) is +inf, but no slot ever holds it
-    h = MemoryHierarchy(m)
+    h = TracingHierarchy(m)
     h.load("x", np.full((1, 2), 1e308))
     s = h.read_block(Block("x", range(1), range(2)), (2,))
     t = h.alloc((3,) if use_out else (2,))
@@ -377,9 +401,8 @@ def _run_steps(steps, inputs):
 
 @pytest.mark.usefixtures("elementwise_ops")
 def test_fused_ops_match_their_separate_steps(monkeypatch):
-    assert set(FUSED_STEPS) <= set(_OPS) and not set(ROW_OPS) & set(_OPS)
-    for name, entry in ROW_OPS.items():
-        monkeypatch.setitem(_OPS, name, entry)
+    assert set(FUSED_STEPS) <= set(_OPS)
+    add_ops(monkeypatch, ROW_OPS)
     rng = np.random.default_rng(19)
     with np.errstate(all="ignore"):
         for op, (shapes, steps) in FUSED_STEPS.items():
@@ -552,7 +575,7 @@ def test_compute_checks_operand_count():
 
 def test_compute_keeps_an_ops_own_key_error(monkeypatch):
     # only a lookup of a non-resident operand is a ResidencyError
-    monkeypatch.setitem(_OPS, "lookup", (lambda a: {}["k"], 1))
+    add_ops(monkeypatch, {"lookup": (lambda a: {}["k"], 1)})
     h = MemoryHierarchy(8)
     with pytest.raises(KeyError) as info:
         h.compute("lookup", h.alloc((2,)))
@@ -569,7 +592,7 @@ def test_compute_on_empty_slot():
 
 
 def test_read_block_missing_address_leaves_no_trace():
-    h = MemoryHierarchy(8)
+    h = TracingHierarchy(8)
     h.load("A", np.ones((1, 3)))
     h.read_block(Block("A", range(1), range(1)), ())
     before = (list(h.trace), h.reads, h.words_used)
@@ -579,7 +602,7 @@ def test_read_block_missing_address_leaves_no_trace():
 
 
 def test_read_block_bad_shape_leaves_no_claim():
-    h = MemoryHierarchy(8)
+    h = TracingHierarchy(8)
     h.load("A", np.ones((1, 3)))
     with pytest.raises(ValueError):
         h.read_block(Block("A", range(1), range(3)), (2, 2))
@@ -596,7 +619,7 @@ def test_alloc_negative_shape_claims_nothing():
 
 
 def test_trace_stored_per_move_reads_per_word():
-    h = MemoryHierarchy(16)
+    h = TracingHierarchy(16)
     h.load("A", np.arange(6.0).reshape(2, 3))
     h.load("z", np.float32(1.5))
     h.load("i", 2)
@@ -615,11 +638,11 @@ def test_trace_stored_per_move_reads_per_word():
     assert h.reads + h.writes == len(expected) == 17
     assert list(h.trace) == expected
     assert all(type(v) is float for _, _, v in h.trace)
-    assert not list(MemoryHierarchy(4).trace)
+    assert not list(TracingHierarchy(4).trace)
 
 
 def test_failed_block_moves_add_no_move():
-    h = MemoryHierarchy(8)
+    h = TracingHierarchy(8)
     h.load("A", np.ones((1, 3)))
     h.reserve("B", (2,))
     s = h.read_block(Block("A", range(1), range(2)), (2,))
@@ -663,7 +686,7 @@ def test_epochs_take_constant_memory():
 
 
 def test_replay_trace_rebuilds_memory():
-    h = MemoryHierarchy(8)
+    h = TracingHierarchy(8)
     h.load("x", 2.0)
     h.reserve("y", ())
     s = h.read_block(Block("x"), ())
@@ -672,13 +695,13 @@ def test_replay_trace_rebuilds_memory():
 
 
 def test_trace_csv(tmp_path):
-    h = MemoryHierarchy(8)
+    h = TracingHierarchy(8)
     h.load("x", np.full((2, 3), 5.0))
     h.reserve("y", (1,))
     s = h.read_block(Block("x", range(1, 2), range(2, 3)), ())
     h.write_block(s, Block("y", range(1)))
     path = tmp_path / "trace.csv"
-    export_trace_csv(h.trace, path)
+    export_trace_csv(h, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "tick,kind,address"
     assert lines[1] == '0,R,"x[1,2]"'  # commas in the address get quoted
@@ -686,7 +709,7 @@ def test_trace_csv(tmp_path):
 
 
 def test_trace_csv_rows_are_format_address_of_each_word(tmp_path):
-    h = MemoryHierarchy(64)
+    h = TracingHierarchy(64)
     h.load("s", 1.0)
     h.load("x", np.arange(24.0).reshape(2, 3, 4))
     h.load("v", np.arange(5.0))
@@ -694,7 +717,7 @@ def test_trace_csv_rows_are_format_address_of_each_word(tmp_path):
     for block in (Block("s"), cube, row, cube, Block("x", range(1, 1), range(3), range(4))):
         h.read_block(block)
     path = tmp_path / "trace.csv"
-    export_trace_csv(h.trace, path)
+    export_trace_csv(h, path)
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))[1:]
     assert len(rows) == 1 + 16 + 3 + 16
@@ -782,7 +805,7 @@ def test_load_keeps_a_c_order_copy_in_the_arrays_own_shape():
 
 
 def test_reserved_words_are_readable_only_once_written():
-    h = MemoryHierarchy(16)
+    h = TracingHierarchy(16)
     h.load("A", np.arange(4.0).reshape(2, 2))
     h.reserve("O", (2, 2))
     assert h.reads == h.writes == 0 and not list(h.trace)
@@ -865,7 +888,7 @@ def test_fetch_matrix_copies_the_whole_written_array():
 
 
 def test_moves_outside_loaded_or_reserved_arrays_change_nothing():
-    h = MemoryHierarchy(16)
+    h = TracingHierarchy(16)
     h.load("A", np.ones((2, 3)))
     h.reserve("O", (2,))
     s = h.read_block(Block("A", range(1), range(2)), (2,))
@@ -1091,18 +1114,62 @@ def test_count_hierarchy_shares_the_block_moves_and_keeps_no_trace():
     assert {"read_block", "write_block", "compute"} <= wrapped
     assert {method for method in wrapped if method in vars(CountHierarchy)} == {"compute"}
     assert {name for name in vars(CountHierarchy) if not name.startswith("__")} == {
-        "trace", "_copy", "_filled", "compute", "_uncached_result"}
+        "_copy", "_filled", "compute", "_uncached_result"}
     h = CountHierarchy(8)
     h.load("A", np.ones((2, 2)))
     h.reserve("O", (2, 2))
     s = h.read_block(Block("A", range(2), range(2)), (2, 2))
     h.write_block(s, Block("O", range(2), range(2)))
     assert (h.reads, h.writes, h.peak_words) == (4, 4, 4)
-    assert not h._moves
     assert h.fetch_matrix("O").tolist() == [[0.0, 0.0], [0.0, 0.0]]
     assert not h.overflow
-    with pytest.raises(errors.UsageError, match="records no trace"):
-        h.trace
+    # only a TracingHierarchy records moves
+    for plain in (h, MemoryHierarchy(8)):
+        assert not hasattr(plain, "trace") and not hasattr(plain, "moves")
+
+
+def test_the_bench_tracer_sees_each_move_of_a_traced_run_once(monkeypatch):
+    # bench/tracer.py wraps read_block and write_block on MemoryHierarchy;
+    # TracingHierarchy's overrides call those, so each traced move passes
+    # through the wrappers once, with the words the counters count
+    assert {method for method in tracer_memory_methods()
+            if method in vars(TracingHierarchy)} == {"read_block", "write_block"}
+    seen = []
+
+    def counted(method, kind, block_arg):
+        original = getattr(MemoryHierarchy, method)
+
+        def wrapper(self, *args):
+            result = original(self, *args)
+            seen.append((kind, args[block_arg]))
+            return result
+
+        monkeypatch.setattr(MemoryHierarchy, method, wrapper)
+
+    counted("read_block", "R", 0)
+    counted("write_block", "W", 1)
+    h = TracingHierarchy(16)
+    kernels.square_tiling_attention(h, random_instance(6, 2, 0), write_qkt=True)
+    assert seen == [(kind, block) for kind, block, _ in h.moves]
+    assert sum(block.size for kind, block in seen if kind == "R") == h.reads > 0
+    assert sum(block.size for kind, block in seen if kind == "W") == h.writes > 0
+
+
+@pytest.mark.parametrize("kernel, n, d, m, bound_mb", [
+    (kernels.square_tiling_attention, 64, 2, 4, 4.0),  # B = 1
+    (kernels.streaming_attention, 256, 8, 512, 1.5),
+], ids=["tiling", "streaming"])
+def test_a_plain_run_keeps_no_record_of_its_moves(kernel, n, d, m, bound_mb):
+    # a per-move record grows with the I/O: with one, these runs peak at
+    # about 6.5 and 2.1 MiB; without one, at 2.5 and 0.9 MiB
+    inst = random_instance(n, d, 0)
+    tracemalloc.start()
+    try:
+        kernel(MemoryHierarchy(m), inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound_mb * 2 ** 20
 
 
 def test_count_reads_share_one_zero_byte_slot_per_shape_pair():
